@@ -17,6 +17,7 @@ A previously written summary document (which echoes its config under a
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -86,6 +87,19 @@ class _Check:
 
 
 _NUM = (int, float)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, _NUM) and not isinstance(v, bool)
+
+
+def _is_moment_order(v) -> bool:
+    """A p of ``p_list``: a nonzero finite number, or minus infinity
+    (the string "-inf" or a YAML ``-.inf``)."""
+    if v == "-inf":
+        return True
+    return _is_number(v) and v != 0 and (math.isfinite(v) or v == -math.inf)
+
 
 DENSITY_KEYS = {
     "uniform-box": {"side", "lo", "hi", "n"},
@@ -181,7 +195,8 @@ def _check_moments(params: dict, ck: _Check):
     ck.require(params, "N", int, where, lambda v: v >= 1)
     ck.require(params, "j", int, where, lambda v: v >= 1)
     ck.require(params, "trials", int, where, lambda v: v >= 100)
-    ck.require(params, "p_list", list, where)
+    ck.require(params, "p_list", list, where,
+               lambda v: len(v) >= 1 and all(map(_is_moment_order, v)))
 
 
 def _check_spherical(params: dict, ck: _Check, kind: str):
@@ -232,7 +247,8 @@ def _check_gorbovickis(params: dict, ck: _Check):
     if "R" not in params and "R_list" not in params:
         ck.fail("params: need 'R' or 'R_list'")
     ck.typed(params, "R", _NUM, where, lambda v: v > 0)
-    ck.typed(params, "R_list", list, where)
+    ck.typed(params, "R_list", list, where,
+             lambda v: len(v) >= 1 and all(_is_number(x) and 0 < x < math.inf for x in v))
 
 
 def _check_hull_bridge(params: dict, ck: _Check):

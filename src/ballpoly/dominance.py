@@ -10,9 +10,14 @@ simultaneous distribution-free confidence bands, which makes the
 comparison conservative: a VIOLATION requires the empirical gap to
 exceed both bands.
 
-Determinism: trial t of a run draws from the substream keyed
-(seed, t, i) for center i, so results are bit-identical for any worker
-count or batching.
+Determinism (RNG contract version 2, see ``rng``): trials run in
+blocks of ``TRIAL_BLOCK``; center i of every trial in block b comes
+from one draw of ``TRIAL_BLOCK`` points on the substream keyed
+(seed, b, i), and trial t takes row t % TRIAL_BLOCK of block
+t // TRIAL_BLOCK. Full blocks are always drawn, so trial t's value is
+bit-identical for any trial count, worker count or chunking, and
+``_trial_value`` replays it alone. Worker chunks start on block bounds
+so that no block is drawn twice.
 """
 
 from __future__ import annotations
@@ -26,10 +31,10 @@ import numpy as np
 
 from . import exact2d
 from .densities import Density, UniformBody, ball_extremizer, cube_extremizer, Product1D
-from .errors import NonIntegrable, UnsupportedDimension
+from .errors import BallPolyError, NonIntegrable, UnsupportedDimension
 from .geometry import BallPolyhedron, reflect
 from .intrinsic import EpsilonGrid, fit_intrinsic_volumes
-from .rng import stream, uniform_on_sphere
+from .rng import TRIAL_BLOCK, stream, uniform_on_sphere
 from .wulff import SphericalFunction, build_A, volume_radius
 
 # Experiments abort when more than this fraction of trials fail
@@ -96,10 +101,19 @@ class TrialBatch:
     j: int
 
 
-def _trial_value(cfg: ExperimentConfig, densities, radii, t: int) -> float:
-    centers = np.vstack([
-        densities[i].sample(stream(cfg.seed, t, i), 1)[0] for i in range(cfg.N)
-    ])
+def _block_centers(cfg: ExperimentConfig, densities, b: int) -> np.ndarray:
+    """Centers of every trial in block b, shape (TRIAL_BLOCK, N, n)."""
+    return np.stack([d.sample(stream(cfg.seed, b, i), TRIAL_BLOCK)
+                     for i, d in enumerate(densities)], axis=1)
+
+
+def _trial_value(cfg: ExperimentConfig, densities, radii, t: int,
+                 centers: Optional[np.ndarray] = None) -> float:
+    """V_j of trial t, whose (N, n) ``centers`` are row t % TRIAL_BLOCK
+    of its block; without them the block is drawn, which replays trial
+    t alone."""
+    if centers is None:
+        centers = _block_centers(cfg, densities, t // TRIAL_BLOCK)[t % TRIAL_BLOCK]
     if cfg.estimator == "exact-2d":
         region = exact2d.disk_region(centers, radii)
         if region.empty:
@@ -107,7 +121,8 @@ def _trial_value(cfg: ExperimentConfig, densities, radii, t: int) -> float:
         return region.area if cfg.j == 2 else region.perimeter / 2.0
     P = BallPolyhedron.from_arrays(centers, radii)
     grid = EpsilonGrid.default_for(P, samples=cfg.fit_samples)
-    V = fit_intrinsic_volumes(P, grid, seed=(cfg.seed, t, 10_000))
+    fit_seed = int(np.random.SeedSequence((cfg.seed, t, 10_000)).generate_state(1)[0])
+    V = fit_intrinsic_volumes(P, grid, seed=fit_seed)
     return float(V.values[cfg.j])
 
 
@@ -121,12 +136,15 @@ def _chunk_worker(bounds) -> tuple:
     radii = cfg.radii
     vals = np.empty(hi - lo)
     failed = []
-    for t in range(lo, hi):
-        try:
-            vals[t - lo] = _trial_value(cfg, densities, radii, t)
-        except Exception:
-            vals[t - lo] = np.nan
-            failed.append(t)
+    for b in range(lo // TRIAL_BLOCK, -(-hi // TRIAL_BLOCK)):
+        block = _block_centers(cfg, densities, b)
+        for t in range(max(lo, b * TRIAL_BLOCK), min(hi, (b + 1) * TRIAL_BLOCK)):
+            try:
+                vals[t - lo] = _trial_value(cfg, densities, radii, t,
+                                            block[t % TRIAL_BLOCK])
+            except BallPolyError:
+                vals[t - lo] = np.nan
+                failed.append(t)
     return vals, failed
 
 
@@ -135,8 +153,9 @@ def run_trials(cfg: ExperimentConfig, density=None) -> TrialBatch:
 
     ``density`` overrides cfg.density (used to run the extremizer with
     the same trial seeds). Empty intersections score 0; estimator
-    failures mark the trial FAILED, and the run aborts if failures
-    exceed 0.1% of the trials.
+    failures (``BallPolyError``) mark the trial FAILED, and the run
+    aborts if failures exceed 0.1% of the trials. Any other exception,
+    and any sampler error while drawing a block, propagates.
     """
     local = ExperimentConfig(**{**cfg.__dict__, "density": density}) if density is not None else cfg
     densities = local.densities()
@@ -148,7 +167,7 @@ def run_trials(cfg: ExperimentConfig, density=None) -> TrialBatch:
     else:
         # Fork inherits the state without pickling density oracles.
         _FORK_STATE.update(cfg=local, densities=densities)
-        chunk = max(256, m // (workers * 8))
+        chunk = TRIAL_BLOCK * max(1, m // (workers * 8 * TRIAL_BLOCK))
         bounds = [(lo, min(lo + chunk, m)) for lo in range(0, m, chunk)]
         ctx = mp.get_context("fork")
         with ctx.Pool(workers) as pool:
@@ -306,17 +325,12 @@ def _p_mean(values: np.ndarray, p: float):
     return est, se
 
 
-def moment_compare(K, R: float, N: int, j: int, p: float, trials: int,
-                   seed: int = 0, estimator: str = "exact-2d",
-                   fit_samples: int = 20_000):
-    """p-th moment comparison for centers uniform on the tangent-center
-    star body of K versus uniform on its volume-matched ball.
-
-    ``p = -inf`` (any non-finite p) reports the sample minima. Every
-    ball in these configurations contains a fixed neighborhood of the
-    origin, so negative moments are finite; a sample below 1e-12 with
-    p < 0 raises NonIntegrable since it signals a geometry bug.
-    """
+def moment_samples(K, R: float, N: int, j: int, trials: int, seed: int = 0,
+                   estimator: str = "exact-2d", fit_samples: int = 20_000):
+    """Trials of both sides of the moment comparison: centers uniform on
+    the tangent-center star body of K (lhs) versus uniform on its
+    volume-matched ball (rhs). Returns the two TrialBatches, from which
+    ``moment_report`` scores any number of p."""
     f = SphericalFunction.from_support_body(K)
     if f.min <= 0:
         raise ValueError("the body must contain the origin in its interior")
@@ -330,8 +344,17 @@ def moment_compare(K, R: float, N: int, j: int, p: float, trials: int,
         n=K.dimension, N=N, R=R, j=j, density=dens_a, trials=trials,
         seed=seed, estimator=estimator, fit_samples=fit_samples,
     )
-    lhs_vals = run_trials(cfg).values
-    rhs_vals = run_trials(cfg, density=[dens_b] * N).values
+    return run_trials(cfg), run_trials(cfg, density=[dens_b] * N)
+
+
+def moment_report(lhs_vals: np.ndarray, rhs_vals: np.ndarray, p: float) -> MomentReport:
+    """p-th moments of the two sides' V_j samples.
+
+    ``p = -inf`` (any non-finite p) reports the sample minima. Every
+    ball in these configurations contains a fixed neighborhood of the
+    origin, so negative moments are finite; a sample below 1e-12 with
+    p < 0 raises NonIntegrable since it signals a geometry bug.
+    """
     if not math.isfinite(p):
         return MomentReport(p, float(np.min(lhs_vals)), float(np.min(rhs_vals)), 0.0, 0.0)
     if p < 0 and (np.any(lhs_vals < 1e-12) or np.any(rhs_vals < 1e-12)):
@@ -342,6 +365,15 @@ def moment_compare(K, R: float, N: int, j: int, p: float, trials: int,
     lhs, se_l = _p_mean(lhs_vals, p)
     rhs, se_r = _p_mean(rhs_vals, p)
     return MomentReport(p, lhs, rhs, se_l, se_r)
+
+
+def moment_compare(K, R: float, N: int, j: int, p: float, trials: int,
+                   seed: int = 0, estimator: str = "exact-2d",
+                   fit_samples: int = 20_000) -> MomentReport:
+    """p-th moment comparison for one p: ``moment_samples`` scored by
+    ``moment_report``."""
+    lhs, rhs = moment_samples(K, R, N, j, trials, seed, estimator, fit_samples)
+    return moment_report(lhs.values, rhs.values, p)
 
 
 # ---------------------------------------------------------------------------

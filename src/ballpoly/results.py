@@ -1,7 +1,8 @@
 """Result records and file emission.
 
 Every run produces one ResultRecord: the config echo, a content hash of
-the semantically meaningful config, the artifact version, timestamps,
+the semantically meaningful config, the artifact version, the RNG
+contract version (which fixes the samples a seed gives), timestamps,
 scalar metrics (each stochastic metric paired with its uncertainty),
 and zero or more tabular curves. Records are append-only on disk:
 re-running a config hash warns and writes a timestamped sibling rather
@@ -23,6 +24,7 @@ import yaml
 
 from . import __version__
 from .config import RunConfig
+from .rng import RNG_CONTRACT
 
 
 @dataclass
@@ -45,6 +47,7 @@ class ResultRecord:
     metrics: Dict[str, Any]
     curves: List[CurveTable] = field(default_factory=list)
     failed_trials: int = 0
+    rng_contract: int = RNG_CONTRACT
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -97,6 +100,7 @@ def write_results(record: ResultRecord, out_dir: str,
             "record": {
                 "config_hash": record.config_hash,
                 "version": record.version,
+                "rng_contract": record.rng_contract,
                 "started": record.started,
                 "finished": record.finished,
                 "failed_trials": record.failed_trials,

@@ -2,14 +2,31 @@
 
 Every stochastic routine takes an integer seed and derives independent
 substreams with ``numpy.random.SeedSequence`` spawn keys. A stream is
-keyed by ``(seed, *indices)`` so that trial t of experiment e always
-sees the same bits regardless of batching, worker count, or evaluation
-order.
+keyed by ``(seed, *indices)``, so the bits a computation sees depend on
+its key alone, not on evaluation order.
+
+Trials are keyed by block (RNG contract version 2). The trials of an
+experiment are split into blocks of ``TRIAL_BLOCK``; ball i of block b
+draws the centres of all the block's trials in one sampler call from
+the stream ``(seed, b, i)``, and trial t takes row ``t % TRIAL_BLOCK``
+of block ``t // TRIAL_BLOCK``. A full block is always drawn, the last
+one too, so trial t sees the same centres whatever the trial count,
+worker count or chunking. Version 1 keyed one stream per centre,
+``(seed, t, i)``; result records carry ``RNG_CONTRACT`` because a new
+contract changes every sampled result for the same seed.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Version of the seed-to-sample mapping written into every result
+# record; bump it whenever the same seed stops giving the same samples.
+RNG_CONTRACT = 2
+
+# Trials per block of the version-2 contract (changing it changes the
+# contract).
+TRIAL_BLOCK = 256
 
 
 def stream(seed, *indices: int) -> np.random.Generator:

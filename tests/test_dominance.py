@@ -7,7 +7,9 @@ import pytest
 
 from ballpoly import densities as dn
 from ballpoly import dominance as dm
-from ballpoly.geometry import DirectionGrid, SupportBody
+from ballpoly.errors import DegenerateTangency
+from ballpoly.geometry import BallPolyhedron, DirectionGrid, SupportBody
+from ballpoly.intrinsic import EpsilonGrid, fit_intrinsic_volumes
 from ballpoly.rng import stream
 
 
@@ -37,7 +39,8 @@ class TestRunTrials:
         # Re-derive each trial's centers from the same substreams and
         # compare against the two-disk closed form.
         for t in range(0, 300, 7):
-            c = np.vstack([disk.sample(stream(2, t, i), 1)[0] for i in range(2)])
+            c = np.vstack([disk.sample(stream(2, t // dm.TRIAL_BLOCK, i), dm.TRIAL_BLOCK)
+                           [t % dm.TRIAL_BLOCK] for i in range(2)])
             d = float(np.linalg.norm(c[0] - c[1]))
             expected = 2 * R * R * math.acos(d / (2 * R)) - (d / 2) * math.sqrt(4 * R * R - d * d)
             assert batch.values[t] == pytest.approx(expected, rel=1e-12)
@@ -58,6 +61,66 @@ class TestRunTrials:
                                    trials=400, seed=4, workers=2)
         c = dm.run_trials(cfg2).values
         assert np.array_equal(a, c)
+
+    def test_replay_matches_run_in_two_blocks(self):
+        cfg = dm.ExperimentConfig(n=2, N=3, R=3.0, j=2, density=unit_area_square(),
+                                  trials=300, seed=24)
+        batch = dm.run_trials(cfg)
+        assert batch.failed == 0
+        for t in (5, dm.TRIAL_BLOCK + 30):
+            assert dm._trial_value(cfg, cfg.densities(), cfg.radii, t) == batch.values[t]
+
+    def test_partial_block_independent_of_workers_and_count(self):
+        # 700 trials: two full blocks and a partial one, split over two
+        # workers; trial t must not depend on the trial count either.
+        kw = dict(n=2, N=3, R=3.0, j=2, density=unit_area_square(), seed=25)
+        one = dm.run_trials(dm.ExperimentConfig(trials=700, **kw)).values
+        two = dm.run_trials(dm.ExperimentConfig(trials=700, workers=2, **kw)).values
+        assert np.array_equal(one, two)
+        short = dm.run_trials(dm.ExperimentConfig(trials=300, **kw)).values
+        assert np.array_equal(one[:300], short)
+
+    def test_estimator_bug_propagates(self, monkeypatch):
+        def broken(centers, radii):
+            raise ValueError("a bug, not a failed trial")
+
+        monkeypatch.setattr(dm.exact2d, "disk_region", broken)
+        cfg = dm.ExperimentConfig(n=2, N=3, R=3.0, j=2, density=unit_area_square(),
+                                  trials=100, seed=26)
+        with pytest.raises(ValueError, match="a bug"):
+            dm.run_trials(cfg)
+
+    def test_estimator_failure_counts_one_trial(self, monkeypatch):
+        real = dm.exact2d.disk_region
+        calls = []
+
+        def flaky(centers, radii):
+            calls.append(1)
+            if len(calls) == 7:
+                raise DegenerateTangency("tangent within tolerance")
+            return real(centers, radii)
+
+        monkeypatch.setattr(dm.exact2d, "disk_region", flaky)
+        cfg = dm.ExperimentConfig(n=2, N=3, R=3.0, j=2, density=unit_area_square(),
+                                  trials=1000, seed=27)
+        batch = dm.run_trials(cfg)
+        assert batch.failed == 1
+        assert batch.values.size == 999
+
+    def test_steiner_fit_trials_in_3d(self):
+        # Volume-one ball: every center lies within 0.62 of the origin,
+        # so the three unit balls share the origin and V_3 > 0.
+        ball = dn.ball_extremizer(3)
+        cfg = dm.ExperimentConfig(n=3, N=3, R=1.0, j=3, density=ball, trials=100,
+                                  seed=28, estimator="steiner-fit", fit_samples=2000)
+        block = [ball.sample(stream(28, 0, i), dm.TRIAL_BLOCK) for i in range(3)]
+        for t in range(5):
+            v = dm._trial_value(cfg, cfg.densities(), cfg.radii, t)
+            assert math.isfinite(v) and v > 0.0
+            P = BallPolyhedron.from_arrays(np.vstack([c[t] for c in block]), 1.0)
+            grid = EpsilonGrid.default_for(P, samples=2000)
+            seed = int(np.random.SeedSequence((28, t, 10_000)).generate_state(1)[0])
+            assert v == fit_intrinsic_volumes(P, grid, seed=seed).values[3]
 
 
 class TestSurvival:
