@@ -13,7 +13,7 @@ Library layout:
 * ``dominance``  survival-curve dominance experiments and moment
   comparisons for random ball-polyhedra
 * ``wulff``      tangent-center star bodies, Wulff shapes,
-  ball-polyhedral approximation, symmetrization rounding
+  ball-polyhedral approximation
 * ``extremal``   circumscription minima, enclosing-simplex bounds,
   large-radius volume deficits, hull mean-width bridge
 * ``cli``        configuration-driven experiment harness
@@ -25,7 +25,6 @@ from .errors import (
     BallPolyError,
     DegenerateTangency,
     EmptyIntersection,
-    HemisphereViolation,
     IllConditioned,
     NonConvergence,
     NonIntegrable,

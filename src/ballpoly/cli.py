@@ -286,8 +286,7 @@ def run(cfg: RunConfig):
     _log(f"running {cfg.kind} (seed={cfg.seed}, workers={cfg.workers})")
     metrics, curves, failed = _RUNNERS[cfg.kind](cfg)
     record = make_record(cfg, started, metrics, curves, failed)
-    _log(f"finished {cfg.kind}: " + ", ".join(
-        f"{k}={v}" for k, v in list(metrics.items())[:4]))
+    _log(f"finished {cfg.kind}: " + ", ".join(f"{k}={v}" for k, v in metrics.items()))
     return record
 
 

@@ -240,10 +240,23 @@ def _check_minimize(params: dict, ck: _Check, kind: str):
              lambda v: v in ("exact-2d", "steiner-fit", "exact-hull-3d"))
 
 
+def _is_point_set(v, samples) -> bool:
+    """Equal-length lists of finite numbers; planar unless a Monte-Carlo
+    sample budget is given."""
+    if not v or not all(isinstance(x, list) for x in v):
+        return False
+    n = len(v[0])
+    if n == 0 or (n != 2 and not (isinstance(samples, int) and samples >= 1)):
+        return False
+    return all(len(x) == n and all(_is_number(c) and math.isfinite(c) for c in x) for x in v)
+
+
 def _check_gorbovickis(params: dict, ck: _Check):
     where = "params"
     ck.only(params, {"points", "R", "R_list", "samples"}, where)
-    ck.require(params, "points", list, where, lambda v: len(v) >= 1)
+    samples = ck.typed(params, "samples", int, where,
+                       lambda v: not isinstance(v, bool) and v >= 0)
+    ck.require(params, "points", list, where, lambda v: _is_point_set(v, samples))
     if "R" not in params and "R_list" not in params:
         ck.fail("params: need 'R' or 'R_list'")
     ck.typed(params, "R", _NUM, where, lambda v: v > 0)

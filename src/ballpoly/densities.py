@@ -112,16 +112,6 @@ class Density:
         return None
 
 
-def sample(f: Density, seed: int, size: int = 1) -> np.ndarray:
-    """Draw ``size`` points from f using the stream keyed by seed."""
-    return f.sample(stream(seed), size)
-
-
-def rearrange(f: Density) -> Density:
-    """Symmetric decreasing rearrangement (closed form per family)."""
-    return f.rearranged()
-
-
 # ---------------------------------------------------------------------------
 # Uniform densities on regions
 
@@ -439,11 +429,6 @@ class Product1D(Density):
         return total
 
 
-def uniform_cube_density(n: int, side: float = 1.0) -> UniformBody:
-    """Uniform density on the centered cube of the given side."""
-    return UniformBody(Box.centered_cube(side, n))
-
-
 def ball_extremizer(n: int, sup_bound: float = 1.0) -> UniformBody:
     """Uniform density a*1_{bB} with sup a and total mass one.
 
@@ -520,7 +505,7 @@ def _cover_radius(f: Density) -> float:
         if isinstance(r, BallPolyhedron):
             b = r.smallest
             return float(np.linalg.norm(b.center) + b.radius)
-        return float(np.linalg.norm(r.grid.directions[0]) * 0 + r.max_radius)
+        return r.max_radius
     return 1.0
 
 

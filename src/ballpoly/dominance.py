@@ -32,7 +32,7 @@ import numpy as np
 from . import exact2d
 from .densities import Density, UniformBody, ball_extremizer, cube_extremizer, Product1D
 from .errors import BallPolyError, NonIntegrable, UnsupportedDimension
-from .geometry import BallPolyhedron, reflect
+from .geometry import BallPolyhedron
 from .intrinsic import EpsilonGrid, fit_intrinsic_volumes
 from .rng import TRIAL_BLOCK, stream, uniform_on_sphere
 from .wulff import SphericalFunction, build_A, volume_radius
@@ -249,46 +249,46 @@ def _auto_grid(extremal_values: np.ndarray, count: int) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
+def _check_extremizer(cfg: ExperimentConfig, extremizers: List[Density],
+                      label: str) -> DominanceReport:
+    """Run cfg's trials under its own densities and under the
+    extremizers (same trial seeds), and compare the survival curves."""
+    test = run_trials(cfg)
+    extremal = run_trials(cfg, density=extremizers)
+    s = cfg.s_grid if cfg.s_grid is not None else _auto_grid(extremal.values, cfg.s_points)
+    tc = SurvivalCurve.from_samples(test.values, s, cfg.alpha)
+    ec = SurvivalCurve.from_samples(extremal.values, s, cfg.alpha)
+    return DominanceReport(compare_curves(tc, ec), tc, ec,
+                           test.failed + extremal.failed, label)
+
+
 def check_ball_extremizer(cfg: ExperimentConfig) -> DominanceReport:
     """Survival-curve comparison against the ball extremizer.
 
     Densities with sup at most one are compared against the uniform
     density on the volume-one centered ball; larger sup bounds use the
     general normalization a*1_{bB} with a the density's sup."""
-    densities = cfg.densities()
     extremizers = []
-    for d in densities:
+    for d in cfg.densities():
         sup = d.sup_bound
         extremizers.append(ball_extremizer(cfg.n, sup if sup > 1.0 else 1.0))
-    test = run_trials(cfg)
-    extremal = run_trials(cfg, density=extremizers)
-    s = cfg.s_grid if cfg.s_grid is not None else _auto_grid(extremal.values, cfg.s_points)
-    tc = SurvivalCurve.from_samples(test.values, s, cfg.alpha)
-    ec = SurvivalCurve.from_samples(extremal.values, s, cfg.alpha)
-    return DominanceReport(compare_curves(tc, ec), tc, ec,
-                           test.failed + extremal.failed, "uniform-ball")
+    return _check_extremizer(cfg, extremizers, "uniform-ball")
 
 
-def check_cube_extremizer(cfg: ExperimentConfig, bound: float = 1.0) -> DominanceReport:
+def check_cube_extremizer(cfg: ExperimentConfig) -> DominanceReport:
     """Survival-curve comparison against the cube extremizer for
-    product densities with per-coordinate sup at most ``bound``."""
-    densities = cfg.densities()
+    product densities: the unit cube when every factor's sup is at most
+    one, otherwise uniform factors matching the factors' sups."""
     extremizers = []
-    for d in densities:
+    for d in cfg.densities():
         if not isinstance(d, Product1D):
             raise ValueError("cube extremizer requires product densities")
         sups = [f.sup_bound for f in d.factors]
-        if max(sups) > bound + 1e-12:
+        if max(sups) > 1.0 + 1e-12:
             extremizers.append(cube_extremizer(sups))
         else:
-            extremizers.append(cube_extremizer([bound] * cfg.n))
-    test = run_trials(cfg)
-    extremal = run_trials(cfg, density=extremizers)
-    s = cfg.s_grid if cfg.s_grid is not None else _auto_grid(extremal.values, cfg.s_points)
-    tc = SurvivalCurve.from_samples(test.values, s, cfg.alpha)
-    ec = SurvivalCurve.from_samples(extremal.values, s, cfg.alpha)
-    return DominanceReport(compare_curves(tc, ec), tc, ec,
-                           test.failed + extremal.failed, "uniform-cube")
+            extremizers.append(cube_extremizer([1.0] * cfg.n))
+    return _check_extremizer(cfg, extremizers, "uniform-cube")
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,6 @@ class RadiusTooSmall(BallPolyError):
     function, so the tangent-center star body is not defined."""
 
 
-class HemisphereViolation(BallPolyError):
-    """Directions lie in a closed hemisphere, so the halfspace
-    intersection is unbounded."""
-
-
 class UnboundedConfiguration(BallPolyError):
     """A halfspace configuration does not bound a finite polytope."""
 

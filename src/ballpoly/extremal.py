@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
 from . import exact2d, polytope
-from .errors import UnboundedConfiguration, UnsupportedDimension
+from .errors import UnsupportedDimension
 from .geometry import BallPolyhedron, DirectionGrid, SupportBody
 from .intrinsic import mc_volume, omega, steiner_fit_from_distances
 from .rng import stream, uniform_in_ball, uniform_on_sphere
@@ -385,44 +385,6 @@ def hull_support_mean(points: np.ndarray, grid: DirectionGrid) -> float:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     h = np.max(grid.directions @ pts.T, axis=1)
     return float(np.dot(grid.weights, h))
-
-
-@dataclass
-class HullWidthReport:
-    radii: np.ndarray
-    coefficients: np.ndarray
-    extrapolated: float
-    pinned_prediction: float   # n omega_n mean(h_hull)
-    direct_mean_width: float   # 2 mean(h_hull)
-    ratio_to_full_width: float
-    note: str = NORMALIZATION_NOTE
-
-
-def hull_meanwidth_via_balls(points: np.ndarray, R_list: Sequence[float],
-                             grid: Optional[DirectionGrid] = None) -> HullWidthReport:
-    """Extract the hull's support-function mean from ball-volume
-    deficits at ascending radii (polynomial-in-1/R extrapolation) and
-    compare against the direct quadrature."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[1]
-    if n != 2:
-        raise UnsupportedDimension("deficit extrapolation uses the planar oracle")
-    g = grid if grid is not None else DirectionGrid.uniform_2d(2048)
-    R_list = np.asarray(sorted(R_list), dtype=float)
-    coeffs = np.array([
-        gorbovickis_deficit(pts, R).deficit_coefficient for R in R_list
-    ])
-    # Richardson-style fit in powers of 1/R: value at 1/R -> 0.
-    k = min(3, len(R_list))
-    fit = np.polyfit(1.0 / R_list, coeffs, k - 1)
-    extrapolated = float(fit[-1])
-    hmean = hull_support_mean(pts, g)
-    pinned = n * omega(n) * hmean
-    w = 2.0 * hmean
-    return HullWidthReport(
-        R_list, coeffs, extrapolated, float(pinned), float(w),
-        ratio_to_full_width=float(extrapolated / (n * omega(n) * w)) if w > 0 else 0.0,
-    )
 
 
 @dataclass

@@ -322,9 +322,8 @@ class DirectionGrid:
     summing to one (uniform-measure quadrature).
 
     2D grids are uniform in angle, which makes reflections about grid
-    directions exact index permutations (used by the symmetrization
-    rounding loop). In higher dimension the grid is a fixed low
-    discrepancy point set with equal weights.
+    directions exact index permutations. In higher dimension the grid
+    is a fixed low discrepancy point set with equal weights.
     """
 
     directions: np.ndarray
@@ -387,17 +386,6 @@ class DirectionGrid:
         dirs = np.vstack([half, -half])
         return cls(dirs, np.full(dirs.shape[0], 1.0 / dirs.shape[0]))
 
-    def angle_index(self, direction: np.ndarray) -> int:
-        """Index of a 2D grid direction (must lie on the grid)."""
-        if self.dimension != 2:
-            raise ValueError("angle_index is a 2D helper")
-        m = len(self)
-        ang = float(np.arctan2(direction[1], direction[0])) % (2.0 * np.pi)
-        j = int(round(ang * m / (2.0 * np.pi))) % m
-        if abs((2.0 * np.pi * j / m - ang + np.pi) % (2.0 * np.pi) - np.pi) > 1e-9:
-            raise ValueError("direction does not lie on the uniform 2D grid")
-        return j
-
     def reflected_indices(self, j: int) -> np.ndarray:
         """Permutation k -> index of R_u(theta_k) for u = directions[j].
 
@@ -417,33 +405,23 @@ class DirectionGrid:
 
 
 class SupportBody:
-    """Convex body represented by a support-function oracle.
-
-    The oracle is exact for tagged families (balls, polytopes,
-    symmetral composites); bodies defined only by grid values fall back
-    to periodic linear interpolation in 2D and nearest-direction lookup
-    otherwise. ``values`` caches the oracle on the grid.
+    """Convex body represented by an exact support-function oracle
+    (balls, polytopes, symmetral composites). ``values`` caches the
+    oracle on the grid.
     """
 
     def __init__(
         self,
         dimension: int,
         grid: DirectionGrid,
-        oracle: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        values: Optional[np.ndarray] = None,
-        tag: str = "grid",
+        oracle: Callable[[np.ndarray], np.ndarray],
     ):
         if grid.dimension != dimension:
             raise ValueError("grid dimension mismatch")
-        if oracle is None and values is None:
-            raise ValueError("need an oracle or grid values")
         self.dimension = dimension
         self.grid = grid
         self.oracle = oracle
-        self.tag = tag
-        if values is None:
-            values = oracle(grid.directions)
-        self.values = _readonly(np.asarray(values, dtype=float))
+        self.values = _readonly(np.asarray(oracle(grid.directions), dtype=float))
 
     # -- constructors ------------------------------------------------------
 
@@ -454,7 +432,7 @@ class SupportBody:
         def h(dirs):
             return dirs @ center + radius
 
-        return cls(center.shape[0], grid, oracle=h, tag="ball")
+        return cls(center.shape[0], grid, oracle=h)
 
     @classmethod
     def polytope(cls, vertices: np.ndarray, grid: DirectionGrid) -> "SupportBody":
@@ -463,7 +441,7 @@ class SupportBody:
         def h(dirs):
             return np.max(np.atleast_2d(dirs) @ v.T, axis=1)
 
-        return cls(v.shape[1], grid, oracle=h, tag="polytope")
+        return cls(v.shape[1], grid, oracle=h)
 
     @classmethod
     def segment(cls, a: np.ndarray, b: np.ndarray, grid: DirectionGrid) -> "SupportBody":
@@ -476,30 +454,14 @@ class SupportBody:
         def h(dirs):
             return half * np.sum(np.abs(np.atleast_2d(dirs)), axis=1)
 
-        return cls(n, grid, oracle=h, tag="polytope")
-
-    @classmethod
-    def from_values(cls, grid: DirectionGrid, values: np.ndarray) -> "SupportBody":
-        return cls(grid.dimension, grid, values=values, tag="grid")
+        return cls(n, grid, oracle=h)
 
     # -- evaluation --------------------------------------------------------
 
     def support(self, dirs: np.ndarray) -> np.ndarray:
         """Support function on unit direction rows."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        if self.oracle is not None:
-            return np.asarray(self.oracle(dirs), dtype=float)
-        if self.dimension == 2:
-            m = len(self.grid)
-            ang = np.arctan2(dirs[:, 1], dirs[:, 0]) % (2.0 * np.pi)
-            t = ang * m / (2.0 * np.pi)
-            i0 = np.floor(t).astype(int) % m
-            frac = t - np.floor(t)
-            i1 = (i0 + 1) % m
-            return (1.0 - frac) * self.values[i0] + frac * self.values[i1]
-        # Nearest grid direction; adequate only for dense grids.
-        idx = np.argmax(dirs @ self.grid.directions.T, axis=1)
-        return self.values[idx]
+        return np.asarray(self.oracle(dirs), dtype=float)
 
     def support_one(self, direction: np.ndarray) -> float:
         return float(self.support(np.asarray(direction, dtype=float)[None, :])[0])
@@ -518,28 +480,13 @@ def minkowski_symmetral(K: SupportBody, u: np.ndarray) -> SupportBody:
     symmetric under R_u by construction and mean width is preserved.
     """
     u = as_unit(u)
+    base = K.oracle
 
-    if K.oracle is not None:
-        base = K.oracle
+    def h(dirs):
+        dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+        return 0.5 * (np.asarray(base(dirs)) + np.asarray(base(reflect(u, dirs))))
 
-        def h(dirs):
-            dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-            return 0.5 * (np.asarray(base(dirs)) + np.asarray(base(reflect(u, dirs))))
-
-        return SupportBody(K.dimension, K.grid, oracle=h, tag="composite")
-
-    if K.grid.is_uniform_2d:
-        try:
-            j = K.grid.angle_index(u)
-        except ValueError:
-            j = None
-        if j is not None:
-            perm = K.grid.reflected_indices(j)
-            vals = 0.5 * (K.values + K.values[perm])
-            return SupportBody.from_values(K.grid, vals)
-
-    refl = K.support(reflect(u, K.grid.directions))
-    return SupportBody.from_values(K.grid, 0.5 * (K.values + refl))
+    return SupportBody(K.dimension, K.grid, oracle=h)
 
 
 def hausdorff_distance(A: SupportBody, B: SupportBody, grid: Optional[DirectionGrid] = None) -> float:
@@ -557,25 +504,20 @@ def hausdorff_distance(A: SupportBody, B: SupportBody, grid: Optional[DirectionG
 
 class StarBody:
     """Star-shaped body about the origin, represented by a positive
-    radial oracle on a direction grid."""
+    radial oracle; ``values`` caches the oracle on the grid."""
 
     def __init__(
         self,
         dimension: int,
         grid: DirectionGrid,
-        oracle: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        values: Optional[np.ndarray] = None,
+        oracle: Callable[[np.ndarray], np.ndarray],
     ):
         if grid.dimension != dimension:
             raise ValueError("grid dimension mismatch")
-        if oracle is None and values is None:
-            raise ValueError("need an oracle or grid values")
         self.dimension = dimension
         self.grid = grid
         self.oracle = oracle
-        if values is None:
-            values = oracle(grid.directions)
-        self.values = _readonly(np.asarray(values, dtype=float))
+        self.values = _readonly(np.asarray(oracle(grid.directions), dtype=float))
         if np.any(self.values <= 0):
             raise ValueError("radial function must be positive on the grid")
 
@@ -585,17 +527,7 @@ class StarBody:
 
     def radial(self, dirs: np.ndarray) -> np.ndarray:
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        if self.oracle is not None:
-            return np.asarray(self.oracle(dirs), dtype=float)
-        if self.dimension == 2:
-            m = len(self.grid)
-            ang = np.arctan2(dirs[:, 1], dirs[:, 0]) % (2.0 * np.pi)
-            t = ang * m / (2.0 * np.pi)
-            i0 = np.floor(t).astype(int) % m
-            frac = t - np.floor(t)
-            return (1.0 - frac) * self.values[i0] + frac * self.values[(i0 + 1) % m]
-        idx = np.argmax(dirs @ self.grid.directions.T, axis=1)
-        return self.values[idx]
+        return np.asarray(self.oracle(dirs), dtype=float)
 
     def radial_one(self, direction: np.ndarray) -> float:
         return float(self.radial(np.asarray(direction, dtype=float)[None, :])[0])

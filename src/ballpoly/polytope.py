@@ -101,10 +101,3 @@ def hull_volume(vertices: np.ndarray) -> float:
         return 0.0
     return float(ConvexHull(v).volume)
 
-
-def bounded_by_box(vertices: np.ndarray, bound: float, rtol: float = 1e-6) -> bool:
-    """False when some vertex sits on the clipping box, i.e. the raw
-    halfspace intersection was unbounded (or larger than the box)."""
-    if vertices.shape[0] == 0:
-        return True
-    return bool(np.max(np.abs(vertices)) < bound * (1.0 - rtol))

@@ -7,46 +7,38 @@ centered at -(R - f(theta)) * theta, gives a ball-polyhedron that
 converges to W(f) at rate O(1/R). The tangent centers sweep out the
 star body A(f, R) with radial function rho(-theta) = R - f(theta),
 whose volume radius behaves like R - mean(f) + O(1/R). This module
-builds those objects and measures the convergence claims; it also
-houses the radial-sum identity for Minkowski means and the
-symmetrization rounding loop.
+builds those objects and measures the convergence claims.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import exact2d
-from .errors import HemisphereViolation, RadiusTooSmall, UnsupportedDimension
+from .errors import RadiusTooSmall, UnsupportedDimension
 from .geometry import (
     BallPolyhedron,
     DirectionGrid,
     StarBody,
     SupportBody,
-    as_unit,
-    reflect,
 )
+# Unused here, but the benchmark's span tracer patches ``wulff.stream``
+# by name, so the binding must exist.
 from .rng import stream
 
 
 class SphericalFunction:
-    """Positive continuous function on the sphere, sampled on a grid
-    with an optional exact oracle."""
+    """Positive continuous function on the sphere, given by an exact
+    oracle; ``values`` caches the oracle on the grid."""
 
     def __init__(self, grid: DirectionGrid,
-                 oracle: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 values: Optional[np.ndarray] = None):
-        if oracle is None and values is None:
-            raise ValueError("need an oracle or grid values")
+                 oracle: Callable[[np.ndarray], np.ndarray]):
         self.grid = grid
         self.oracle = oracle
-        if values is None:
-            values = oracle(grid.directions)
-        self.values = np.asarray(values, dtype=float)
+        self.values = np.asarray(oracle(grid.directions), dtype=float)
         if np.any(self.values <= 0):
             raise ValueError("spherical function must be positive")
         self.min = float(np.min(self.values))
@@ -62,11 +54,7 @@ class SphericalFunction:
 
     def __call__(self, dirs: np.ndarray) -> np.ndarray:
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        if self.oracle is not None:
-            return np.asarray(self.oracle(dirs), dtype=float)
-        # Fall back to the grid values via a nearest/interpolated lookup.
-        proxy = SupportBody.from_values(self.grid, self.values)
-        return proxy.support(dirs)
+        return np.asarray(self.oracle(dirs), dtype=float)
 
     def sphere_mean(self) -> float:
         """Average over the sphere (the L1 norm under the uniform
@@ -212,211 +200,3 @@ def vr_asymptotics(f: SphericalFunction, R_list: Sequence[float],
     with np.errstate(divide="ignore"):
         slope = float(np.polyfit(np.log(R_list), np.log(np.maximum(res, 1e-300)), 1)[0])
     return VrReport(R_list, res, res * R_list, slope)
-
-
-# ---------------------------------------------------------------------------
-# Convex-hull reduction and the halfspace limit
-
-
-def hull_reduction_test(points: np.ndarray, r: float, probes: int = 200,
-                        hull_samples: int = 400, seed: int = 0) -> bool:
-    """Numerical check that balls around a finite set cut out the same
-    intersection as balls around its whole convex hull.
-
-    Probes are scattered near the configuration; for each probe,
-    membership in the finite intersection must agree with membership
-    tested against sampled hull points (vertices included).
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    npts, n = pts.shape
-    rng = stream(seed)
-    w = rng.dirichlet(np.ones(npts), size=hull_samples)
-    hull_pts = np.vstack([pts, w @ pts])
-    center = pts.mean(axis=0)
-    spread = float(np.max(np.linalg.norm(pts - center, axis=1))) + r
-    probes_xy = center + rng.uniform(-1.2 * spread, 1.2 * spread, size=(probes, n))
-    for z in probes_xy:
-        in_finite = bool(np.all(np.linalg.norm(pts - z, axis=1) <= r))
-        in_hull = bool(np.all(np.linalg.norm(hull_pts - z, axis=1) <= r))
-        if in_finite != in_hull:
-            return False
-    return True
-
-
-def hemisphere_free(thetas: np.ndarray) -> bool:
-    """True when the directions are NOT contained in a closed
-    hemisphere (linear feasibility: no u with <theta_i, u> >= 0 for
-    all i other than u = 0)."""
-    from scipy.optimize import linprog
-
-    T = np.atleast_2d(np.asarray(thetas, dtype=float))
-    n = T.shape[1]
-    # max t  s.t.  t <= <theta_i, u>, |u_j| <= 1  (variables u, t)
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-T, np.ones((T.shape[0], 1))])
-    b_ub = np.zeros(T.shape[0])
-    bounds = [(-1.0, 1.0)] * n + [(None, 1.0)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError(f"hemisphere feasibility LP failed: {res.message}")
-    return bool(-res.fun < -1e-9)  # max t strictly negative
-
-
-@dataclass
-class LimitReport:
-    radii: np.ndarray
-    residuals: np.ndarray
-    slope: float
-
-
-def halfspace_limit_test(thetas: np.ndarray, f_values: np.ndarray,
-                         R_list: Sequence[float], probe_size: int = 2048) -> LimitReport:
-    """Hausdorff residuals between the finite halfspace intersection
-    and its tangent-ball approximations over ascending radii (2D).
-
-    Raises HemisphereViolation when the directions sit in a closed
-    hemisphere (the halfspace intersection is then unbounded)."""
-    T = np.atleast_2d(np.asarray(thetas, dtype=float))
-    f_values = np.asarray(f_values, dtype=float)
-    if T.shape[1] != 2:
-        raise UnsupportedDimension("halfspace limit residuals are 2D only")
-    if not hemisphere_free(T):
-        raise HemisphereViolation("directions lie in a closed hemisphere")
-    verts = _polar_dual_vertices(T, f_values)
-    probe = DirectionGrid.uniform_2d(probe_size).directions
-    h_l = np.max(probe @ verts.T, axis=1)
-    R_list = np.asarray(sorted(R_list), dtype=float)
-    res = []
-    for R in R_list:
-        if R <= float(np.max(f_values)):
-            raise RadiusTooSmall(f"need R > max f = {np.max(f_values)}")
-        centers = -(R - f_values)[:, None] * T
-        P = BallPolyhedron.from_arrays(centers, R)
-        h_a = approx_support_2d(P, probe)
-        res.append(float(np.max(np.abs(h_l - h_a))))
-    res = np.array(res)
-    slope = float(np.polyfit(np.log(R_list), np.log(np.maximum(res, 1e-300)), 1)[0])
-    return LimitReport(R_list, res, slope)
-
-
-# ---------------------------------------------------------------------------
-# Radial sums, symmetral dominance, and the rounding loop
-
-
-def minkowski_mean(K: SupportBody, L: SupportBody) -> SupportBody:
-    """(K + L)/2 on support oracles."""
-
-    def h(dirs):
-        return 0.5 * (K.support(dirs) + L.support(dirs))
-
-    return SupportBody(K.dimension, K.grid, oracle=h, tag="composite")
-
-
-def radial_sum_identity(K: SupportBody, L: SupportBody, R: float,
-                        grid: Optional[DirectionGrid] = None) -> float:
-    """Max deviation on the grid of the exact linear identity
-    rho_A((K+L)/2, R) = (rho_A(K,R) + rho_A(L,R))/2."""
-    g = grid if grid is not None else K.grid
-    f_k = SphericalFunction.from_support_body(K)
-    f_l = SphericalFunction.from_support_body(L)
-    f_m = SphericalFunction.from_support_body(minkowski_mean(K, L))
-    a_k = build_A(f_k, R).radial(g.directions)
-    a_l = build_A(f_l, R).radial(g.directions)
-    a_m = build_A(f_m, R).radial(g.directions)
-    return float(np.max(np.abs(a_m - 0.5 * (a_k + a_l))))
-
-
-def tangent_ballpoly(K: SupportBody, thetas: np.ndarray, R: float) -> BallPolyhedron:
-    """Balls of radius R centered at -(R - h_K(theta_i)) theta_i."""
-    h = K.support(thetas)
-    return BallPolyhedron.from_arrays(-(R - h)[:, None] * thetas, R)
-
-
-def symmetral_center_dominance(K: SupportBody, u: np.ndarray, R: float,
-                               N: int = 3, tuples: int = 100, seed: int = 0,
-                               j: int = 2):
-    """Check the drop of the tangent-ball functional under a Minkowski
-    symmetral of the body: for each sampled direction tuple, V_j of the
-    intersection with symmetral offsets must dominate the minimum of
-    the original-body values over the sampled tuples (reflected tuples
-    included, since the containment argument pairs each tuple with its
-    reflection).
-
-    Returns a dict with the per-tuple margins; 2D exact evaluation.
-    """
-    if K.dimension != 2:
-        raise UnsupportedDimension("symmetral dominance check is 2D only")
-    u = as_unit(u)
-    from .geometry import minkowski_symmetral
-
-    M = minkowski_symmetral(K, u)
-    rng = stream(seed)
-    lhs = np.empty(tuples)
-    rhs_all = []
-    for t in range(tuples):
-        ang = rng.uniform(0.0, 2.0 * np.pi, size=N)
-        T = np.column_stack([np.cos(ang), np.sin(ang)])
-        area_m, perim_m = exact2d.exact_disk_intersection_2d(tangent_ballpoly(M, T, R))
-        lhs[t] = area_m if j == 2 else perim_m / 2.0
-        for TT in (T, reflect(u, T)):
-            area, perim = exact2d.exact_disk_intersection_2d(tangent_ballpoly(K, TT, R))
-            rhs_all.append(area if j == 2 else perim / 2.0)
-    rhs_min = float(np.min(rhs_all))
-    return {
-        "lhs": lhs,
-        "rhs_min": rhs_min,
-        "margin": float(np.min(lhs) - rhs_min),
-        "violations": int(np.count_nonzero(lhs < rhs_min - 1e-9)),
-    }
-
-
-@dataclass
-class RoundingTrajectory:
-    """Mean width and ball-distance along a symmetrization rounding run."""
-
-    widths: np.ndarray
-    hausdorff_to_ball: np.ndarray
-    final_values: np.ndarray
-    window: int = 50
-
-    @property
-    def window_maxima(self) -> np.ndarray:
-        m = len(self.hausdorff_to_ball)
-        k = max(m // self.window, 1)
-        return np.array([
-            float(np.max(self.hausdorff_to_ball[i * self.window:(i + 1) * self.window]))
-            for i in range(k)
-        ])
-
-
-def minkowski_rounding(K: SupportBody, iterations: int = 500, seed: int = 0,
-                       window: int = 50) -> RoundingTrajectory:
-    """Round a planar body toward the ball of its half mean width by
-    repeated Minkowski symmetrals about random grid directions.
-
-    Restricting the symmetral axes to grid directions keeps every step
-    an exact index permutation on the uniform 2D grid: no interpolation
-    error accumulates, and the mean width is conserved to rounding.
-    """
-    grid = K.grid
-    if not grid.is_uniform_2d:
-        raise UnsupportedDimension("rounding loop needs a uniform 2D grid")
-    m = len(grid)
-    vals = K.support(grid.directions).copy()
-    rng = stream(seed)
-    widths = np.empty(iterations + 1)
-    dists = np.empty(iterations + 1)
-
-    def record(i):
-        w = 2.0 * float(np.dot(grid.weights, vals))
-        widths[i] = w
-        dists[i] = float(np.max(np.abs(vals - w / 2.0)))
-
-    record(0)
-    for i in range(1, iterations + 1):
-        jdx = int(rng.integers(0, m))
-        perm = grid.reflected_indices(jdx)
-        vals = 0.5 * (vals + vals[perm])
-        record(i)
-    return RoundingTrajectory(widths, dists, vals, window)

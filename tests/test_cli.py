@@ -1,12 +1,12 @@
-"""The command line: config validation exit codes, the moments kind and
-the written result record."""
+"""The command line: config validation exit codes, the moments kind, the
+written result record, and every kind run end to end on a tiny budget."""
 
 import math
 
 import pytest
 import yaml
 
-from ballpoly import cli, config
+from ballpoly import cli, config, results
 from ballpoly import dominance as dm
 from ballpoly.config import build_body
 from ballpoly.rng import RNG_CONTRACT
@@ -27,6 +27,45 @@ def gorbovickis_doc(R_list):
             "params": {"points": [[0.0, 0.0], [1.0, 0.0]], "R_list": R_list}}
 
 
+SQUARE = {"type": "cube", "side": 1.0, "n": 2, "grid_size": 256}
+CUBE_3D = {"type": "cube", "side": 1.0, "n": 3, "grid_size": 512}
+UNIT_BOX = {"type": "box1d-step", "breaks": [-0.5, 0.5], "heights": [1.0]}
+
+# One tiny config per kind, plus the 3-D minimize estimators and a
+# constant boundary function, each run through ``cli.main``.
+SMOKE = {
+    "dominance-ball": {"n": 2, "N": 3, "R": 3.0, "j": 2, "trials": 100,
+                       "density": {"type": "uniform-box", "side": 1.0}},
+    "dominance-cube": {"n": 2, "N": 3, "R": 3.0, "j": 2, "trials": 100,
+                       "density": {"type": "product", "factors": [UNIT_BOX, UNIT_BOX]}},
+    "moments": {"body": SQUARE, "R": 6.0, "N": 3, "j": 2, "p_list": [1, -1, "-inf"],
+                "trials": 100},
+    "wulff-convergence": {"f": {"type": "support-cube", "side": 1.0}, "R_list": [5.0, 10.0],
+                          "grid_size": 64, "probe_size": 256},
+    "vr-asymptotics": {"f": {"type": "support-cube", "side": 1.0}, "R_list": [5.0, 10.0],
+                       "grid_size": 256},
+    "minimize": {"body": SQUARE, "j": 2, "N": 3, "restarts": 2, "max_fev": 40},
+    "schneider": {"body": SQUARE, "j": 2, "N": 4, "restarts": 1},
+    "simplex-bound": {"body": SQUARE, "restarts": 1},
+    "gorbovickis": {"points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], "R_list": [10.0, 20.0]},
+    "hull-bridge": {"N": 3, "trials": 100, "R": 10.0, "grid_size": 64,
+                    "density_a": {"type": "uniform-box", "side": 1.0},
+                    "density_b": {"type": "uniform-ball", "radius": 0.5}},
+    "selftest": {},
+    "minimize/exact-hull-3d": {"body": CUBE_3D, "j": 3, "N": 4, "estimator": "exact-hull-3d",
+                               "restarts": 1, "max_fev": 40},
+    "minimize/steiner-fit-3d": {"body": CUBE_3D, "j": 2, "N": 4, "estimator": "steiner-fit",
+                                "restarts": 1, "max_fev": 20, "fit_samples": 2000,
+                                "final_samples": 4000},
+    "vr-asymptotics/constant": {"f": {"type": "constant", "value": 1.0},
+                                "R_list": [5.0, 10.0], "grid_size": 256},
+}
+
+
+def smoke_doc(name):
+    return {"kind": name.split("/")[0], "seed": 3, "workers": 1, "params": SMOKE[name]}
+
+
 def run_main(doc, tmp_path):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(doc))
@@ -44,6 +83,31 @@ class TestValidation:
     def test_bad_R_list_exits_2(self, R_list, tmp_path, capsys):
         assert run_main(gorbovickis_doc(R_list), tmp_path) == 2
         assert "R_list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params", [
+        {"points": [[0, 0], [1]]},
+        {"points": [[0, 0], [1, "x"]]},
+        {"points": [[]]},
+        {"points": [1.0, 2.0]},
+        {"points": [[0.0, 0.0], [1.0, float("nan")]]},
+        {"points": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]},
+        {"points": [[0.0, 0.0], [True, 0.0]]},
+    ])
+    def test_bad_points_exits_2(self, params, tmp_path, capsys):
+        doc = {"kind": "gorbovickis", "seed": 1, "params": {**params, "R": 10.0}}
+        assert run_main(doc, tmp_path) == 2
+        assert "points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["x", -1, 2.5, True])
+    def test_bad_samples_exits_2(self, samples, tmp_path, capsys):
+        doc = {"kind": "gorbovickis", "seed": 1,
+               "params": {"points": [[0.0, 0.0], [1.0, 0.0]], "R": 10.0, "samples": samples}}
+        assert run_main(doc, tmp_path) == 2
+        assert "samples" in capsys.readouterr().err
+
+    def test_three_dimensional_points_need_samples(self):
+        config.validate({"kind": "gorbovickis", "seed": 1, "params": {
+            "points": [[0, 0, 0], [1, 0, 0]], "R": 10.0, "samples": 100}})
 
     def test_minus_infinity_accepted(self):
         config.validate(moments_doc(["-inf", float("-inf"), -1, 2.5]))
@@ -74,3 +138,16 @@ class TestRecord:
         (summary,) = (tmp_path / "out").glob("*.summary.yaml")
         doc = yaml.safe_load(summary.read_text())
         assert doc["record"]["rng_contract"] == 2
+
+
+class TestSmoke:
+    @pytest.mark.parametrize("name", sorted(SMOKE))
+    def test_kind_runs_end_to_end(self, name, tmp_path, capsys):
+        assert run_main(smoke_doc(name), tmp_path) == 0
+        (summary,) = (tmp_path / "out").glob("*.summary.yaml")
+        doc = yaml.safe_load(summary.read_text())
+        assert doc["record"]["rng_contract"] == 2
+        assert results.config_hash(config.load_config(str(summary))) == doc["record"]["config_hash"]
+        err = capsys.readouterr().err
+        for key in doc["record"]["metrics"]:
+            assert f"{key}=" in err

@@ -238,6 +238,18 @@ class TestCubeExtremizer:
         assert rep.verdict.consistent
         assert rep.failed_trials == 0
 
+    def test_factor_sup_above_one_uses_matching_cube(self):
+        # A factor with sup 2 makes the extremizer the product of
+        # uniform factors with the density's own sups, not the unit cube.
+        q = dn.Product1D([dn.Box1DStep([-0.25, 0.25], [2.0]),
+                          dn.Box1DStep([-0.5, 0.5], [1.0])])
+        cfg = dm.ExperimentConfig(n=2, N=3, R=3.0, j=2, density=q, trials=200, seed=17)
+        rep = dm.check_cube_extremizer(cfg)
+        ext = dm.run_trials(cfg, density=[dn.cube_extremizer([2.0, 1.0])] * 3)
+        expected = dm.SurvivalCurve.from_samples(ext.values, rep.extremal_curve.s)
+        assert np.array_equal(rep.extremal_curve.p, expected.p)
+        assert np.array_equal(rep.extremal_curve.s, dm._auto_grid(ext.values, 20))
+
     def test_requires_product_density(self):
         cfg = dm.ExperimentConfig(n=2, N=3, R=3.0, j=2, density=unit_area_square(),
                                   trials=200, seed=16)
