@@ -152,6 +152,8 @@ def _check_body(spec, where: str, ck: _Check):
     if t is None:
         return
     ck.only(spec, BODY_KEYS[t] | {"type", "grid_size"}, where)
+    if t in ("ball", "cube"):
+        ck.typed(spec, "n", int, where, lambda v: not isinstance(v, bool) and v >= 1)
     if t == "ball":
         ck.require(spec, "radius", _NUM, where, lambda v: v > 0)
     elif t == "cube":
@@ -185,7 +187,7 @@ def _check_dominance(params: dict, ck: _Check, kind: str):
 def _check_moments(params: dict, ck: _Check):
     where = "params"
     ck.only(params, {"body", "R", "N", "j", "p_list", "trials", "estimator",
-                     "grid_size", "fit_samples"}, where)
+                     "fit_samples"}, where)
     body = params.get("body")
     if body is None:
         ck.fail("params: missing required key 'body'")
@@ -220,24 +222,61 @@ def _check_spherical(params: dict, ck: _Check, kind: str):
                lambda v: len(v) >= 2 and all(isinstance(x, _NUM) for x in v))
 
 
+def _body_dimension(spec) -> Optional[int]:
+    """Ambient dimension a body spec declares, or None when it is not
+    readable (the body check reports the spec itself)."""
+    if not isinstance(spec, dict):
+        return None
+    t = spec.get("type")
+    if t in ("ball", "cube"):
+        n = spec.get("n", 2)
+    elif t == "polytope" and isinstance(spec.get("vertices"), list) and spec["vertices"]:
+        first = spec["vertices"][0]
+        n = len(first) if isinstance(first, list) else None
+    elif t == "segment" and isinstance(spec.get("a"), list):
+        n = len(spec["a"])
+    else:
+        n = None
+    return n if isinstance(n, int) and not isinstance(n, bool) else None
+
+
 def _check_minimize(params: dict, ck: _Check, kind: str):
+    from .extremal import CIRCUMSCRIPTION_ESTIMATORS
+
     where = "params"
-    allowed = {"body", "j", "N", "estimator", "restarts", "fit_samples",
-               "final_samples", "max_fev", "grid_size"}
+    allowed = {"body", "j", "N", "estimator", "restarts"}
+    if kind == "minimize":
+        allowed |= {"max_fev"}
     if kind == "simplex-bound":
         allowed -= {"j", "N"}
-    ck.only(params, allowed, where)
+    removed = {"fit_samples", "final_samples"}
+    ck.only(params, allowed | removed, where)
+    for key in sorted(removed & params.keys()):
+        ck.fail(f"{where}: key '{key}' is not accepted: the objective is exact "
+                "and draws no samples")
     body = params.get("body")
     if body is None:
         ck.fail("params: missing required key 'body'")
     else:
         _check_body(body, "params.body", ck)
+    n = _body_dimension(body)
+    expected = CIRCUMSCRIPTION_ESTIMATORS.get(n)
+    if n is not None and expected is None:
+        ck.fail(f"params.body: {kind} needs a body of dimension 2 or 3, got n={n}")
     if kind != "simplex-bound":
-        ck.require(params, "j", int, where, lambda v: v >= 1)
-        ck.require(params, "N", int, where, lambda v: v >= 2)
+        j = ck.require(params, "j", int, where, lambda v: v >= 1)
+        N = ck.require(params, "N", int, where, lambda v: v >= 2)
+        if expected is not None and j is not None and j > n:
+            ck.fail(f"params: j must satisfy 1 <= j <= n (j={j}, n={n})")
+        if expected is not None and N is not None and N <= n:
+            ck.fail(f"params: N must exceed n (N={N}, n={n})")
     ck.typed(params, "restarts", int, where, lambda v: v >= 1)
-    ck.typed(params, "estimator", str, where,
-             lambda v: v in ("exact-2d", "steiner-fit", "exact-hull-3d"))
+    ck.typed(params, "max_fev", int, where, lambda v: not isinstance(v, bool) and v >= 1)
+    est = ck.typed(params, "estimator", str, where)
+    if est is not None and expected is not None and est != expected:
+        hint = " (steiner-fit was removed: the objective is exact)" if est == "steiner-fit" else ""
+        ck.fail(f"{where}: key 'estimator' must be '{expected}' for a body of "
+                f"dimension {n}, or omitted, got {est!r}{hint}")
 
 
 def _is_point_set(v, samples) -> bool:

@@ -25,17 +25,26 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
+from scipy.spatial import QhullError
 
 from . import exact2d, polytope
-from .errors import UnsupportedDimension
+from .errors import UnboundedConfiguration, UnsupportedDimension
 from .geometry import BallPolyhedron, DirectionGrid, SupportBody
-from .intrinsic import mc_volume, omega, steiner_fit_from_distances
-from .rng import stream, uniform_in_ball, uniform_on_sphere
+from .intrinsic import mc_volume, omega
+from .rng import stream, uniform_on_sphere
+
+# Unused here, but the benchmark's span tracer patches both names in
+# this module (perfbench/spans.py:_targets), so the bindings must exist.
+from .intrinsic import steiner_fit_from_distances  # noqa: F401
+from .rng import uniform_in_ball  # noqa: F401
 
 NORMALIZATION_NOTE = (
     "deficit coefficient pinned to n*omega_n*mean(h) by the planar closed form; "
     "this is half of n*omega_n*w under the convention w = 2*mean(h)"
 )
+
+# The exact circumscription objective of each supported dimension.
+CIRCUMSCRIPTION_ESTIMATORS = {2: "exact-2d", 3: "exact-hull-3d"}
 
 
 def simplex_circumscription_minimum(n: int) -> float:
@@ -51,9 +60,7 @@ class CircumscriptionProblem:
     K: SupportBody
     j: int
     N: int
-    estimator: str = "exact-2d"  # 'exact-2d' | 'steiner-fit' | 'exact-hull-3d'
-    fit_samples: int = 20_000
-    final_samples: int = 400_000
+    estimator: str = ""  # '' picks from n: 'exact-2d' (n = 2) or 'exact-hull-3d' (n = 3)
     penalty_bound: float = 0.0  # 0 -> auto from the body scale
 
     def __post_init__(self):
@@ -62,8 +69,12 @@ class CircumscriptionProblem:
             raise ValueError(f"need 1 <= j <= n, got j={self.j}")
         if self.N <= n:
             raise ValueError(f"need N > n, got N={self.N}, n={n}")
-        if self.estimator == "exact-2d" and n != 2:
-            raise UnsupportedDimension("exact-2d objective needs a planar body")
+        expected = CIRCUMSCRIPTION_ESTIMATORS.get(n)
+        if expected is None:
+            raise UnsupportedDimension(f"circumscription needs n = 2 or 3, got n={n}")
+        if self.estimator not in ("", expected):
+            raise UnsupportedDimension(
+                f"estimator {self.estimator!r} does not fit n={n}; use {expected!r}")
         if self.penalty_bound <= 0:
             h_max = float(np.max(self.K.values))
             self.penalty_bound = 40.0 * max(1.0, h_max)
@@ -77,7 +88,6 @@ class OptimizationResult:
     best_restart: int
     trace: np.ndarray  # best value per restart
     feasibility_margin: float
-    stderr: float = 0.0
 
 
 def _tangent_basis(theta: np.ndarray) -> np.ndarray:
@@ -115,91 +125,39 @@ def _chart(base: np.ndarray):
     return to_sphere
 
 
-def _distances_to_halfspaces(normals, offsets, pts, max_iter=120, tol=1e-7,
-                             cutoff: float = np.inf):
-    """Batched Dykstra distances to {x : <x, n_i> <= c_i}.
-
-    The worst single-halfspace violation is a lower bound on the
-    distance, so interior points and points beyond ``cutoff`` skip the
-    iteration (their exact distance never changes an indicator
-    comparison against thresholds <= cutoff)."""
-    viol = pts @ normals.T - offsets[None, :]
-    worst = np.max(viol, axis=1)
-    dists = np.maximum(worst, 0.0)
-    band = (worst > 0.0) & (worst <= cutoff)
-    if not np.any(band):
-        return dists
-    x = pts[band].copy()
-    m = x.shape[0]
-    k = normals.shape[0]
-    corr = np.zeros((k, m, x.shape[1]))
-    for _ in range(max_iter):
-        start = x.copy()
-        for i in range(k):
-            y = x + corr[i]
-            v = y @ normals[i] - offsets[i]
-            proj = y - np.maximum(v, 0.0)[:, None] * normals[i][None, :]
-            corr[i] = y - proj
-            x = proj
-        if float(np.max(np.linalg.norm(x - start, axis=1))) <= tol:
-            break
-    dists[band] = np.linalg.norm(pts[band] - x, axis=1)
-    return dists
-
-
 class _Objective:
-    """V_j of the touching-halfspace intersection for a direction tuple.
+    """Exact V_j of the touching-halfspace intersection for a direction
+    tuple: area or half-perimeter of the clipped polygon in the plane,
+    the hull's intrinsic volumes in 3D. A 3D configuration whose
+    vertices Qhull cannot produce scores the box penalty (2*bound)^3."""
 
-    Exact polygon geometry in the plane; in 3D either the exact hull
-    volume (j = n) or the expansion-volume fit driven by a common
-    scaled point cloud, so that the Monte-Carlo noise moves smoothly
-    with the candidate."""
-
-    def __init__(self, prob: CircumscriptionProblem, seed: int):
+    def __init__(self, prob: CircumscriptionProblem):
         self.prob = prob
         self.n = prob.K.dimension
-        self.cloud = uniform_in_ball(stream(seed, 900_000), self.n, prob.fit_samples)
-        self.final_cloud = None
-        self.seed = seed
+        # The Steiner point lies inside K, hence strictly inside every
+        # configuration of halfspaces touching K: Qhull's interior point.
+        g = prob.K.grid
+        self.interior = self.n * (g.weights * prob.K.values) @ g.directions
 
     def offsets(self, thetas: np.ndarray) -> np.ndarray:
         return self.prob.K.support(thetas)
 
-    def __call__(self, thetas: np.ndarray, final: bool = False):
-        p = self.prob
+    def vertices(self, thetas: np.ndarray) -> np.ndarray:
         offs = self.offsets(thetas)
-        if self.n == 2 and p.estimator == "exact-2d":
-            v1, v2 = polytope.polygon_vj(thetas, offs, p.penalty_bound)
-            return (v2 if p.j == 2 else v1), 0.0
+        bound = self.prob.penalty_bound
+        if self.n == 2:
+            return polytope.clip_polygon(thetas, offs, bound)
+        return polytope.halfspace_vertices_3d(thetas, offs, bound, self.interior)
+
+    def __call__(self, thetas: np.ndarray) -> float:
+        p = self.prob
+        if self.n == 2:
+            area, perim = polytope.polygon_area_perimeter(self.vertices(thetas))
+            return area if p.j == 2 else perim / 2.0
         try:
-            verts = polytope.halfspace_vertices_3d(
-                thetas, offs, p.penalty_bound, np.zeros(3)
-            ) if self.n == 3 else None
-        except Exception:
-            return (2.0 * p.penalty_bound) ** self.n, 0.0
-        if verts is None or verts.shape[0] == 0:
-            return (2.0 * p.penalty_bound) ** self.n, 0.0
-        if p.estimator == "exact-hull-3d":
-            if p.j != self.n:
-                raise ValueError("exact-hull-3d evaluates the volume only")
-            return polytope.hull_volume(verts), 0.0
-        # Expansion-volume fit on the (possibly box-clipped) polytope.
-        scale = float(np.min(offs))
-        eps = np.geomspace(0.05 * scale, 0.5 * scale, self.n + 3)
-        r_c = float(np.max(np.linalg.norm(verts, axis=1)))
-        radius = r_c + eps[-1]
-        if final:
-            if self.final_cloud is None:
-                self.final_cloud = uniform_in_ball(
-                    stream(self.seed, 900_001), self.n, p.final_samples
-                )
-            pts = radius * self.final_cloud
-        else:
-            pts = radius * self.cloud
-        dists = _distances_to_halfspaces(thetas, offs, pts, cutoff=1.01 * eps[-1])
-        v_bb = omega(self.n) * radius**self.n
-        values, stderr = steiner_fit_from_distances(dists, v_bb, eps, self.n)
-        return float(values[p.j]), float(stderr[p.j])
+            return polytope.hull_intrinsic_volumes(self.vertices(thetas))[p.j]
+        except (UnboundedConfiguration, QhullError):
+            return (2.0 * p.penalty_bound) ** 3
 
 
 def minimize_mjN(prob: CircumscriptionProblem, restarts: int = 32,
@@ -207,73 +165,40 @@ def minimize_mjN(prob: CircumscriptionProblem, restarts: int = 32,
     """Multi-start simplex-reflection minimum of V_j over touching
     halfspace configurations.
 
-    Each restart draws random directions, optimizes in a tangent chart
-    with Nelder-Mead, and the best restart (value, then index) wins;
-    stochastic objectives re-evaluate the winner on the large final
-    cloud. The reported configuration always contains K by construction
+    Each restart draws random directions and optimizes in a tangent
+    chart with Nelder-Mead; the best restart (value, then index) wins.
+    The reported configuration always contains K by construction
     (offsets are the support values); the feasibility margin is
     re-checked on the body's grid.
     """
-    obj = _Objective(prob, seed)
+    obj = _Objective(prob)
     n, N = prob.K.dimension, prob.N
     dim = N * (n - 1)
-    noisy = prob.estimator == "steiner-fit"
     best = (np.inf, None, -1)
     trace = np.full(restarts, np.inf)
-
-    def run_nm(base, maxfev, step):
-        chart = _chart(base)
-
-        def fun(v):
-            return obj(chart(v))[0]
-
-        x0 = np.zeros(dim)
-        init = np.vstack([x0] + [x0 + step * np.eye(dim)[k] for k in range(dim)])
+    step = 0.45
+    x0 = np.zeros(dim)
+    init = np.vstack([x0] + [x0 + step * np.eye(dim)[k] for k in range(dim)])
+    for r in range(restarts):
+        chart = _chart(uniform_on_sphere(stream(seed, r), n, N))
         res = scipy_minimize(
-            fun, x0, method="Nelder-Mead",
+            lambda v: obj(chart(v)), x0, method="Nelder-Mead",
             options={
-                "maxfev": maxfev, "xatol": 1e-7, "fatol": 1e-7,
+                "maxfev": max_fev, "xatol": 1e-7, "fatol": 1e-7,
                 "initial_simplex": init, "adaptive": n > 2,
             },
         )
-        return res.fun, chart(res.x)
-
-    candidates = []
-    for r in range(restarts):
-        base = uniform_on_sphere(stream(seed, r), n, N)
-        val, thetas_r = run_nm(base, max_fev, 0.45)
-        trace[r] = val
-        candidates.append((val, r, thetas_r))
-        if val < best[0]:
-            best = (val, thetas_r, r)
-    thetas, best_r = best[1], best[2]
-    if noisy:
-        # Search values are noisy, so the nominal winner may just have
-        # drawn lucky noise: re-rank the leading restarts on a common
-        # eightfold cloud, then polish the true leader on it.
-        obj.cloud = uniform_in_ball(
-            stream(seed, 900_002), n, 8 * prob.fit_samples
-        )
-        candidates.sort(key=lambda c: (c[0], c[1]))
-        rescored = [
-            (obj(th)[0], r, th) for _, r, th in candidates[: min(5, len(candidates))]
-        ]
-        rescored.sort(key=lambda c: (c[0], c[1]))
-        _, best_r, thetas = rescored[0]
-        _, thetas = run_nm(thetas, max_fev // 2, 0.12)
-    value, stderr = obj(thetas, final=True)
+        trace[r] = res.fun
+        if res.fun < best[0]:
+            best = (res.fun, chart(res.x), r)
+    value, thetas, best_r = best
     # Feasibility: the configuration's support dominates the body's.
-    offs = obj.offsets(thetas)
-    if n == 2:
-        verts = polytope.clip_polygon(thetas, offs, prob.penalty_bound)
-    else:
-        verts = polytope.halfspace_vertices_3d(thetas, offs, prob.penalty_bound, np.zeros(n))
+    verts = obj.vertices(thetas)
     gdirs = prob.K.grid.directions
     margin = float(np.min(np.max(gdirs @ verts.T, axis=1) - prob.K.support(gdirs)))
     return OptimizationResult(
         value=float(value), thetas=thetas, restarts_used=restarts,
         best_restart=best_r, trace=trace, feasibility_margin=margin,
-        stderr=stderr,
     )
 
 
@@ -287,20 +212,18 @@ class SchneiderReport:
 
 
 def schneider_check(K: SupportBody, j: int, N: int, restarts: int = 32,
-                    seed: int = 0, estimator: str = "exact-2d") -> SchneiderReport:
+                    seed: int = 0) -> SchneiderReport:
     """Compare the circumscription minimum of K against that of the
     ball with the same mean width (the ball should dominate)."""
     n = K.dimension
-    lhs_res = minimize_mjN(CircumscriptionProblem(K, j, N, estimator), restarts, seed)
+    lhs_res = minimize_mjN(CircumscriptionProblem(K, j, N), restarts, seed)
     w = K.mean_width()
     if j == n and N == n + 1:
         rhs = simplex_circumscription_minimum(n) * (w / 2.0) ** n
         source = "closed-form regular simplex, scaled by homogeneity"
     else:
         ball = SupportBody.ball(np.zeros(n), w / 2.0, K.grid)
-        rhs = minimize_mjN(
-            CircumscriptionProblem(ball, j, N, estimator), restarts, seed + 1
-        ).value
+        rhs = minimize_mjN(CircumscriptionProblem(ball, j, N), restarts, seed + 1).value
         source = "optimized ball instance"
     return SchneiderReport(lhs_res.value, float(rhs), float(rhs - lhs_res.value),
                            lhs_res, source)
@@ -316,13 +239,13 @@ class SimplexBoundReport:
     result: OptimizationResult
 
 
-def simplex_bound_check(K: SupportBody, restarts: int = 32, seed: int = 0,
-                        estimator: str = "exact-2d") -> SimplexBoundReport:
+def simplex_bound_check(K: SupportBody, restarts: int = 32,
+                        seed: int = 0) -> SimplexBoundReport:
     """Minimal circumscribed-simplex volume against the mean-width
     bound m(B) * (w(K)/2)^n; the absolute-constant refinement via the
     reverse mean-width inequality is reported as not checkable."""
     n = K.dimension
-    res = minimize_mjN(CircumscriptionProblem(K, n, n + 1, estimator), restarts, seed)
+    res = minimize_mjN(CircumscriptionProblem(K, n, n + 1), restarts, seed)
     w = K.mean_width()
     bound = simplex_circumscription_minimum(n) * (w / 2.0) ** n
     return SimplexBoundReport(

@@ -4,7 +4,8 @@ Candidate configurations in the circumscription search and Wulff shapes
 are intersections of halfspaces {<x, n_i> <= c_i}. In 2D they are
 clipped out of a large box by Sutherland-Hodgman, which keeps unbounded
 configurations finite (the box acts as the continuous penalty); in 3D
-the vertex enumeration is delegated to Qhull.
+the vertex enumeration is delegated to Qhull, and the intrinsic volumes
+of the resulting polytope come from its convex hull.
 """
 
 from __future__ import annotations
@@ -60,21 +61,13 @@ def polygon_area_perimeter(vertices: np.ndarray):
     return abs(area), perim
 
 
-def polygon_vj(normals: np.ndarray, offsets: np.ndarray, bound: float):
-    """(V_1, V_2) of the clipped 2D halfspace intersection:
-    half the perimeter and the area."""
-    verts = clip_polygon(normals, offsets, bound)
-    area, perim = polygon_area_perimeter(verts)
-    return perim / 2.0, area
-
-
 def halfspace_vertices_3d(normals: np.ndarray, offsets: np.ndarray,
                           bound: float, interior: np.ndarray) -> np.ndarray:
     """Vertices of a 3D halfspace intersection, clipped to the box
     [-bound, bound]^3 so the result is always bounded.
 
-    ``interior`` must be strictly feasible (the origin, for touching
-    halfspaces of a body with positive support function).
+    ``interior`` must be strictly feasible: any interior point of a body
+    serves for a configuration of halfspaces touching it.
     """
     from scipy.spatial import HalfspaceIntersection
 
@@ -92,12 +85,28 @@ def halfspace_vertices_3d(normals: np.ndarray, offsets: np.ndarray,
     return hs.intersections
 
 
-def hull_volume(vertices: np.ndarray) -> float:
-    """Euclidean volume of the convex hull of the vertices."""
+def hull_intrinsic_volumes(vertices: np.ndarray):
+    """(V_0, V_1, V_2, V_3) of the convex hull of 3D points.
+
+    V_3 is the volume and V_2 half the surface area. V_1 sums, over the
+    edges of the triangulated boundary, the edge length times the
+    exterior dihedral angle, divided by 2*pi (Schneider, Convex Bodies,
+    2nd ed., section 4.2); an edge between coplanar triangles has angle
+    zero and adds nothing.
+    """
     from scipy.spatial import ConvexHull
 
-    v = np.atleast_2d(vertices)
-    if v.shape[0] <= v.shape[1]:
-        return 0.0
-    return float(ConvexHull(v).volume)
-
+    hull = ConvexHull(np.asarray(vertices, dtype=float))
+    tri = hull.simplices
+    # Neighbour k of a triangle lies across the edge opposite its vertex k.
+    s = np.repeat(np.arange(tri.shape[0]), 3)
+    t = hull.neighbors.ravel()
+    a = tri[:, [1, 2, 0]].ravel()
+    b = tri[:, [2, 0, 1]].ravel()
+    once = s < t
+    s, t, a, b = s[once], t[once], a[once], b[once]
+    ns, nt = hull.equations[s, :3], hull.equations[t, :3]
+    angle = np.arctan2(np.linalg.norm(np.cross(ns, nt), axis=1), np.sum(ns * nt, axis=1))
+    length = np.linalg.norm(hull.points[a] - hull.points[b], axis=1)
+    v1 = float(np.dot(length, angle)) / (2.0 * np.pi)
+    return 1.0, v1, float(hull.area) / 2.0, float(hull.volume)

@@ -31,7 +31,7 @@ SQUARE = {"type": "cube", "side": 1.0, "n": 2, "grid_size": 256}
 CUBE_3D = {"type": "cube", "side": 1.0, "n": 3, "grid_size": 512}
 UNIT_BOX = {"type": "box1d-step", "breaks": [-0.5, 0.5], "heights": [1.0]}
 
-# One tiny config per kind, plus the 3-D minimize estimators and a
+# One tiny config per kind, plus the 3-D circumscription kinds and a
 # constant boundary function, each run through ``cli.main``.
 SMOKE = {
     "dominance-ball": {"n": 2, "N": 3, "R": 3.0, "j": 2, "trials": 100,
@@ -54,9 +54,9 @@ SMOKE = {
     "selftest": {},
     "minimize/exact-hull-3d": {"body": CUBE_3D, "j": 3, "N": 4, "estimator": "exact-hull-3d",
                                "restarts": 1, "max_fev": 40},
-    "minimize/steiner-fit-3d": {"body": CUBE_3D, "j": 2, "N": 4, "estimator": "steiner-fit",
-                                "restarts": 1, "max_fev": 20, "fit_samples": 2000,
-                                "final_samples": 4000},
+    "minimize/3d-j2": {"body": CUBE_3D, "j": 2, "N": 4, "restarts": 1, "max_fev": 40},
+    "schneider/3d": {"body": CUBE_3D, "j": 3, "N": 4, "restarts": 1},
+    "simplex-bound/3d": {"body": CUBE_3D, "restarts": 1},
     "vr-asymptotics/constant": {"f": {"type": "constant", "value": 1.0},
                                 "R_list": [5.0, 10.0], "grid_size": 256},
 }
@@ -104,6 +104,50 @@ class TestValidation:
                "params": {"points": [[0.0, 0.0], [1.0, 0.0]], "R": 10.0, "samples": samples}}
         assert run_main(doc, tmp_path) == 2
         assert "samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, params, key", [
+        ("minimize", {"body": CUBE_3D, "j": 2, "N": 4, "estimator": "steiner-fit"},
+         "'estimator' must be 'exact-hull-3d'"),
+        ("minimize", {"body": SQUARE, "j": 2, "N": 4, "estimator": "steiner-fit"},
+         "'estimator' must be 'exact-2d'"),
+        ("minimize", {"body": CUBE_3D, "j": 2, "N": 4, "fit_samples": 2000}, "fit_samples"),
+        ("schneider", {"body": SQUARE, "j": 2, "N": 4, "final_samples": 4000},
+         "final_samples"),
+        ("minimize", {"body": CUBE_3D, "j": 3, "N": 4, "estimator": "exact-2d"},
+         "'estimator' must be 'exact-hull-3d'"),
+        ("simplex-bound", {"body": SQUARE, "estimator": "exact-hull-3d"},
+         "'estimator' must be 'exact-2d'"),
+        ("minimize", {"body": {"type": "cube", "side": 1.0, "n": 4}, "j": 2, "N": 5},
+         "dimension"),
+        ("minimize", {"body": {"type": "cube", "side": 1.0, "n": "3"}, "j": 2, "N": 4},
+         "key 'n'"),
+        ("minimize", {"body": SQUARE, "j": 3, "N": 4}, "j must satisfy"),
+        ("minimize", {"body": CUBE_3D, "j": 2, "N": 3}, "N must exceed"),
+        ("minimize", {"body": SQUARE, "j": 2, "N": 4, "max_fev": "x"}, "max_fev"),
+        ("minimize", {"body": SQUARE, "j": 2, "N": 4, "max_fev": 0}, "max_fev"),
+        ("minimize", {"body": SQUARE, "j": 2, "N": 4, "max_fev": True}, "max_fev"),
+        ("schneider", {"body": SQUARE, "j": 2, "N": 4, "max_fev": 40}, "max_fev"),
+        ("simplex-bound", {"body": SQUARE, "max_fev": 40}, "max_fev"),
+        ("minimize", {"body": SQUARE, "j": 2, "N": 4, "grid_size": 256}, "grid_size"),
+        ("schneider", {"body": SQUARE, "j": 2, "N": 4, "grid_size": 256}, "grid_size"),
+        ("simplex-bound", {"body": SQUARE, "grid_size": 256}, "grid_size"),
+    ])
+    def test_bad_circumscription_exits_2(self, kind, params, key, tmp_path, capsys):
+        assert run_main({"kind": kind, "seed": 1, "params": params}, tmp_path) == 2
+        assert key in capsys.readouterr().err
+
+    def test_moments_grid_size_exits_2(self, tmp_path, capsys):
+        doc = moments_doc([1])
+        doc["params"]["grid_size"] = 1024
+        assert run_main(doc, tmp_path) == 2
+        assert "grid_size" in capsys.readouterr().err
+
+    def test_circumscription_estimator_optional(self):
+        config.validate({"kind": "minimize", "seed": 1,
+                         "params": {"body": SQUARE, "j": 2, "N": 4, "estimator": "exact-2d"}})
+        config.validate({"kind": "schneider", "seed": 1,
+                         "params": {"body": CUBE_3D, "j": 3, "N": 4,
+                                    "estimator": "exact-hull-3d"}})
 
     def test_three_dimensional_points_need_samples(self):
         config.validate({"kind": "gorbovickis", "seed": 1, "params": {
