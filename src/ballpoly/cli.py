@@ -137,6 +137,7 @@ def _run_minimize(cfg: RunConfig):
         "value": res.value, "stderr": 0.0,
         "restarts": res.restarts_used, "best_restart": res.best_restart,
         "feasibility_margin": res.feasibility_margin,
+        "evaluations": res.evaluations,
     }
     rows = [(i, float(v)) for i, v in enumerate(res.trace)]
     return metrics, [CurveTable("restarts", ["restart", "value"], rows)], 0

@@ -71,7 +71,8 @@ class _Check:
         if key not in block:
             return None
         v = block[key]
-        if not isinstance(v, kinds):
+        # No key takes a boolean, and bool subclasses int: reject it here.
+        if isinstance(v, bool) or not isinstance(v, kinds):
             names = kinds.__name__ if isinstance(kinds, type) else "/".join(k.__name__ for k in kinds)
             self.fail(f"{where}: key '{key}' must be {names}, got {type(v).__name__}")
             return None
@@ -153,7 +154,7 @@ def _check_body(spec, where: str, ck: _Check):
         return
     ck.only(spec, BODY_KEYS[t] | {"type", "grid_size"}, where)
     if t in ("ball", "cube"):
-        ck.typed(spec, "n", int, where, lambda v: not isinstance(v, bool) and v >= 1)
+        ck.typed(spec, "n", int, where, lambda v: v >= 1)
     if t == "ball":
         ck.require(spec, "radius", _NUM, where, lambda v: v > 0)
     elif t == "cube":
@@ -219,7 +220,7 @@ def _check_spherical(params: dict, ck: _Check, kind: str):
     else:
         ck.fail("params.f: must be a mapping")
     ck.require(params, "R_list", list, where,
-               lambda v: len(v) >= 2 and all(isinstance(x, _NUM) for x in v))
+               lambda v: len(v) >= 2 and all(map(_is_number, v)))
 
 
 def _body_dimension(spec) -> Optional[int]:
@@ -271,7 +272,7 @@ def _check_minimize(params: dict, ck: _Check, kind: str):
         if expected is not None and N is not None and N <= n:
             ck.fail(f"params: N must exceed n (N={N}, n={n})")
     ck.typed(params, "restarts", int, where, lambda v: v >= 1)
-    ck.typed(params, "max_fev", int, where, lambda v: not isinstance(v, bool) and v >= 1)
+    ck.typed(params, "max_fev", int, where, lambda v: v >= 1)
     est = ck.typed(params, "estimator", str, where)
     if est is not None and expected is not None and est != expected:
         hint = " (steiner-fit was removed: the objective is exact)" if est == "steiner-fit" else ""
@@ -293,8 +294,7 @@ def _is_point_set(v, samples) -> bool:
 def _check_gorbovickis(params: dict, ck: _Check):
     where = "params"
     ck.only(params, {"points", "R", "R_list", "samples"}, where)
-    samples = ck.typed(params, "samples", int, where,
-                       lambda v: not isinstance(v, bool) and v >= 0)
+    samples = ck.typed(params, "samples", int, where, lambda v: v >= 0)
     ck.require(params, "points", list, where, lambda v: _is_point_set(v, samples))
     if "R" not in params and "R_list" not in params:
         ck.fail("params: need 'R' or 'R_list'")

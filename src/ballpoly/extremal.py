@@ -88,6 +88,7 @@ class OptimizationResult:
     best_restart: int
     trace: np.ndarray  # best value per restart
     feasibility_margin: float
+    evaluations: int  # objective calls over all restarts (Nelder-Mead nfev)
 
 
 def _tangent_basis(theta: np.ndarray) -> np.ndarray:
@@ -112,15 +113,14 @@ def _chart(base: np.ndarray):
     """Map R^{N(n-1)} -> (S^{n-1})^N around base directions by
     normalized tangent offsets (a retraction chart)."""
     N, n = base.shape
-    bases = [_tangent_basis(base[i]) for i in range(N)]
+    bases = np.stack([_tangent_basis(base[i]) for i in range(N)])  # (N, n-1, n)
 
     def to_sphere(v: np.ndarray) -> np.ndarray:
-        out = np.empty_like(base)
-        vv = v.reshape(N, n - 1)
-        for i in range(N):
-            p = base[i] + bases[i].T @ vv[i]
-            out[i] = p / np.linalg.norm(p)
-        return out
+        # Batched matmul runs the same BLAS products per ball as a loop
+        # of ``bases[i].T @ v_i`` and ``p @ p`` would, so the chart
+        # stays bit for bit what it was; einsum would sum differently.
+        p = base + np.matmul(v.reshape(N, 1, n - 1), bases)[:, 0, :]
+        return p / np.sqrt(np.matmul(p[:, None, :], p[:, :, None])[:, :, 0])
 
     return to_sphere
 
@@ -176,6 +176,7 @@ def minimize_mjN(prob: CircumscriptionProblem, restarts: int = 32,
     dim = N * (n - 1)
     best = (np.inf, None, -1)
     trace = np.full(restarts, np.inf)
+    evaluations = 0
     step = 0.45
     x0 = np.zeros(dim)
     init = np.vstack([x0] + [x0 + step * np.eye(dim)[k] for k in range(dim)])
@@ -189,6 +190,7 @@ def minimize_mjN(prob: CircumscriptionProblem, restarts: int = 32,
             },
         )
         trace[r] = res.fun
+        evaluations += res.nfev
         if res.fun < best[0]:
             best = (res.fun, chart(res.x), r)
     value, thetas, best_r = best
@@ -199,6 +201,7 @@ def minimize_mjN(prob: CircumscriptionProblem, restarts: int = 32,
     return OptimizationResult(
         value=float(value), thetas=thetas, restarts_used=restarts,
         best_restart=best_r, trace=trace, feasibility_margin=margin,
+        evaluations=evaluations,
     )
 
 

@@ -1,63 +1,68 @@
 """Halfspace-intersection polytopes in the plane and in 3D.
 
-Candidate configurations in the circumscription search and Wulff shapes
-are intersections of halfspaces {<x, n_i> <= c_i}. In 2D they are
+Candidate configurations in the circumscription search are
+intersections of touching halfspaces {<x, n_i> <= c_i}. In 2D they are
 clipped out of a large box by Sutherland-Hodgman, which keeps unbounded
 configurations finite (the box acts as the continuous penalty); in 3D
 the vertex enumeration is delegated to Qhull, and the intrinsic volumes
-of the resulting polytope come from its convex hull.
+of the resulting polytope come from its convex hull. (Wulff shapes are
+not built here: ``wulff.wulff_shape`` takes them from a polar-dual
+convex hull.)
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from .errors import UnboundedConfiguration
 
 # Numerical slack for the clipping predicate, relative to the offset scale.
 CLIP_EPS = 1e-12
 
+# Normals of the six faces of the 3D box [-bound, bound]^3.
+BOX_NORMALS_3D = np.vstack([np.eye(3), -np.eye(3)])
+
 
 def clip_polygon(normals: np.ndarray, offsets: np.ndarray, bound: float) -> np.ndarray:
     """Vertices (CCW) of {x : <x,n_i> <= c_i} intersected with the box
     [-bound, bound]^2; empty array when infeasible."""
-    normals = np.atleast_2d(np.asarray(normals, dtype=float))
-    offsets = np.asarray(offsets, dtype=float)
-    poly = [
-        np.array([-bound, -bound]),
-        np.array([bound, -bound]),
-        np.array([bound, bound]),
-        np.array([-bound, bound]),
-    ]
-    eps = CLIP_EPS * max(1.0, float(np.max(np.abs(offsets))), bound)
-    for nrm, c in zip(normals, offsets):
+    # Plain floats: a polygon has a handful of vertices, so per-vertex
+    # numpy arithmetic would cost more than the clipping itself.
+    normals = np.atleast_2d(np.asarray(normals, dtype=float)).tolist()
+    offsets = np.asarray(offsets, dtype=float).tolist()
+    b = float(bound)
+    poly = [(-b, -b), (b, -b), (b, b), (-b, b)]
+    eps = CLIP_EPS * max(1.0, max(map(abs, offsets)), b)
+    for (nx, ny), c in zip(normals, offsets):
         if not poly:
             break
         out = []
-        k = len(poly)
-        for i in range(k):
-            a, b = poly[i], poly[(i + 1) % k]
-            da = float(nrm @ a) - c
-            db = float(nrm @ b) - c
-            a_in, b_in = da <= eps, db <= eps
+        ax, ay = poly[0]
+        da = nx * ax + ny * ay - c
+        for bx, by in poly[1:] + poly[:1]:
+            db = nx * bx + ny * by - c
+            a_in = da <= eps
             if a_in:
-                out.append(a)
-            if a_in != b_in:
+                out.append((ax, ay))
+            if a_in != (db <= eps):
                 t = da / (da - db)
-                out.append(a + t * (b - a))
+                out.append((ax + t * (bx - ax), ay + t * (by - ay)))
+            ax, ay, da = bx, by, db
         poly = out
     return np.array(poly) if poly else np.empty((0, 2))
 
 
 def polygon_area_perimeter(vertices: np.ndarray):
-    """(area, perimeter) of a CCW simple polygon (shoelace)."""
+    """(area, perimeter) of a simple polygon (shoelace); the area is
+    unsigned, so either orientation serves."""
     v = np.atleast_2d(vertices)
     if v.shape[0] < 3:
         return 0.0, 0.0
-    x, y = v[:, 0], v[:, 1]
-    xr, yr = np.roll(x, -1), np.roll(y, -1)
-    area = 0.5 * float(np.sum(x * yr - xr * y))
-    perim = float(np.sum(np.hypot(xr - x, yr - y)))
+    w = np.concatenate((v[1:], v[:1]))  # the next vertex of each
+    x, y, xr, yr = v[:, 0], v[:, 1], w[:, 0], w[:, 1]
+    area = 0.5 * float((x * yr - xr * y).sum())
+    perim = float(np.hypot(xr - x, yr - y).sum())
     return abs(area), perim
 
 
@@ -69,14 +74,10 @@ def halfspace_vertices_3d(normals: np.ndarray, offsets: np.ndarray,
     ``interior`` must be strictly feasible: any interior point of a body
     serves for a configuration of halfspaces touching it.
     """
-    from scipy.spatial import HalfspaceIntersection
-
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
     offsets = np.asarray(offsets, dtype=float)
-    box_n = np.vstack([np.eye(3), -np.eye(3)])
-    box_c = np.full(6, bound)
-    A = np.vstack([normals, box_n])
-    c = np.concatenate([offsets, box_c])
+    A = np.vstack([normals, BOX_NORMALS_3D])
+    c = np.concatenate([offsets, np.full(6, bound)])
     halfspaces = np.column_stack([A, -c])  # qhull form: A x + b <= 0
     margin = float(np.min(c - A @ np.asarray(interior, dtype=float)))
     if margin <= 0:
@@ -94,8 +95,6 @@ def hull_intrinsic_volumes(vertices: np.ndarray):
     2nd ed., section 4.2); an edge between coplanar triangles has angle
     zero and adds nothing.
     """
-    from scipy.spatial import ConvexHull
-
     hull = ConvexHull(np.asarray(vertices, dtype=float))
     tri = hull.simplices
     # Neighbour k of a triangle lies across the edge opposite its vertex k.

@@ -131,10 +131,26 @@ class TestValidation:
         ("minimize", {"body": SQUARE, "j": 2, "N": 4, "grid_size": 256}, "grid_size"),
         ("schneider", {"body": SQUARE, "j": 2, "N": 4, "grid_size": 256}, "grid_size"),
         ("simplex-bound", {"body": SQUARE, "grid_size": 256}, "grid_size"),
+        ("minimize", {"body": SQUARE, "j": 2, "N": 4, "restarts": True}, "'restarts' must be int"),
+        ("minimize", {"body": SQUARE, "j": 2, "N": True}, "'N' must be int"),
+        ("schneider", {"body": SQUARE, "j": True, "N": 4}, "'j' must be int"),
     ])
     def test_bad_circumscription_exits_2(self, kind, params, key, tmp_path, capsys):
         assert run_main({"kind": kind, "seed": 1, "params": params}, tmp_path) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["N", "j", "trials"])
+    def test_boolean_moments_key_exits_2(self, key, tmp_path, capsys):
+        doc = moments_doc([1])
+        doc["params"][key] = True
+        assert run_main(doc, tmp_path) == 2
+        assert f"key '{key}' must be int, got bool" in capsys.readouterr().err
+
+    def test_boolean_radius_exits_2(self, tmp_path, capsys):
+        doc = smoke_doc("vr-asymptotics")
+        doc["params"] = {**doc["params"], "R_list": [True, 10.0]}
+        assert run_main(doc, tmp_path) == 2
+        assert "R_list" in capsys.readouterr().err
 
     def test_moments_grid_size_exits_2(self, tmp_path, capsys):
         doc = moments_doc([1])

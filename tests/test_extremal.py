@@ -1,16 +1,21 @@
-"""Exact circumscription objective: hull intrinsic volumes and the
-touching-halfspace V_j against closed forms."""
+"""Exact circumscription objective: hull intrinsic volumes, the planar
+clipper against Qhull, and the touching-halfspace V_j against closed
+forms."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from ballpoly import extremal as ex
+from ballpoly.config import build_body
 from ballpoly.errors import UnsupportedDimension
 from ballpoly.geometry import DirectionGrid, SupportBody
-from ballpoly.polytope import hull_intrinsic_volumes
+from ballpoly.polytope import (CLIP_EPS, clip_polygon, hull_intrinsic_volumes,
+                               polygon_area_perimeter)
+from ballpoly.rng import stream, uniform_on_sphere
 
 UNIT_CUBE = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
 REGULAR_TETRAHEDRON = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], float)
@@ -38,6 +43,89 @@ class TestHullIntrinsicVolumes:
         assert V[1] == pytest.approx(v1, rel=1e-14)
         assert V[2] == pytest.approx(4 * math.sqrt(3), rel=1e-14)
         assert V[3] == pytest.approx(8 / 3, rel=1e-14)
+
+
+def touching_config(seed):
+    """N touching halfspaces around a random convex polygon away from the
+    origin; every fourth configuration has its normals in an arc shorter
+    than pi, so it is unbounded and only the clipping box closes it."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-1.0, 1.0, (6, 2)) + rng.uniform(-3.0, 3.0, 2)
+    N = int(rng.integers(3, 9))
+    width = 0.8 * math.pi if seed % 4 == 0 else 2.0 * math.pi
+    angles = rng.uniform(0.0, width, N) + rng.uniform(0.0, 2.0 * math.pi)
+    normals = np.column_stack([np.cos(angles), np.sin(angles)])
+    offsets = np.max(normals @ points.T, axis=1)
+    return normals, offsets, points.mean(axis=0)
+
+
+def qhull_area_perimeter(normals, offsets, bound, interior):
+    """Independent oracle: Qhull's halfspace intersection with the box,
+    then the convex hull's area (``volume`` in 2D) and perimeter."""
+    A = np.vstack([normals, np.eye(2), -np.eye(2)])
+    c = np.concatenate([offsets, np.full(4, bound)])
+    hull = ConvexHull(HalfspaceIntersection(np.column_stack([A, -c]), interior).intersections)
+    return hull.volume, hull.area
+
+
+class TestClipPolygon:
+    BOUND = 10.0
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_matches_qhull(self, seed):
+        normals, offsets, interior = touching_config(seed)
+        verts = clip_polygon(normals, offsets, self.BOUND)
+        area, perim = polygon_area_perimeter(verts)
+        want_area, want_perim = qhull_area_perimeter(normals, offsets, self.BOUND, interior)
+        assert area == pytest.approx(want_area, rel=1e-10)
+        assert perim == pytest.approx(want_perim, rel=1e-10)
+        assert np.all(verts @ normals.T <= offsets + 1e-9)
+        if seed % 4 == 0:
+            assert np.max(np.abs(verts)) == pytest.approx(self.BOUND)
+
+    @pytest.mark.parametrize("shift", [-0.5, 0.0, 0.5])
+    def test_vertex_on_line_within_eps(self, shift):
+        # x + y <= 2 + shift*CLIP_EPS passes through the square's corner
+        # (1, 1) up to the slack: the corner counts as inside, and no
+        # sliver vertices appear beside it.
+        normals = np.array([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]], float)
+        offsets = np.array([1.0, 1.0, 1.0, 1.0, 2.0 + shift * CLIP_EPS])
+        verts = clip_polygon(normals, offsets, 1.0)
+        assert len(verts) == 4
+        want = qhull_area_perimeter(normals, offsets, 1.0, np.zeros(2))
+        assert polygon_area_perimeter(verts) == pytest.approx(want, rel=1e-12)
+
+    def test_infeasible_is_empty(self):
+        verts = clip_polygon([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0], 5.0)
+        assert verts.shape == (0, 2)
+        assert polygon_area_perimeter(verts) == (0.0, 0.0)
+
+
+class TestAreaPerimeter:
+    @pytest.mark.parametrize("verts", [np.empty((0, 2)), [[1.0, 2.0]], [[0.0, 0.0], [3.0, 4.0]]])
+    def test_fewer_than_three_vertices(self, verts):
+        assert polygon_area_perimeter(np.asarray(verts)) == (0.0, 0.0)
+
+    def test_clockwise(self):
+        ccw = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
+        assert polygon_area_perimeter(ccw) == (2.0, 6.0)
+        assert polygon_area_perimeter(ccw[::-1]) == (2.0, 6.0)
+
+
+class TestChart:
+    @pytest.mark.parametrize("n, N", [(2, 4), (3, 4), (3, 7)])
+    def test_matches_per_ball_loop(self, n, N):
+        rng = np.random.default_rng(N)
+        base = uniform_on_sphere(stream(n, N), n, N)
+        bases = [ex._tangent_basis(theta) for theta in base]
+        to_sphere = ex._chart(base)
+        for scale in (1e-6, 0.5, 3.0):
+            v = rng.normal(scale=scale, size=(N, n - 1))
+            want = []
+            for i in range(N):
+                p = base[i] + bases[i].T @ v[i]
+                want.append(p / np.linalg.norm(p))
+            assert np.array_equal(to_sphere(v.ravel()), np.array(want))
 
 
 class TestObjective:
@@ -78,3 +166,27 @@ class TestMinimize:
         res = ex.minimize_mjN(ex.CircumscriptionProblem(K, j=2, N=3), restarts=4, seed=0)
         assert res.value == pytest.approx(ex.simplex_circumscription_minimum(2), rel=1e-9)
         assert ex.simplex_circumscription_minimum(2) == pytest.approx(3 * math.sqrt(3))
+
+    # value, best restart and per-restart trace of minimize_mjN around the
+    # unit square (default grid), N = 4, 4 restarts, seed 3, recorded
+    # from the numpy clipper and per-ball chart the float path replaced.
+    PINNED = {
+        1: (2.0000002379920776, 1,
+            [2.0830235705684412, 2.0000002379920776, 2.005611230997973, 2.000031275181078]),
+        2: (1.0000000232665256, 3,
+            [1.0771451263258052, 1.00000284570261, 1.0000000241253573, 1.0000000232665256]),
+    }
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_search_pinned(self, j, monkeypatch):
+        calls = []
+        objective_call = ex._Objective.__call__
+        monkeypatch.setattr(ex._Objective, "__call__",
+                            lambda obj, thetas: calls.append(1) or objective_call(obj, thetas))
+        K = build_body({"type": "cube", "side": 1.0, "n": 2})
+        res = ex.minimize_mjN(ex.CircumscriptionProblem(K, j=j, N=4), restarts=4, seed=3)
+        value, best_restart, trace = self.PINNED[j]
+        assert res.value == pytest.approx(value, rel=1e-12)
+        assert res.best_restart == best_restart
+        np.testing.assert_allclose(res.trace, trace, rtol=1e-12, atol=0.0)
+        assert res.evaluations == len(calls)
