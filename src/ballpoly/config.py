@@ -178,6 +178,7 @@ def _check_dominance(params: dict, ck: _Check, kind: str):
     ck.typed(params, "s_points", int, where, lambda v: v >= 2)
     ck.typed(params, "s_grid", list, where)
     ck.typed(params, "estimator", str, where, lambda v: v in ("exact-2d", "steiner-fit"))
+    ck.typed(params, "fit_samples", int, where, lambda v: v >= 1)
     dens = params.get("density")
     if dens is None:
         ck.fail("params: missing required key 'density'")
@@ -200,6 +201,8 @@ def _check_moments(params: dict, ck: _Check):
     ck.require(params, "trials", int, where, lambda v: v >= 100)
     ck.require(params, "p_list", list, where,
                lambda v: len(v) >= 1 and all(map(_is_moment_order, v)))
+    ck.typed(params, "estimator", str, where, lambda v: v in ("exact-2d", "steiner-fit"))
+    ck.typed(params, "fit_samples", int, where, lambda v: v >= 1)
 
 
 def _check_spherical(params: dict, ck: _Check, kind: str):

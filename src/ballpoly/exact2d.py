@@ -1,32 +1,37 @@
 """Exact geometry of planar disk intersections.
 
 The intersection of finitely many closed disks is a convex region
-bounded by circular arcs. This module computes the boundary exactly:
-arc decomposition, area and perimeter via Green's theorem, support
-function, and point-to-region distance. It is the independent oracle
-against which the Monte-Carlo estimators are checked, and the fast
-path for planar experiments.
+bounded by circular arcs. ``disk_region`` finds those arcs one circle
+at a time, in plain floats: the part of circle i inside disk j is a
+single arc, all of the circle or none of it, and the part of circle i
+on the boundary is what every other disk leaves of it. Area and
+perimeter follow from Green's theorem on the arcs. The module also
+gives the region's support function and point-to-region distance. It
+is the independent oracle against which the Monte-Carlo estimators are
+checked, and the fast path for planar experiments.
+
+Two circles tangent within ``TANGENCY_RTOL`` of the largest radius make
+the decomposition ill-defined: ``disk_region`` raises
+``DegenerateTangency`` for such a pair, and
+``exact_disk_intersection_2d`` perturbs the radii and retries once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import acos, atan2, cos, hypot, pi, sin
 
 import numpy as np
 
 from .errors import DegenerateTangency, EmptyIntersection
 from .geometry import BallPolyhedron
 
-TWO_PI = 2.0 * np.pi
+TWO_PI = 2.0 * pi
 
-# Tangency window (relative to the radius scale) in which the arc
-# decomposition becomes ill-defined.
+# Tangency window (relative to the largest radius) in which the arc
+# decomposition becomes ill-defined. Two disks whose centres and radii
+# agree within it are one disk.
 TANGENCY_RTOL = 1e-12
-# Membership slack (relative) used when filtering candidate vertices.
-FEAS_RTOL = 1e-9
-# At most this many disks use the scalar decomposition (numpy call
-# overhead dominates tiny configurations).
-SMALL_N = 8
 
 
 @dataclass
@@ -45,7 +50,6 @@ class DiskRegion:
     area: float
     perimeter: float
     arcs: np.ndarray = field(default_factory=lambda: np.empty((0, 5)))
-    vertices: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
 
     def contains(self, points: np.ndarray, slack: float = 0.0) -> np.ndarray:
         pts = np.atleast_2d(points)
@@ -57,33 +61,6 @@ class DiskRegion:
         return inside
 
 
-def _feasible_mask(points: np.ndarray, centers: np.ndarray, radii: np.ndarray,
-                   slack: float, chunk: int = 8192) -> np.ndarray:
-    """Which points lie in every disk, allowing ``slack`` per radius.
-
-    A coarse pre-filter against a spread subsample of disks rejects
-    most candidates cheaply when there are many disks (dense grids of
-    tangent balls)."""
-    pts = points
-    m = pts.shape[0]
-    n = centers.shape[0]
-    keep = np.ones(m, dtype=bool)
-    if n > 24 and m > 64:
-        sub = np.arange(0, n, max(n // 16, 1))
-        rr_sub = (radii[sub] + slack) ** 2
-        for lo in range(0, m, chunk):
-            hi = min(lo + chunk, m)
-            d2 = np.sum((pts[lo:hi, None, :] - centers[None, sub, :]) ** 2, axis=-1)
-            keep[lo:hi] = np.all(d2 <= rr_sub[None, :], axis=1)
-    rr = (radii + slack) ** 2
-    idx = np.flatnonzero(keep)
-    for lo in range(0, idx.size, chunk):
-        sel = idx[lo:lo + chunk]
-        d2 = np.sum((pts[sel, None, :] - centers[None, :, :]) ** 2, axis=-1)
-        keep[sel] = np.all(d2 <= rr[None, :], axis=1)
-    return keep
-
-
 def _whole_disk_region(centers, radii, i) -> DiskRegion:
     (cx, cy), r = centers[i], radii[i]
     return DiskRegion(
@@ -92,227 +69,160 @@ def _whole_disk_region(centers, radii, i) -> DiskRegion:
     )
 
 
-def _disk_region_small(centers: np.ndarray, radii: np.ndarray,
-                       tang: float, feas: float) -> DiskRegion:
-    """Scalar-arithmetic twin of the vectorized decomposition; for a
-    handful of disks the numpy call overhead dominates, and dominance
-    experiments evaluate millions of 2-6 disk configurations."""
-    from math import atan2, cos, hypot, pi, sin, sqrt
+# What a disk leaves of a circle that it does not cut into an arc.
+_WHOLE = None  # the circle lies inside the disk
+_NOTHING = ()  # the circle lies outside the disk, or repeats an earlier one
 
-    n = centers.shape[0]
-    cx = centers[:, 0].tolist()
-    cy = centers[:, 1].tolist()
-    rr = radii.tolist()
-    two_pi = 2.0 * pi
 
-    px, py, owner_i, owner_j = [], [], [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx, dy = cx[j] - cx[i], cy[j] - cy[i]
-            d = hypot(dx, dy)
-            if d <= tang:
-                continue
-            sep = d - (rr[i] + rr[j])
-            nest = abs(rr[i] - rr[j]) - d
-            if abs(sep) <= tang or abs(nest) <= tang:
-                raise DegenerateTangency(
-                    f"circles {i} and {j} tangent within {TANGENCY_RTOL:g} relative"
-                )
-            if sep > 0 or nest > 0:
-                continue
-            a = (d * d + rr[i] * rr[i] - rr[j] * rr[j]) / (2.0 * d)
-            h = sqrt(max(rr[i] * rr[i] - a * a, 0.0))
-            ux, uy = dx / d, dy / d
-            mx, my = cx[i] + a * ux, cy[i] + a * uy
-            for sgn in (1.0, -1.0):
-                qx, qy = mx - sgn * h * uy, my + sgn * h * ux
-                ok = True
-                for k in range(n):
-                    ddx, ddy = qx - cx[k], qy - cy[k]
-                    rk = rr[k] + feas
-                    if ddx * ddx + ddy * ddy > rk * rk:
-                        ok = False
-                        break
-                if ok:
-                    px.append(qx)
-                    py.append(qy)
-                    owner_i.append(i)
-                    owner_j.append(j)
+def _clip(pieces, a, b):
+    """Intersect the disjoint angle intervals (start, end) of one circle,
+    or the whole circle when ``pieces`` is None, with the arc from angle
+    a to angle b, a < b < a + 2*pi."""
+    if pieces is None:
+        return [(a, b)]
+    out = []
+    for s, e in pieces:
+        shift = TWO_PI * ((s - a) // TWO_PI)  # the arc's turn starting at or before s
+        lo, hi = a + shift, b + shift
+        if s < hi:
+            out.append((s, e if e < hi else hi))
+        lo += TWO_PI  # and the next turn, which may overlap the end of (s, e)
+        if lo < e:
+            hi += TWO_PI
+            out.append((lo if lo > s else s, e if e < hi else hi))
+    return out
 
-    if not px:
-        for i in range(n):
-            inside_all = True
-            for k in range(n):
-                d = hypot(cx[i] - cx[k], cy[i] - cy[k])
-                if d + rr[i] > rr[k] + feas:
-                    inside_all = False
-                    break
-            if inside_all:
-                return _whole_disk_region(centers, radii, i)
-        return DiskRegion(centers, radii, True, 0.0, 0.0)
 
-    arcs = []
-    area = 0.0
-    perimeter = 0.0
-    for i in set(owner_i) | set(owner_j):
-        ang = sorted(
-            atan2(py[t] - cy[i], px[t] - cx[i]) % two_pi
-            for t in range(len(px))
-            if owner_i[t] == i or owner_j[t] == i
-        )
-        merged = [ang[0]]
-        for a in ang[1:]:
-            if a - merged[-1] > 1e-12:
-                merged.append(a)
-        if len(merged) > 1 and (two_pi - (merged[-1] - merged[0])) <= 1e-12:
-            merged.pop()
-        m = len(merged)
-        r = rr[i]
-        for t in range(m):
-            a0 = merged[t]
-            da = two_pi if m == 1 else (merged[(t + 1) % m] - a0) % two_pi
-            if da <= 1e-12:
-                continue
-            mid = a0 + da / 2.0
-            qx, qy = cx[i] + r * cos(mid), cy[i] + r * sin(mid)
-            ok = True
-            for k in range(n):
-                if k == i:
-                    continue
-                ddx, ddy = qx - cx[k], qy - cy[k]
-                rk = rr[k] + feas
-                if ddx * ddx + ddy * ddy > rk * rk:
-                    ok = False
-                    break
-            if ok:
-                a1 = a0 + da
-                area += 0.5 * (
-                    r * r * da
-                    + r * cx[i] * (sin(a1) - sin(a0))
-                    - r * cy[i] * (cos(a1) - cos(a0))
-                )
-                perimeter += r * da
-                arcs.append((cx[i], cy[i], r, a0, da))
-
-    verts = np.column_stack([px, py]) if px else np.empty((0, 2))
-    if not arcs:
-        return DiskRegion(centers, radii, True, 0.0, 0.0, vertices=verts)
-    return DiskRegion(centers, radii, False, max(area, 0.0), perimeter,
-                      arcs=np.array(arcs), vertices=verts)
+def _uncut(i, j, d, ri, rj, tang, first):
+    """What disks i and j at distance d leave of each other's circles
+    when the circles do not cross, as (for circle i, for circle j); None
+    when the disks are disjoint. ``first``: circle i is visited before
+    circle j, so it keeps a disk given twice."""
+    if d <= tang and abs(ri - rj) <= tang:
+        return (_WHOLE, _NOTHING) if first else (_NOTHING, _WHOLE)
+    if d > tang:
+        sep = d - (ri + rj)
+        nest = abs(ri - rj) - d
+        if abs(sep) <= tang or abs(nest) <= tang:
+            raise DegenerateTangency(
+                f"circles {i} and {j} tangent within {TANGENCY_RTOL:g} relative"
+            )
+        if sep > 0:
+            return None
+    # One disk lies inside the other.
+    return (_WHOLE, _NOTHING) if ri < rj else (_NOTHING, _WHOLE)
 
 
 def disk_region(centers: np.ndarray, radii: np.ndarray) -> DiskRegion:
     """Arc decomposition of the intersection of closed disks.
 
-    Enumerates pairwise circle intersection points, keeps those inside
-    every disk (the region's vertices), and splits each circle at its
-    vertices into candidate arcs kept when their midpoints are
-    feasible. Area and perimeter follow from Green's theorem on the
-    counterclockwise arc chain.
+    For each circle i the other disks are compared in turn: disk j at
+    distance d keeps the arc of circle i centred on the direction of
+    c_j - c_i with half-width acos((d^2 + r_i^2 - r_j^2) / (2 d r_i)),
+    or all of the circle (disk i inside disk j), or none of it (disk j
+    inside disk i). What remains of circle i is the intersection of
+    those arcs, and circle i stops being compared once nothing
+    remains. Two disjoint disks make the region empty at once, and a
+    circle nothing cuts is the region's whole boundary. A disk whose
+    centre and radius equal another's within the tangency window is
+    the same disk and contributes once. Area and perimeter follow from
+    Green's theorem on the counterclockwise arcs.
 
-    Raises DegenerateTangency when two circles are tangent within
-    1e-12 (relative); callers may perturb and retry.
+    Circles are visited tight-first, by r_i - |c_i - centroid|, so the
+    circles that bound the region are found early and cut the others
+    away after few comparisons. Each pair is compared once: the result
+    for the circle visited later is kept for its turn.
+
+    Raises DegenerateTangency when two compared circles are tangent
+    within TANGENCY_RTOL (relative to the largest radius); callers may
+    perturb and retry.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     radii = np.asarray(radii, dtype=float)
-    n = centers.shape[0]
-    scale = float(np.max(radii))
-    tang = TANGENCY_RTOL * scale
-    feas = FEAS_RTOL * scale
+    xs, ys, rs = centers[:, 0].tolist(), centers[:, 1].tolist(), radii.tolist()
+    n = len(rs)
+    tang = TANGENCY_RTOL * max(rs)
+    mx, my = sum(xs) / n, sum(ys) / n
+    order = sorted(range(n), key=lambda i: rs[i] - hypot(xs[i] - mx, ys[i] - my))
+    rank = [0] * n
+    for k, i in enumerate(order):
+        rank[i] = k
+    # cuts[j][i]: what disk i leaves of circle j, found on circle i's turn.
+    cuts = [{} for _ in range(n)]
+    gone = [False] * n
+    boundary = []
 
-    if n == 1:
-        return _whole_disk_region(centers, radii, 0)
-    if n <= SMALL_N:
-        return _disk_region_small(centers, radii, tang, feas)
+    for i in order:
+        if gone[i]:
+            continue
+        xi, yi, ri = xs[i], ys[i], rs[i]
+        known = cuts[i]
+        pieces = None
+        for cut in known.values():
+            if cut is not _WHOLE:
+                pieces = _clip(pieces, *cut)
+                if not pieces:
+                    break
+        if pieces == []:
+            continue
+        for j in order:
+            if j == i or j in known:
+                continue
+            rj = rs[j]
+            dx, dy = xs[j] - xi, ys[j] - yi
+            d = hypot(dx, dy)
+            later = rank[j] > rank[i]
+            if (ri - rj if ri > rj else rj - ri) + tang < d < ri + rj - tang:
+                # The circles cross: each keeps one arc of the other.
+                # r_i^2 - r_j^2 is formed first, as a product: adding d^2
+                # to r_i^2 first would round d^2 away when d << r, as for
+                # neighbouring tangent balls.
+                phi = atan2(dy, dx)
+                d2, q = d * d, (ri - rj) * (ri + rj)
+                c = (d2 + q) / (2.0 * d * ri)
+                w = acos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c)
+                if later and not gone[j]:
+                    c = (d2 - q) / (2.0 * d * rj)
+                    wj = acos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c)
+                    back = atan2(-dy, -dx)
+                    cuts[j][i] = (back - wj, back + wj)
+                pieces = _clip(pieces, phi - w, phi + w)
+                if not pieces:
+                    break
+                continue
+            pair = _uncut(i, j, d, ri, rj, tang, later)
+            if pair is None:
+                return DiskRegion(centers, radii, True, 0.0, 0.0)
+            cut_i, cut_j = pair
+            if later and cut_j is _NOTHING:
+                gone[j] = True
+            elif later:
+                cuts[j][i] = _WHOLE
+            if cut_i is _NOTHING:
+                pieces = []
+                break
+        if pieces is None:
+            return _whole_disk_region(centers, radii, i)
+        if pieces:
+            boundary.append((i, pieces))
 
-    # Pairwise circle intersections, vectorized over all pairs.
-    iu, ju = np.triu_indices(n, 1)
-    dvec = centers[ju] - centers[iu]
-    d = np.hypot(dvec[:, 0], dvec[:, 1])
-    ri, rj = radii[iu], radii[ju]
-    separated = d - (ri + rj)
-    nested = np.abs(ri - rj) - d
-    concentric = d <= tang
-    tangent = ~concentric & ((np.abs(separated) <= tang) | (np.abs(nested) <= tang))
-    if np.any(tangent):
-        k = int(np.flatnonzero(tangent)[0])
-        raise DegenerateTangency(
-            f"circles {iu[k]} and {ju[k]} tangent within {TANGENCY_RTOL:g} relative"
-        )
-    crossing = ~concentric & (separated < 0) & (nested < 0)
-
-    if np.any(crossing):
-        dvc = dvec[crossing]
-        dc = d[crossing]
-        ric, rjc = ri[crossing], rj[crossing]
-        a = (dc * dc + ric * ric - rjc * rjc) / (2.0 * dc)
-        h = np.sqrt(np.maximum(ric * ric - a * a, 0.0))
-        u = dvc / dc[:, None]
-        mid = centers[iu[crossing]] + a[:, None] * u
-        off = h[:, None] * np.column_stack([-u[:, 1], u[:, 0]])
-        P = np.vstack([mid + off, mid - off])
-        owners = np.vstack([
-            np.column_stack([iu[crossing], ju[crossing]]),
-            np.column_stack([iu[crossing], ju[crossing]]),
-        ])
-        keep = _feasible_mask(P, centers, radii, feas)
-        P, owners = P[keep], owners[keep]
-    else:
-        P = np.empty((0, 2))
-        owners = np.empty((0, 2), dtype=int)
-
-    if P.shape[0] == 0:
-        # No boundary crossings: the region is a whole disk or empty.
-        dists = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=-1)
-        contained = np.all(dists + radii[:, None] <= radii[None, :] + feas, axis=1)
-        if np.any(contained):
-            idx = np.flatnonzero(contained)
-            return _whole_disk_region(centers, radii, idx[np.argmin(radii[idx])])
+    if not boundary:
         return DiskRegion(centers, radii, True, 0.0, 0.0)
-
-    # Split each contributing circle at its vertices into candidate arcs.
-    cand = []
-    for i in np.unique(owners.ravel()):
-        rel = P[(owners[:, 0] == i) | (owners[:, 1] == i)] - centers[i]
-        ang = np.sort(np.arctan2(rel[:, 1], rel[:, 0]) % TWO_PI)
-        if ang.size > 1:
-            distinct = np.concatenate([[True], np.diff(ang) > 1e-12])
-            ang = ang[distinct]
-            if ang.size > 1 and (TWO_PI - (ang[-1] - ang[0])) <= 1e-12:
-                ang = ang[:-1]
-        m = ang.size
-        a0 = ang
-        da = (np.roll(ang, -1) - ang) % TWO_PI
-        if m == 1:
-            da = np.array([TWO_PI])
-        for t in range(m):
-            if da[t] > 1e-12:
-                cand.append((i, a0[t], da[t]))
-
-    if not cand:
-        return DiskRegion(centers, radii, True, 0.0, 0.0, vertices=P)
-
-    circ = np.array([c[0] for c in cand], dtype=int)
-    a0 = np.array([c[1] for c in cand])
-    da = np.array([c[2] for c in cand])
-    r = radii[circ]
-    mid = a0 + da / 2.0
-    probes = centers[circ] + r[:, None] * np.column_stack([np.cos(mid), np.sin(mid)])
-    ok = _feasible_mask(probes, centers, radii, feas)
-
-    if not np.any(ok):
-        return DiskRegion(centers, radii, True, 0.0, 0.0, vertices=P)
-
-    circ, a0, da, r = circ[ok], a0[ok], da[ok], r[ok]
-    cx, cy = centers[circ, 0], centers[circ, 1]
-    a1 = a0 + da
-    area = 0.5 * np.sum(
-        r * r * da + r * cx * (np.sin(a1) - np.sin(a0)) - r * cy * (np.cos(a1) - np.cos(a0))
-    )
-    perimeter = float(np.sum(r * da))
-    arcs = np.column_stack([cx, cy, r, a0, da])
-    return DiskRegion(centers, radii, False, float(max(area, 0.0)), perimeter,
-                      arcs=arcs, vertices=P)
+    arcs = []
+    area = 0.0
+    perimeter = 0.0
+    for i, pieces in boundary:
+        cx, cy, r = xs[i], ys[i], rs[i]
+        for a0, a1 in pieces:
+            da = a1 - a0
+            area += 0.5 * (
+                r * r * da
+                + r * cx * (sin(a1) - sin(a0))
+                - r * cy * (cos(a1) - cos(a0))
+            )
+            perimeter += r * da
+            arcs.append((cx, cy, r, a0 % TWO_PI, da))
+    return DiskRegion(centers, radii, False, max(area, 0.0), perimeter, arcs=np.array(arcs))
 
 
 def region_of(P: BallPolyhedron) -> DiskRegion:

@@ -1,0 +1,59 @@
+"""The benchmark in ``perfbench/`` patches and calls ``ballpoly`` names
+from the outside. Importing it and installing its tracer here makes a
+rename or deletion of any of those names fail this suite rather than
+the benchmark run."""
+
+import ast
+import importlib
+from pathlib import Path
+
+from ballpoly import dominance, exact2d
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _chain(node):
+    """['a', 'b', 'c'] for the expression a.b.c, else None."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return [node.id] + names[::-1]
+
+
+def test_tracer_installs_and_uninstalls(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    importlib.import_module("workloads")
+    spans = importlib.import_module("spans")
+    originals = (exact2d.disk_region, dominance._trial_value)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert (exact2d.disk_region, dominance._trial_value) != originals
+    finally:
+        tracer.uninstall()
+    assert (exact2d.disk_region, dominance._trial_value) == originals
+
+
+def test_every_module_attribute_the_benchmark_uses_exists():
+    checked = 0
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {
+            alias.asname or alias.name: importlib.import_module(f"ballpoly.{alias.name}")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "ballpoly"
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            chain = _chain(node) if isinstance(node, ast.Attribute) else None
+            if not chain or chain[0] not in modules:
+                continue
+            obj = modules[chain[0]]
+            for name in chain[1:]:
+                assert hasattr(obj, name), f"{path.name}: {'.'.join(chain)}"
+                obj = getattr(obj, name)
+            checked += 1
+    assert checked > 0

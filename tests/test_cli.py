@@ -105,6 +105,27 @@ class TestValidation:
         assert run_main(doc, tmp_path) == 2
         assert "samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fit_samples", ["x", -5, 0, 2.5, True])
+    @pytest.mark.parametrize("kind", ["dominance-ball", "moments"])
+    def test_bad_fit_samples_exits_2(self, kind, fit_samples, tmp_path, capsys):
+        doc = smoke_doc(kind)
+        doc["params"] = {**doc["params"], "estimator": "steiner-fit", "fit_samples": fit_samples}
+        assert run_main(doc, tmp_path) == 2
+        assert "fit_samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["dominance-ball", "moments"])
+    def test_unknown_estimator_exits_2(self, kind, tmp_path, capsys):
+        doc = smoke_doc(kind)
+        doc["params"] = {**doc["params"], "estimator": "exact2d"}
+        assert run_main(doc, tmp_path) == 2
+        assert "estimator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["dominance-ball", "moments"])
+    def test_fit_samples_accepted(self, kind):
+        doc = smoke_doc(kind)
+        doc["params"] = {**doc["params"], "estimator": "steiner-fit", "fit_samples": 2000}
+        config.validate(doc)
+
     @pytest.mark.parametrize("kind, params, key", [
         ("minimize", {"body": CUBE_3D, "j": 2, "N": 4, "estimator": "steiner-fit"},
          "'estimator' must be 'exact-hull-3d'"),
@@ -211,3 +232,22 @@ class TestSmoke:
         err = capsys.readouterr().err
         for key in doc["record"]["metrics"]:
             assert f"{key}=" in err
+
+    def test_repeated_point_leaves_gorbovickis_unchanged(self, tmp_path):
+        # A repeated centre is the same disk: it must not count twice in
+        # the planar volume.
+        metrics = []
+        for i, points in enumerate(([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                                    [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])):
+            doc = {"kind": "gorbovickis", "seed": 1,
+                   "params": {"points": points, "R_list": [10.0]}}
+            (tmp_path / str(i)).mkdir()
+            assert run_main(doc, tmp_path / str(i)) == 0
+            (summary,) = (tmp_path / str(i) / "out").glob("*.summary.yaml")
+            metrics.append(yaml.safe_load(summary.read_text())["record"]["metrics"])
+        assert metrics[1].keys() == metrics[0].keys()
+        for key, value in metrics[0].items():
+            if isinstance(value, float):
+                assert metrics[1][key] == pytest.approx(value, rel=1e-12, abs=1e-12), key
+            else:
+                assert metrics[1][key] == value, key

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import ballpoly.exact2d as e2
+from ballpoly.config import build_spherical_function
 from ballpoly.errors import DegenerateTangency
 from ballpoly.geometry import BallPolyhedron
 from ballpoly.intrinsic import mc_volume
 from ballpoly.rng import stream
+from ballpoly.wulff import ballpoly_approx
 
 LENS_AREA = 2 * math.pi / 3 - math.sqrt(3) / 2  # two unit disks, centers 1 apart
 LENS_PERIM = 4 * math.pi / 3
@@ -84,22 +86,155 @@ class TestTangency:
         assert area == pytest.approx(0.0, abs=1e-8)
 
 
-class TestPathEquivalence:
-    def test_scalar_matches_vectorized(self):
+def vertex_enumeration(centers, radii):
+    """(empty, area, perimeter) of an intersection of disks by vertex
+    enumeration, an algorithm independent of ``disk_region``: the
+    pairwise circle intersections that lie in every disk split their
+    circles into arcs, and an arc is kept when its midpoint lies in
+    every other disk. It counts a repeated disk twice."""
+    n = len(radii)
+    cx, cy, rr = centers[:, 0].tolist(), centers[:, 1].tolist(), radii.tolist()
+    tang, feas = 1e-12 * max(rr), 1e-9 * max(rr)
+    two_pi = 2.0 * math.pi
+
+    def feasible(qx, qy, skip=None):
+        for k in range(n):
+            dx, dy, rk = qx - cx[k], qy - cy[k], rr[k] + feas
+            if dx * dx + dy * dy > rk * rk and k != skip:
+                return False
+        return True
+
+    px, py, owners = [], [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx, dy = cx[j] - cx[i], cy[j] - cy[i]
+            d = math.hypot(dx, dy)
+            if d <= tang:
+                continue
+            sep, nest = d - (rr[i] + rr[j]), abs(rr[i] - rr[j]) - d
+            if abs(sep) <= tang or abs(nest) <= tang:
+                raise DegenerateTangency(f"circles {i} and {j}")
+            if sep > 0 or nest > 0:
+                continue
+            a = (d * d + rr[i] ** 2 - rr[j] ** 2) / (2.0 * d)
+            h = math.sqrt(max(rr[i] ** 2 - a * a, 0.0))
+            ux, uy = dx / d, dy / d
+            mx, my = cx[i] + a * ux, cy[i] + a * uy
+            for sgn in (1.0, -1.0):
+                qx, qy = mx - sgn * h * uy, my + sgn * h * ux
+                if feasible(qx, qy):
+                    px.append(qx)
+                    py.append(qy)
+                    owners.append((i, j))
+
+    if not px:
+        for i in range(n):
+            if all(math.hypot(cx[i] - cx[k], cy[i] - cy[k]) + rr[i] <= rr[k] + feas
+                   for k in range(n)):
+                return False, math.pi * rr[i] ** 2, two_pi * rr[i]
+        return True, 0.0, 0.0
+
+    area = perimeter = 0.0
+    kept = False
+    for i in {k for pair in owners for k in pair}:
+        ang = sorted(math.atan2(py[t] - cy[i], px[t] - cx[i]) % two_pi
+                     for t in range(len(px)) if i in owners[t])
+        merged = [ang[0]]
+        for a in ang[1:]:
+            if a - merged[-1] > 1e-12:
+                merged.append(a)
+        if len(merged) > 1 and two_pi - (merged[-1] - merged[0]) <= 1e-12:
+            merged.pop()
+        m, r = len(merged), rr[i]
+        for t in range(m):
+            a0 = merged[t]
+            da = two_pi if m == 1 else (merged[(t + 1) % m] - a0) % two_pi
+            mid = a0 + da / 2.0
+            if da > 1e-12 and feasible(cx[i] + r * math.cos(mid), cy[i] + r * math.sin(mid), i):
+                a1 = a0 + da
+                area += 0.5 * (r * r * da + r * cx[i] * (math.sin(a1) - math.sin(a0))
+                               - r * cy[i] * (math.cos(a1) - math.cos(a0)))
+                perimeter += r * da
+                kept = True
+    if not kept:
+        return True, 0.0, 0.0
+    return False, max(area, 0.0), perimeter
+
+
+def assert_matches_reference(C, R):
+    reg = e2.disk_region(C, R)
+    empty, area, perim = vertex_enumeration(C, R)
+    assert reg.empty == empty
+    assert reg.area == pytest.approx(area, abs=1e-12)
+    assert reg.perimeter == pytest.approx(perim, abs=1e-12)
+    return reg
+
+
+def rotation(t):
+    return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+
+class TestReference:
+    def test_random_configurations(self):
         rng = np.random.default_rng(7)
-        for _ in range(400):
-            k = int(rng.integers(2, 8))
-            C = rng.normal(0, 0.5, (k, 2))
-            R = rng.uniform(0.5, 2.0, k)
-            small = e2.disk_region(C, R)
-            try:
-                e2.SMALL_N = 0
-                vect = e2.disk_region(C, R)
-            finally:
-                e2.SMALL_N = 8
-            assert small.empty == vect.empty
-            assert small.area == pytest.approx(vect.area, abs=1e-12)
-            assert small.perimeter == pytest.approx(vect.perimeter, abs=1e-12)
+        counts = {"empty": 0, "whole": 0, "arcs": 0}
+        for t in range(2000):
+            k = int(rng.integers(2, 41))
+            C = rng.normal(0.0, rng.choice([0.2, 0.5, 1.0]), (k, 2)) + rng.normal(0.0, 3.0, 2)
+            R = np.full(k, rng.uniform(0.5, 2.0)) if t % 2 else rng.uniform(0.3, 2.0, k)
+            reg = assert_matches_reference(C, R)
+            whole = not reg.empty and reg.arcs[0, 4] == e2.TWO_PI
+            counts["empty" if reg.empty else "whole" if whole else "arcs"] += 1
+        # Every branch of the decomposition is exercised.
+        assert min(counts.values()) >= 20, counts
+
+    def test_three_circles_through_one_point(self):
+        # The middle circle passes through the lens vertex at the origin
+        # and touches the region only there.
+        for t in (0.0, 0.4, 2.9):
+            C = np.array([[math.cos(a), math.sin(a)] for a in (0.0, math.pi / 6, math.pi / 3)])
+            C = C @ rotation(t).T + np.array([0.3, -1.7])
+            reg = assert_matches_reference(C, np.ones(3))
+            assert reg.area == pytest.approx(LENS_AREA, abs=1e-12)
+            assert reg.perimeter == pytest.approx(LENS_PERIM, abs=1e-12)
+
+    def test_nested_pair_with_small_gap(self):
+        # The small disk lies inside the large one with a relative gap of
+        # 1e-10, outside the tangency window.
+        C = np.array([[0.0, 0.0], [0.5 - 1e-10, 0.0]])
+        reg = assert_matches_reference(C, np.array([0.5, 1.0]))
+        assert reg.area == pytest.approx(math.pi / 4, abs=1e-14)
+        assert reg.perimeter == pytest.approx(math.pi, abs=1e-14)
+        # A third disk cutting both circles near the gap.
+        assert_matches_reference(np.vstack([C, [[1.2, 0.1]]]), np.array([0.5, 1.0, 0.9]))
+
+    def test_coincident_disks_count_once(self):
+        lens = np.array([[0.0, 0.0], [1.0, 0.0]])
+        for C in ([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+                  [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+                  [[0.0, 0.0], [1.0, 0.0], [1e-13, 0.0], [1.0, 1e-13]],
+                  [[0.0, 0.0]] * 3 + [[1.0, 0.0]] * 3):
+            reg = e2.disk_region(np.array(C), np.ones(len(C)))
+            assert reg.area == pytest.approx(LENS_AREA, abs=1e-12)
+            assert reg.perimeter == pytest.approx(LENS_PERIM, abs=1e-12)
+            assert len(reg.arcs) == 2
+        assert e2.disk_region(lens, np.ones(2)).area == pytest.approx(LENS_AREA, abs=1e-12)
+        whole = e2.disk_region(np.zeros((3, 2)), np.full(3, 2.0))
+        assert whole.area == pytest.approx(4 * math.pi, abs=1e-14)
+        assert whole.perimeter == pytest.approx(4 * math.pi, abs=1e-14)
+
+    @pytest.mark.parametrize("spec, area, perimeter", [
+        ({"type": "support-cube", "side": 1.0}, 0.9800757888763321, 3.884533346151736),
+        ({"type": "support-ball", "radius": 1.0}, 3.1416100987165456, 6.283218016771787),
+    ])
+    def test_tangent_ball_grid_pinned(self, spec, area, perimeter):
+        # 720 tangent balls of radius 8 around a square and around a
+        # disk, where every circle is on the boundary; the values were
+        # computed by the earlier vertex-enumeration implementation.
+        P = ballpoly_approx(build_spherical_function(spec, 720), 8.0)
+        reg = e2.disk_region(P.centers, P.radii)
+        assert reg.area == pytest.approx(area, rel=1e-12)
+        assert reg.perimeter == pytest.approx(perimeter, rel=1e-12)
 
 
 class TestMonteCarloCrossCheck:
