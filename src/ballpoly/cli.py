@@ -3,6 +3,11 @@
     ballpoly <config.yaml> [--seed S] [--workers W] [--out DIR] [--kind K]
 
 Exit codes: 0 success, 2 configuration error, 3 experiment failure.
+The overrides are laid over the parsed document before it is validated,
+so they pass the same checks as the file. A configuration error (an
+unreadable file, bad YAML, a key outside or against its schema table, a
+spec its builder rejects) always exits 2 with a message, never with a
+traceback.
 Progress goes to stderr; metrics and curve files to the output
 directory (CSV curves plus a YAML summary that reloads as a config).
 """
@@ -15,7 +20,7 @@ import sys
 import numpy as np
 
 from .config import (
-    RunConfig, build_body, build_density, build_spherical_function, load_config,
+    RunConfig, build_body, build_density, build_spherical_function, read_document, validate,
 )
 from .errors import BallPolyError, ParseError, SchemaError
 from .results import CurveTable, make_record, now_iso, write_results
@@ -300,21 +305,13 @@ def main(argv=None) -> int:
     parser.add_argument("--kind", help="override the experiment kind")
     args = parser.parse_args(argv)
 
+    overrides = {"seed": args.seed, "workers": args.workers, "out": args.out, "kind": args.kind}
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.workers is not None:
-            cfg.workers = args.workers
-        if args.out is not None:
-            cfg.out = args.out
-        if args.kind is not None:
-            from .config import validate
-
-            doc = {"kind": args.kind, "seed": cfg.seed, "params": cfg.params,
-                   "workers": cfg.workers, "out": cfg.out}
-            cfg = validate(doc)
-    except (ParseError, SchemaError, FileNotFoundError) as exc:
+        doc = read_document(args.config)
+        if isinstance(doc, dict):
+            doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
+        cfg = validate(doc)
+    except (ParseError, SchemaError, OSError) as exc:
         _log(f"configuration error: {exc}")
         return 2
 

@@ -10,7 +10,15 @@ Top level:
     out: results        # optional output directory
     params: {...}       # kind-specific block, schema-checked
 
-Unknown keys are rejected and all violations are reported at once.
+The schema tables below are the single list of accepted keys: ``TOP``
+for the top level, ``PARAMS`` for each kind's block, and ``DENSITIES``,
+``BODIES`` and ``FUNCTIONS`` for each spec ``type``. A table maps a key
+to (types, domain, required); a key outside its table is rejected, and
+all violations are reported at once. Each density, body and boundary
+function spec that passes its table is then built by its builder, whose
+constructor errors become schema errors naming the spec, and the few
+rules that relate keys read the built objects' dimensions.
+
 A previously written summary document (which echoes its config under a
 ``config`` key) loads directly, so archived runs re-run as-is.
 """
@@ -19,19 +27,14 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 import yaml
 
-from .errors import ParseError, SchemaError
-
-KINDS = (
-    "dominance-ball", "dominance-cube", "moments", "wulff-convergence",
-    "vr-asymptotics", "minimize", "schneider", "simplex-bound",
-    "gorbovickis", "hull-bridge", "selftest",
-)
+from .errors import BallPolyError, ParseError, SchemaError
 
 DEFAULT_GRID_SIZE = 4096
 
@@ -51,334 +54,6 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Schema machinery: validators collect every violation before failing.
-
-
-class _Check:
-    def __init__(self, errors: List[str]):
-        self.errors = errors
-
-    def fail(self, msg: str):
-        self.errors.append(msg)
-
-    def require(self, block: dict, key: str, kinds, where: str, domain=None):
-        if key not in block:
-            self.fail(f"{where}: missing required key '{key}'")
-            return None
-        return self.typed(block, key, kinds, where, domain)
-
-    def typed(self, block: dict, key: str, kinds, where: str, domain=None):
-        if key not in block:
-            return None
-        v = block[key]
-        # No key takes a boolean, and bool subclasses int: reject it here.
-        if isinstance(v, bool) or not isinstance(v, kinds):
-            names = kinds.__name__ if isinstance(kinds, type) else "/".join(k.__name__ for k in kinds)
-            self.fail(f"{where}: key '{key}' must be {names}, got {type(v).__name__}")
-            return None
-        if domain is not None and not domain(v):
-            self.fail(f"{where}: key '{key}' value {v!r} out of domain")
-            return None
-        return v
-
-    def only(self, block: dict, allowed, where: str):
-        for k in block:
-            if k not in allowed:
-                self.fail(f"{where}: unknown key '{k}'")
-
-
-_NUM = (int, float)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, _NUM) and not isinstance(v, bool)
-
-
-def _is_moment_order(v) -> bool:
-    """A p of ``p_list``: a nonzero finite number, or minus infinity
-    (the string "-inf" or a YAML ``-.inf``)."""
-    if v == "-inf":
-        return True
-    return _is_number(v) and v != 0 and (math.isfinite(v) or v == -math.inf)
-
-
-DENSITY_KEYS = {
-    "uniform-box": {"side", "lo", "hi", "n"},
-    "uniform-ball": {"radius", "center", "n"},
-    "radial-step": {"radii", "heights", "n"},
-    "box1d-step": {"breaks", "heights"},
-    "product": {"factors"},
-}
-
-BODY_KEYS = {
-    "ball": {"radius", "n"},
-    "cube": {"side", "n"},
-    "polytope": {"vertices"},
-    "segment": {"a", "b"},
-}
-
-
-def _check_density(spec, where: str, ck: _Check, n: Optional[int]):
-    if not isinstance(spec, dict):
-        ck.fail(f"{where}: density spec must be a mapping")
-        return
-    t = ck.require(spec, "type", str, where, lambda v: v in DENSITY_KEYS)
-    if t is None:
-        return
-    ck.only(spec, DENSITY_KEYS[t] | {"type"}, where)
-    if t == "uniform-box":
-        if "side" not in spec and not ("lo" in spec and "hi" in spec):
-            ck.fail(f"{where}: uniform-box needs 'side' or 'lo'+'hi'")
-        ck.typed(spec, "side", _NUM, where, lambda v: v > 0)
-    elif t == "uniform-ball":
-        ck.require(spec, "radius", _NUM, where, lambda v: v > 0)
-    elif t == "radial-step":
-        ck.require(spec, "radii", list, where)
-        ck.require(spec, "heights", list, where)
-    elif t == "box1d-step":
-        ck.require(spec, "breaks", list, where)
-        ck.require(spec, "heights", list, where)
-    elif t == "product":
-        factors = ck.require(spec, "factors", list, where)
-        if factors is not None:
-            for i, f in enumerate(factors):
-                _check_density(f, f"{where}.factors[{i}]", ck, 1)
-
-
-def _check_body(spec, where: str, ck: _Check):
-    if not isinstance(spec, dict):
-        ck.fail(f"{where}: body spec must be a mapping")
-        return
-    t = ck.require(spec, "type", str, where, lambda v: v in BODY_KEYS)
-    if t is None:
-        return
-    ck.only(spec, BODY_KEYS[t] | {"type", "grid_size"}, where)
-    if t in ("ball", "cube"):
-        ck.typed(spec, "n", int, where, lambda v: v >= 1)
-    if t == "ball":
-        ck.require(spec, "radius", _NUM, where, lambda v: v > 0)
-    elif t == "cube":
-        ck.require(spec, "side", _NUM, where, lambda v: v > 0)
-    elif t == "polytope":
-        ck.require(spec, "vertices", list, where)
-
-
-def _check_dominance(params: dict, ck: _Check, kind: str):
-    where = "params"
-    ck.only(params, {"n", "N", "R", "j", "trials", "alpha", "s_points", "s_grid",
-                     "estimator", "density", "fit_samples"}, where)
-    n = ck.require(params, "n", int, where, lambda v: v >= 1)
-    ck.require(params, "N", int, where, lambda v: v >= 1)
-    ck.require(params, "R", _NUM, where, lambda v: v > 0)
-    j = ck.require(params, "j", int, where)
-    if j is not None and n is not None and not 1 <= j <= n:
-        ck.fail(f"params: j must satisfy 1 <= j <= n (j={j}, n={n})")
-    ck.require(params, "trials", int, where, lambda v: v >= 100)
-    ck.typed(params, "alpha", _NUM, where, lambda v: 0 < v < 1)
-    ck.typed(params, "s_points", int, where, lambda v: v >= 2)
-    ck.typed(params, "s_grid", list, where)
-    ck.typed(params, "estimator", str, where, lambda v: v in ("exact-2d", "steiner-fit"))
-    ck.typed(params, "fit_samples", int, where, lambda v: v >= 1)
-    dens = params.get("density")
-    if dens is None:
-        ck.fail("params: missing required key 'density'")
-    else:
-        _check_density(dens, "params.density", ck, n)
-
-
-def _check_moments(params: dict, ck: _Check):
-    where = "params"
-    ck.only(params, {"body", "R", "N", "j", "p_list", "trials", "estimator",
-                     "fit_samples"}, where)
-    body = params.get("body")
-    if body is None:
-        ck.fail("params: missing required key 'body'")
-    else:
-        _check_body(body, "params.body", ck)
-    ck.require(params, "R", _NUM, where, lambda v: v > 0)
-    ck.require(params, "N", int, where, lambda v: v >= 1)
-    ck.require(params, "j", int, where, lambda v: v >= 1)
-    ck.require(params, "trials", int, where, lambda v: v >= 100)
-    ck.require(params, "p_list", list, where,
-               lambda v: len(v) >= 1 and all(map(_is_moment_order, v)))
-    ck.typed(params, "estimator", str, where, lambda v: v in ("exact-2d", "steiner-fit"))
-    ck.typed(params, "fit_samples", int, where, lambda v: v >= 1)
-
-
-def _check_spherical(params: dict, ck: _Check, kind: str):
-    where = "params"
-    allowed = {"f", "R_list", "grid_size", "probe_size"}
-    ck.only(params, allowed, where)
-    f = params.get("f")
-    if f is None:
-        ck.fail("params: missing required key 'f'")
-    elif isinstance(f, dict):
-        t = ck.require(f, "type", str, "params.f",
-                       lambda v: v in ("constant", "support-cube", "support-ball", "support-segment"))
-        if t == "constant":
-            ck.require(f, "value", _NUM, "params.f", lambda v: v > 0)
-            ck.only(f, {"type", "value"}, "params.f")
-        elif t is not None:
-            ck.only(f, {"type", "side", "radius", "length"}, "params.f")
-    else:
-        ck.fail("params.f: must be a mapping")
-    ck.require(params, "R_list", list, where,
-               lambda v: len(v) >= 2 and all(map(_is_number, v)))
-
-
-def _body_dimension(spec) -> Optional[int]:
-    """Ambient dimension a body spec declares, or None when it is not
-    readable (the body check reports the spec itself)."""
-    if not isinstance(spec, dict):
-        return None
-    t = spec.get("type")
-    if t in ("ball", "cube"):
-        n = spec.get("n", 2)
-    elif t == "polytope" and isinstance(spec.get("vertices"), list) and spec["vertices"]:
-        first = spec["vertices"][0]
-        n = len(first) if isinstance(first, list) else None
-    elif t == "segment" and isinstance(spec.get("a"), list):
-        n = len(spec["a"])
-    else:
-        n = None
-    return n if isinstance(n, int) and not isinstance(n, bool) else None
-
-
-def _check_minimize(params: dict, ck: _Check, kind: str):
-    from .extremal import CIRCUMSCRIPTION_ESTIMATORS
-
-    where = "params"
-    allowed = {"body", "j", "N", "estimator", "restarts"}
-    if kind == "minimize":
-        allowed |= {"max_fev"}
-    if kind == "simplex-bound":
-        allowed -= {"j", "N"}
-    removed = {"fit_samples", "final_samples"}
-    ck.only(params, allowed | removed, where)
-    for key in sorted(removed & params.keys()):
-        ck.fail(f"{where}: key '{key}' is not accepted: the objective is exact "
-                "and draws no samples")
-    body = params.get("body")
-    if body is None:
-        ck.fail("params: missing required key 'body'")
-    else:
-        _check_body(body, "params.body", ck)
-    n = _body_dimension(body)
-    expected = CIRCUMSCRIPTION_ESTIMATORS.get(n)
-    if n is not None and expected is None:
-        ck.fail(f"params.body: {kind} needs a body of dimension 2 or 3, got n={n}")
-    if kind != "simplex-bound":
-        j = ck.require(params, "j", int, where, lambda v: v >= 1)
-        N = ck.require(params, "N", int, where, lambda v: v >= 2)
-        if expected is not None and j is not None and j > n:
-            ck.fail(f"params: j must satisfy 1 <= j <= n (j={j}, n={n})")
-        if expected is not None and N is not None and N <= n:
-            ck.fail(f"params: N must exceed n (N={N}, n={n})")
-    ck.typed(params, "restarts", int, where, lambda v: v >= 1)
-    ck.typed(params, "max_fev", int, where, lambda v: v >= 1)
-    est = ck.typed(params, "estimator", str, where)
-    if est is not None and expected is not None and est != expected:
-        hint = " (steiner-fit was removed: the objective is exact)" if est == "steiner-fit" else ""
-        ck.fail(f"{where}: key 'estimator' must be '{expected}' for a body of "
-                f"dimension {n}, or omitted, got {est!r}{hint}")
-
-
-def _is_point_set(v, samples) -> bool:
-    """Equal-length lists of finite numbers; planar unless a Monte-Carlo
-    sample budget is given."""
-    if not v or not all(isinstance(x, list) for x in v):
-        return False
-    n = len(v[0])
-    if n == 0 or (n != 2 and not (isinstance(samples, int) and samples >= 1)):
-        return False
-    return all(len(x) == n and all(_is_number(c) and math.isfinite(c) for c in x) for x in v)
-
-
-def _check_gorbovickis(params: dict, ck: _Check):
-    where = "params"
-    ck.only(params, {"points", "R", "R_list", "samples"}, where)
-    samples = ck.typed(params, "samples", int, where, lambda v: v >= 0)
-    ck.require(params, "points", list, where, lambda v: _is_point_set(v, samples))
-    if "R" not in params and "R_list" not in params:
-        ck.fail("params: need 'R' or 'R_list'")
-    ck.typed(params, "R", _NUM, where, lambda v: v > 0)
-    ck.typed(params, "R_list", list, where,
-             lambda v: len(v) >= 1 and all(_is_number(x) and 0 < x < math.inf for x in v))
-
-
-def _check_hull_bridge(params: dict, ck: _Check):
-    where = "params"
-    ck.only(params, {"N", "trials", "R", "density_a", "density_b", "grid_size"}, where)
-    ck.require(params, "N", int, where, lambda v: v >= 2)
-    ck.require(params, "trials", int, where, lambda v: v >= 100)
-    ck.require(params, "R", _NUM, where, lambda v: v > 0)
-    for key in ("density_a", "density_b"):
-        d = params.get(key)
-        if d is None:
-            ck.fail(f"params: missing required key '{key}'")
-        else:
-            _check_density(d, f"params.{key}", ck, 2)
-
-
-def validate(doc: dict) -> RunConfig:
-    """Validate a parsed config document; raises SchemaError listing
-    every violation."""
-    errors: List[str] = []
-    ck = _Check(errors)
-    if not isinstance(doc, dict):
-        raise SchemaError("config root must be a mapping")
-    ck.only(doc, {"kind", "seed", "workers", "out", "params"}, "top level")
-    kind = ck.require(doc, "kind", str, "top level", lambda v: v in KINDS)
-    seed = ck.require(doc, "seed", int, "top level")
-    if "seed" not in doc:
-        errors[-1] += " (seeds are mandatory for reproducibility)"
-    workers = ck.typed(doc, "workers", int, "top level", lambda v: v >= 1)
-    out = ck.typed(doc, "out", str, "top level")
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        ck.fail("top level: 'params' must be a mapping")
-        params = {}
-    elif kind is not None:
-        if kind in ("dominance-ball", "dominance-cube"):
-            _check_dominance(params, ck, kind)
-        elif kind == "moments":
-            _check_moments(params, ck)
-        elif kind in ("wulff-convergence", "vr-asymptotics"):
-            _check_spherical(params, ck, kind)
-        elif kind in ("minimize", "schneider", "simplex-bound"):
-            _check_minimize(params, ck, kind)
-        elif kind == "gorbovickis":
-            _check_gorbovickis(params, ck)
-        elif kind == "hull-bridge":
-            _check_hull_bridge(params, ck)
-        else:  # selftest
-            ck.only(params, set(), "params")
-    if errors:
-        raise SchemaError("; ".join(errors))
-    if workers is None:
-        workers = int(os.environ.get("BALLPOLY_WORKERS", "1"))
-    return RunConfig(kind=kind, seed=seed, params=params,
-                     workers=workers, out=out if out else "results")
-
-
-def load_config(path: str) -> RunConfig:
-    """Load and validate a config file (or a previously written summary
-    document, whose config echo round-trips)."""
-    try:
-        with open(path) as fh:
-            doc = yaml.safe_load(fh)
-    except FileNotFoundError:
-        raise
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise ParseError(f"cannot parse {path}{loc}: {exc}") from exc
-    if isinstance(doc, dict) and "config" in doc and "record" in doc:
-        doc = doc["config"]
-    return validate(doc)
-
-
-# ---------------------------------------------------------------------------
 # Builders: config dicts to library objects
 
 
@@ -389,6 +64,8 @@ def build_density(spec: dict, n_hint: Optional[int] = None):
 
     t = spec["type"]
     if t == "uniform-box":
+        if {"side", "lo", "hi"} & spec.keys() not in ({"side"}, {"lo", "hi"}):
+            raise SchemaError("uniform-box needs 'side' or 'lo'+'hi'")
         if "side" in spec:
             n = int(spec.get("n", n_hint or 2))
             return UniformBody(Box.centered_cube(float(spec["side"]), n))
@@ -451,3 +128,316 @@ def build_spherical_function(spec: dict, grid_size: int = 720):
         return SphericalFunction.from_support_body(SupportBody.segment(
             np.array([-length / 2.0, 0.0]), np.array([length / 2.0, 0.0]), grid))
     raise SchemaError(f"unknown spherical function type {t!r}")
+
+
+# ---------------------------------------------------------------------------
+# Schema tables: key -> (types, domain, required). ``types`` is a type or
+# a tuple of types (booleans never pass, although bool subclasses int),
+# the name of a spec family in ``_SPECS``, or a one-element list holding
+# such a name for a nonempty list of specs. ``domain`` is None or a
+# predicate on a value of the right type.
+
+REQ, OPT = True, False
+_NUM = (int, float)
+
+
+def _finite(v) -> bool:
+    """A number that converts to a finite float (bool excluded)."""
+    return isinstance(v, _NUM) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _positive(v) -> bool:
+    return 0 < v <= sys.float_info.max
+
+
+def _at_least(k):
+    return lambda v: v >= k
+
+
+def _numbers(v) -> bool:
+    return all(map(_finite, v))
+
+
+def _ascending(v) -> bool:
+    return len(v) >= 1 and _numbers(v) and all(a < b for a, b in zip(v, v[1:]))
+
+
+def _points(v) -> bool:
+    """Nonempty, equal-length lists of finite numbers."""
+    return len(v) >= 1 and all(
+        isinstance(x, list) and len(x) >= 1 and len(x) == len(v[0]) and _numbers(x) for x in v)
+
+
+def _is_moment_order(v) -> bool:
+    """A p of ``p_list``: a nonzero finite number, or minus infinity
+    (the string "-inf" or a YAML ``-.inf``)."""
+    return v == "-inf" or v == -math.inf or (_finite(v) and v != 0)
+
+
+_COUNT = (int, _at_least(1), OPT)
+_ESTIMATOR = (str, lambda v: v in ("exact-2d", "steiner-fit"), OPT)
+_J = (int, _at_least(1), REQ)
+_TRIALS = (int, _at_least(100), REQ)
+
+DENSITIES = {
+    "uniform-box": {"side": (_NUM, _finite, OPT), "lo": (list, _numbers, OPT),
+                    "hi": (list, _numbers, OPT), "n": _COUNT},
+    "uniform-ball": {"radius": (_NUM, _finite, REQ), "center": (list, _numbers, OPT),
+                     "n": _COUNT},
+    "radial-step": {"radii": (list, _numbers, REQ), "heights": (list, _numbers, REQ),
+                    "n": _COUNT},
+    "box1d-step": {"breaks": (list, _numbers, REQ), "heights": (list, _numbers, REQ)},
+    "product": {"factors": (["density"], None, REQ)},
+}
+
+BODIES = {
+    "ball": {"radius": (_NUM, _positive, REQ), "n": _COUNT, "grid_size": _COUNT},
+    "cube": {"side": (_NUM, _positive, REQ), "n": _COUNT, "grid_size": _COUNT},
+    "polytope": {"vertices": (list, _points, REQ), "grid_size": _COUNT},
+    "segment": {"a": (list, _numbers, REQ), "b": (list, _numbers, REQ), "grid_size": _COUNT},
+}
+
+FUNCTIONS = {
+    "constant": {"value": (_NUM, _finite, REQ)},
+    "support-cube": {"side": (_NUM, _finite, OPT)},
+    "support-ball": {"radius": (_NUM, _finite, OPT)},
+    "support-segment": {"length": (_NUM, _finite, OPT)},
+}
+
+_SPECS = {
+    "density": (DENSITIES, build_density),
+    "body": (BODIES, lambda spec, n_hint: build_body(spec)),
+    "f": (FUNCTIONS, lambda spec, n_hint: build_spherical_function(spec)),
+}
+
+_DOMINANCE = {
+    "n": (int, _at_least(1), REQ),
+    "N": (int, _at_least(1), REQ),
+    "R": (_NUM, _positive, REQ),
+    "j": _J,
+    "trials": _TRIALS,
+    "alpha": (_NUM, lambda v: 0 < v < 1, OPT),
+    "s_points": (int, _at_least(2), OPT),
+    "s_grid": (list, _ascending, OPT),
+    "estimator": _ESTIMATOR,
+    "fit_samples": _COUNT,
+    "density": ("density", None, REQ),
+}
+
+_WULFF = {
+    "f": ("f", None, REQ),
+    "R_list": (list, lambda v: len(v) >= 2 and _numbers(v), REQ),
+    "grid_size": _COUNT,
+}
+
+# The circumscription objective is exact, so ``estimator`` only has to
+# name the one for the body's dimension; the runners never read it.
+_CIRCUMSCRIPTION = {
+    "body": ("body", None, REQ),
+    "estimator": (str, None, OPT),
+    "restarts": _COUNT,
+}
+_CIRCUMSCRIPTION_JN = {**_CIRCUMSCRIPTION, "j": _J, "N": (int, _at_least(2), REQ)}
+_CIRCUMSCRIPTION_REMOVED = ("fit_samples", "final_samples")
+
+PARAMS = {
+    "dominance-ball": _DOMINANCE,
+    "dominance-cube": _DOMINANCE,
+    "moments": {
+        "body": ("body", None, REQ),
+        "R": (_NUM, _positive, REQ),
+        "N": (int, _at_least(1), REQ),
+        "j": _J,
+        "p_list": (list, lambda v: len(v) >= 1 and all(map(_is_moment_order, v)), REQ),
+        "trials": _TRIALS,
+        "estimator": _ESTIMATOR,
+        "fit_samples": _COUNT,
+    },
+    "wulff-convergence": {**_WULFF, "probe_size": _COUNT},
+    "vr-asymptotics": _WULFF,
+    "minimize": {**_CIRCUMSCRIPTION_JN, "max_fev": _COUNT},
+    "schneider": _CIRCUMSCRIPTION_JN,
+    "simplex-bound": _CIRCUMSCRIPTION,
+    "gorbovickis": {
+        "points": (list, _points, REQ),
+        "R": (_NUM, _positive, OPT),
+        "R_list": (list, lambda v: len(v) >= 1 and _numbers(v) and all(map(_positive, v)), OPT),
+        "samples": (int, _at_least(0), OPT),
+    },
+    "hull-bridge": {
+        "N": (int, _at_least(2), REQ),
+        "trials": _TRIALS,
+        "R": (_NUM, _positive, REQ),
+        "density_a": ("density", None, REQ),
+        "density_b": ("density", None, REQ),
+        "grid_size": _COUNT,
+    },
+    "selftest": {},
+}
+KINDS = tuple(PARAMS)
+
+TOP = {
+    "kind": (str, lambda v: v in KINDS, REQ),
+    "seed": (int, _at_least(0), REQ),
+    "workers": _COUNT,
+    "out": (str, None, OPT),
+    "params": (dict, None, OPT),
+}
+
+
+# ---------------------------------------------------------------------------
+# The walker: every violation of a block is appended to ``errors``.
+
+
+def _check_block(block, table: dict, where: str, errors: List[str],
+                 n_hint: Optional[int] = None) -> Dict[str, Any]:
+    """Check a mapping against its table; returns the objects built from
+    its spec-valued keys whose specs passed."""
+    if not isinstance(block, dict):
+        errors.append(f"{where}: must be a mapping")
+        return {}
+    errors.extend(f"{where}: unknown key '{k}'" for k in block if k not in table)
+    built = {}
+    for key, (types, domain, required) in table.items():
+        if key not in block:
+            if required:
+                errors.append(f"{where}: missing required key '{key}'")
+            continue
+        v = block[key]
+        if isinstance(types, str):
+            obj = _check_spec(v, types, f"{where}.{key}", errors, n_hint)
+            if obj is not None:
+                built[key] = obj
+        elif isinstance(types, list):
+            if not isinstance(v, list) or not v:
+                errors.append(f"{where}: key '{key}' must be a nonempty list of specs")
+                continue
+            for i, item in enumerate(v):
+                _check_spec(item, types[0], f"{where}.{key}[{i}]", errors, build=False)
+        elif isinstance(v, bool) or not isinstance(v, types):
+            names = types.__name__ if isinstance(types, type) else "/".join(k.__name__ for k in types)
+            errors.append(f"{where}: key '{key}' must be {names}, got {type(v).__name__}")
+        elif domain is not None and not domain(v):
+            errors.append(f"{where}: key '{key}' value {v!r} out of domain")
+    return built
+
+
+def _check_spec(spec, family: str, where: str, errors: List[str],
+                n_hint: Optional[int] = None, build: bool = True):
+    """Check a spec against the table of its ``type``, then build it;
+    returns the built object, or None when the spec is rejected (or
+    ``build`` is off: a product builds its factors itself)."""
+    tables, builder = _SPECS[family]
+    t = spec.get("type") if isinstance(spec, dict) else None
+    if not (isinstance(t, str) and t in tables):
+        errors.append(f"{where}: {family} spec must be a mapping with 'type' one of "
+                      f"{', '.join(tables)}")
+        return None
+    before = len(errors)
+    _check_block(spec, {"type": (str, None, REQ), **tables[t]}, where, errors)
+    if not build or len(errors) > before:
+        return None
+    try:
+        obj = builder(spec, n_hint)
+    except (ValueError, BallPolyError) as exc:
+        errors.append(f"{where}: {exc}")
+        return None
+    if "n" in spec and spec["n"] != obj.dimension:
+        errors.append(f"{where}: key 'n' is {spec['n']}, but the {family} has "
+                      f"dimension {obj.dimension}")
+        return None
+    return obj
+
+
+def _relations(kind: str, p: dict, built: dict) -> List[str]:
+    """Rules between the keys of a params block that passed its table;
+    dimensions are read from the built objects."""
+    from .densities import Product1D
+    from .extremal import CIRCUMSCRIPTION_ESTIMATORS
+
+    errors = []
+    for key, want in (("density", p.get("n")), ("density_a", 2), ("density_b", 2)):
+        if key in built and built[key].dimension != want:
+            errors.append(f"params.{key}: dimension {built[key].dimension}, the run needs {want}")
+    if kind in ("dominance-ball", "dominance-cube", "moments"):
+        n = built["body"].dimension if kind == "moments" else p["n"]
+        if kind == "dominance-cube" and not isinstance(built["density"], Product1D):
+            errors.append("params.density: dominance-cube needs a product density")
+        if p["j"] > n:
+            errors.append(f"params: j must satisfy 1 <= j <= n (j={p['j']}, n={n})")
+        if p.get("estimator", "exact-2d") == "exact-2d" and n != 2:
+            errors.append(f"params: key 'estimator' 'exact-2d' (the default) needs n = 2, "
+                          f"got n={n}; use 'steiner-fit'")
+    elif kind in ("minimize", "schneider", "simplex-bound"):
+        n = built["body"].dimension
+        expected = CIRCUMSCRIPTION_ESTIMATORS.get(n)
+        if expected is None:
+            return [f"params.body: {kind} needs a body of dimension 2 or 3, got n={n}"]
+        if p.get("j", n) > n:
+            errors.append(f"params: j must satisfy 1 <= j <= n (j={p['j']}, n={n})")
+        if p.get("N", n + 1) <= n:
+            errors.append(f"params: N must exceed n (N={p['N']}, n={n})")
+        est = p.get("estimator", expected)
+        if est != expected:
+            hint = " (steiner-fit was removed: the objective is exact)" if est == "steiner-fit" else ""
+            errors.append(f"params: key 'estimator' must be '{expected}' for a body of "
+                          f"dimension {n}, or omitted, got {est!r}{hint}")
+    elif kind == "gorbovickis":
+        if ("R" in p) == ("R_list" in p):
+            errors.append("params: need 'R' or 'R_list', not both")
+        if len(p["points"][0]) != 2 and p.get("samples", 0) < 1:
+            errors.append("params: key 'points' off the plane needs 'samples' >= 1")
+    return errors
+
+
+def validate(doc: dict) -> RunConfig:
+    """Validate a parsed config document; raises SchemaError listing
+    every violation. ``params`` is returned as given, without defaults."""
+    if not isinstance(doc, dict):
+        raise SchemaError("config root must be a mapping")
+    errors: List[str] = []
+    _check_block(doc, TOP, "top level", errors)
+    workers = doc.get("workers")
+    if "workers" not in doc:
+        env = os.environ.get("BALLPOLY_WORKERS", "1")
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = env
+        _check_block({"workers": workers}, {"workers": TOP["workers"]}, "BALLPOLY_WORKERS", errors)
+    kind, params = doc.get("kind"), doc.get("params", {})
+    if isinstance(kind, str) and kind in PARAMS and isinstance(params, dict):
+        n = params.get("n")
+        n_hint = n if isinstance(n, int) and not isinstance(n, bool) else None
+        before = len(errors)
+        built = _check_block(params, PARAMS[kind], "params", errors, n_hint)
+        if kind in ("minimize", "schneider", "simplex-bound"):
+            errors.extend(f"params: key '{k}' was removed: the objective is exact and "
+                          "draws no samples" for k in _CIRCUMSCRIPTION_REMOVED if k in params)
+        if len(errors) == before:
+            errors.extend(_relations(kind, params, built))
+    if errors:
+        raise SchemaError("; ".join(errors))
+    return RunConfig(kind=kind, seed=doc["seed"], params=params,
+                     workers=workers, out=doc.get("out") or "results")
+
+
+def read_document(path: str):
+    """Parse a config file, or the config echo of a previously written
+    summary document, without validating it."""
+    try:
+        with open(path) as fh:
+            doc = yaml.safe_load(fh)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        raise ParseError(f"cannot parse {path}{loc}: {exc}") from exc
+    if isinstance(doc, dict) and "config" in doc and "record" in doc:
+        doc = doc["config"]
+    return doc
+
+
+def load_config(path: str) -> RunConfig:
+    """Load and validate a config file (or a previously written summary
+    document, whose config echo round-trips)."""
+    return validate(read_document(path))

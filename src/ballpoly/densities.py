@@ -154,9 +154,6 @@ class UniformBody(Density):
     def mass(self) -> float:
         return 1.0
 
-    def volume(self) -> float:
-        return self._volume
-
     def _contains(self, pts: np.ndarray) -> np.ndarray:
         r = self.region
         if isinstance(r, Box):
@@ -577,12 +574,6 @@ class GridDensity2D:
 
     def mass(self) -> float:
         return float(np.sum(self.values) * self.dx * self.dy)
-
-    def cell_centers(self):
-        ny, nx = self.values.shape
-        xs = self.origin[0] + (np.arange(nx) + 0.5) * self.dx
-        ys = self.origin[1] + (np.arange(ny) + 0.5) * self.dy
-        return xs, ys
 
     def pdf_world(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)

@@ -104,9 +104,6 @@ class BallPolyhedron:
     def __len__(self) -> int:
         return len(self.balls)
 
-    def __repr__(self) -> str:
-        return f"BallPolyhedron(n={self.dimension}, balls={len(self.balls)})"
-
     @property
     def smallest(self) -> Ball:
         """Ball of minimal radius (its ball contains the intersection)."""
@@ -546,10 +543,6 @@ class StarBody:
     @property
     def max_radius(self) -> float:
         return float(np.max(self.values))
-
-    @property
-    def min_radius(self) -> float:
-        return float(np.min(self.values))
 
 
 def radial_function(S: StarBody, theta: np.ndarray) -> float:

@@ -1,7 +1,9 @@
 """The command line: config validation exit codes, the moments kind, the
 written result record, and every kind run end to end on a tiny budget."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 import yaml
@@ -66,10 +68,72 @@ def smoke_doc(name):
     return {"kind": name.split("/")[0], "seed": 3, "workers": 1, "params": SMOKE[name]}
 
 
-def run_main(doc, tmp_path):
+def smoke_with(name, **params):
+    """The smoke config of ``name`` with some params replaced or added."""
+    doc = smoke_doc(name)
+    doc["params"] = {**doc["params"], **params}
+    return doc
+
+
+def run_main(doc, tmp_path, *argv):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(doc))
-    return cli.main([str(path), "--out", str(tmp_path / "out")])
+    return cli.main([str(path), "--out", str(tmp_path / "out"), *argv])
+
+
+# Configs that each break one rule, with a fragment of the message that
+# must name the key or spec. Before the schema tables, each of these
+# ended in a traceback, ran with a value ignored or misread, or passed
+# validation and failed mid-run.
+BAD_CONFIGS = [
+    pytest.param(smoke_with("minimize", body={"type": "segment", "b": [1.0, 0.0]}),
+                 "missing required key 'a'", id="segment-without-a"),
+    pytest.param(smoke_with("wulff-convergence", grid_size="x"), "grid_size",
+                 id="grid-size-string"),
+    pytest.param(smoke_with("hull-bridge", grid_size=0), "grid_size", id="grid-size-zero"),
+    pytest.param(smoke_with("moments", body={**SQUARE, "grid_size": True}), "grid_size",
+                 id="body-grid-size-bool"),
+    pytest.param(smoke_with("dominance-ball", s_grid=[3, 1]), "s_grid", id="s-grid-descending"),
+    pytest.param(smoke_with("dominance-ball", density={
+        "type": "radial-step", "radii": [1.0], "heights": [1.0]}), "params.density: density mass",
+        id="radial-step-mass"),
+    pytest.param(smoke_with("dominance-ball", density={
+        "type": "uniform-box", "lo": [0.0, 0.0], "hi": [1.0, 1.0, 1.0]}), "params.density",
+        id="lo-hi-lengths"),
+    pytest.param(smoke_with("dominance-ball", density={"type": "uniform-box", "lo": "0", "hi": "1"}),
+                 "key 'lo'", id="lo-hi-strings"),
+    pytest.param(smoke_with("minimize", body={"type": "polytope", "vertices": [[0, 0], [1, 0], "a"]}),
+                 "vertices", id="polytope-vertex-string"),
+    pytest.param(smoke_with("dominance-ball", density={"type": "uniform-box", "side": 1.0, "n": "two"}),
+                 "params.density: key 'n'", id="density-n-string"),
+    pytest.param(smoke_with("dominance-ball", density={
+        "type": "uniform-ball", "radius": 0.5, "center": [0.0, 0.0, 0.0], "n": 2}),
+        "params.density: key 'n'", id="ball-center-length"),
+    pytest.param(smoke_with("dominance-ball", n=3, estimator="steiner-fit", density={
+        "type": "uniform-box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}), "params.density: dimension",
+        id="planar-density-n3"),
+    pytest.param(smoke_with("dominance-ball", n=3, density={"type": "uniform-ball", "radius": 0.5}),
+                 "'estimator' 'exact-2d'", id="exact-2d-n3"),
+    pytest.param(smoke_with("moments", body={"type": "cube", "side": 1.0, "n": 4}),
+                 "'estimator' 'exact-2d'", id="exact-2d-4d-body"),
+    pytest.param(smoke_with("moments", j=3), "j must satisfy", id="moments-j-above-n"),
+    pytest.param(smoke_with("dominance-cube", density={"type": "uniform-box", "side": 1.0}),
+                 "product density", id="cube-needs-product"),
+    pytest.param(smoke_with("hull-bridge", density_a={"type": "uniform-ball", "radius": 0.5, "n": 3}),
+                 "params.density_a: dimension", id="hull-bridge-3d-density"),
+    pytest.param(smoke_with("wulff-convergence", probe_size=-4), "probe_size",
+                 id="probe-size-negative"),
+    pytest.param(smoke_with("wulff-convergence", f={"type": "support-cube", "side": "x"}),
+                 "key 'side'", id="support-cube-side-string"),
+    pytest.param(smoke_with("vr-asymptotics", probe_size=256), "unknown key 'probe_size'",
+                 id="vr-probe-size-ignored"),
+    pytest.param(smoke_with("vr-asymptotics", f={"type": "support-ball", "side": 2.0}),
+                 "unknown key 'side'", id="support-ball-side-ignored"),
+    pytest.param(smoke_with("gorbovickis", R=10.0), "'R_list', not both", id="R-and-R-list"),
+    pytest.param({**smoke_doc("selftest"), "seed": -1}, "key 'seed'", id="seed-negative"),
+    pytest.param(smoke_with("dominance-ball", density={"type": "uniform-ball", "radius": 10**400}),
+                 "key 'radius'", id="radius-beyond-float"),
+]
 
 
 class TestValidation:
@@ -193,6 +257,76 @@ class TestValidation:
     def test_minus_infinity_accepted(self):
         config.validate(moments_doc(["-inf", float("-inf"), -1, 2.5]))
         config.validate(gorbovickis_doc([10, 20.0]))
+
+    @pytest.mark.parametrize("doc, fragment", BAD_CONFIGS)
+    def test_bad_config_exits_2(self, doc, fragment, tmp_path, capsys):
+        assert run_main(doc, tmp_path) == 2
+        assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("density", [
+        {"type": "uniform-box", "lo": [0.0, -1.0], "hi": [1.0, 0.0]},
+        {"type": "uniform-ball", "radius": 0.5, "center": [0.1, 0.0], "n": 2},
+        {"type": "radial-step", "radii": [1.0], "heights": [1.0 / math.pi]},
+        {"type": "product", "factors": [{"type": "uniform-box", "side": 1.0}, UNIT_BOX]},
+    ])
+    def test_density_specs_accepted(self, density):
+        config.validate(smoke_with("dominance-ball", density=density))
+
+    @pytest.mark.parametrize("argv, env", [
+        (["--workers", "0"], None), (["--workers", "-3"], None), ([], "abc"), ([], "0"),
+    ])
+    def test_bad_workers_exits_2(self, argv, env, tmp_path, capsys, monkeypatch):
+        if env is not None:
+            monkeypatch.setenv("BALLPOLY_WORKERS", env)
+        assert run_main({"kind": "selftest", "seed": 0}, tmp_path, *argv) == 2
+        assert "workers" in capsys.readouterr().err
+
+    def test_overrides_are_validated_with_the_document(self, tmp_path, capsys):
+        doc = smoke_doc("minimize")
+        assert run_main(doc, tmp_path, "--kind", "simplex-bound") == 2
+        assert "unknown key 'j'" in capsys.readouterr().err
+        assert run_main(doc, tmp_path, "--kind", "schneider", "--seed", "-2") == 2
+        assert "key 'seed'" in capsys.readouterr().err
+
+
+def _keys_read(fn) -> set:
+    """Constant keys of ``p`` read in a function: p[k], p.get(k, ...), k in p."""
+    def is_p(node):
+        return isinstance(node, ast.Name) and node.id == "p"
+
+    keys = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Subscript) and is_p(node.value):
+            keys.add(node.slice.value)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and is_p(node.func.value)):
+            keys.add(node.args[0].value)
+        elif isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In) \
+                and is_p(node.comparators[0]):
+            keys.add(node.left.value)
+    return keys
+
+
+class TestSchemaTables:
+    # Declared keys no runner reads: the circumscription estimator is only
+    # checked against the body's dimension.
+    UNREAD = {"minimize": {"estimator"}, "schneider": {"estimator"},
+              "simplex-bound": {"estimator"}}
+
+    def test_runners_read_exactly_the_declared_keys(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        (table,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                    and getattr(node.targets[0], "id", None) == "_RUNNERS"]
+        runners = {}
+        for key, value in zip(table.keys, table.values):
+            call = value.body if isinstance(value, ast.Lambda) else value
+            runners[key.value] = functions[getattr(call, "func", call).id]
+        assert set(runners) == set(config.PARAMS) == set(config.KINDS)
+        for kind, fn in runners.items():
+            read, declared = _keys_read(fn), set(config.PARAMS[kind])
+            assert read <= declared, f"{kind}: {fn.name} reads undeclared {read - declared}"
+            assert declared - read == self.UNREAD.get(kind, set()), f"{kind}: unread keys"
 
 
 class TestMoments:

@@ -236,6 +236,16 @@ class TestGridSymmetrization:
         assert all(dists[k + 1] <= dists[k] + 0.05 for k in range(len(dists) - 1))
 
 
+    def test_product_pdf_is_product_of_factors(self):
+        # Closed form: 1/4 on (-1, 0] and 3/4 on (0, 1], times 1/2 on (0, 2].
+        f = dn.Product1D([dn.Box1DStep([-1.0, 0.0, 1.0], [0.25, 0.75]),
+                          dn.Box1DStep([0.0, 2.0], [0.5])])
+        pts = np.array([[-0.5, 1.0], [0.5, 1.9], [0.5, 2.5], [-1.5, 1.0], [1.0, 0.0]])
+        assert f.pdf(pts).tolist() == [0.125, 0.375, 0.0, 0.0, 0.0]
+        g = dn.GridDensity2D.rasterize(f, extent=2.0, cells=64)
+        assert g.mass() == pytest.approx(1.0, abs=1e-12)
+
+
 class _TwoStrips(dn.Density):
     """Uniform on two disjoint horizontal strips (test fixture)."""
 
