@@ -2,12 +2,13 @@
 
 Library layout:
 
-* ``geometry``   vectors, ball-polyhedra, Dykstra projection, support
-  and radial oracles, reflections, Hausdorff distance
+* ``geometry``   vectors, ball-polyhedra, Dykstra projection, exact
+  support function and emptiness, support and radial oracles,
+  reflections, Hausdorff distance
 * ``exact2d``    exact circular-arc decomposition of planar disk
   intersections (area, perimeter, support, distance)
 * ``intrinsic``  intrinsic volumes: exact 2D, Monte-Carlo volume,
-  expansion-volume fits, mean width, inequality margins
+  expansion-volume fits, inequality margins
 * ``densities``  closed-form sampling densities, symmetric decreasing
   rearrangement, peakedness comparison
 * ``dominance``  survival-curve dominance experiments and moment
@@ -37,6 +38,7 @@ from .errors import (
     UnsupportedTag,
     ZeroVector,
 )
+from .exact2d import exact_disk_intersection_2d
 from .geometry import (
     Ball,
     BallPolyhedron,
@@ -47,19 +49,15 @@ from .geometry import (
     hausdorff_distance,
     minkowski_symmetral,
     project_onto_ballpoly,
-    radial_function,
     reflect,
-    star_contains,
     support_function,
 )
 from .intrinsic import (
     EpsilonGrid,
     IntrinsicVolumeVector,
     epsilon_expanded_volume,
-    exact_disk_intersection_2d,
     fit_intrinsic_volumes,
     mc_volume,
-    mean_width,
     omega,
     unit_ball_intrinsic,
 )

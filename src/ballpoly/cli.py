@@ -20,7 +20,8 @@ import sys
 import numpy as np
 
 from .config import (
-    RunConfig, build_body, build_density, build_spherical_function, read_document, validate,
+    WULFF_GRID_SIZE, RunConfig, build_body, build_density, build_spherical_function,
+    read_document, validate,
 )
 from .errors import BallPolyError, ParseError, SchemaError
 from .results import CurveTable, make_record, now_iso, write_results
@@ -104,7 +105,7 @@ def _run_wulff_convergence(cfg: RunConfig):
     from . import wulff
 
     p = cfg.params
-    f = build_spherical_function(p["f"], p.get("grid_size", 720))
+    f = build_spherical_function(p["f"], p.get("grid_size", WULFF_GRID_SIZE[cfg.kind]))
     rep = wulff.convergence_rate(f, p["R_list"], probe_size=p.get("probe_size", 4096))
     rows = [(float(r), float(d), 0.0) for r, d in zip(rep.radii, rep.residuals)]
     metrics = {"slope": rep.slope, "grid_size": rep.grid_size,
@@ -117,7 +118,7 @@ def _run_vr_asymptotics(cfg: RunConfig):
     from . import wulff
 
     p = cfg.params
-    f = build_spherical_function(p["f"], p.get("grid_size", 4096))
+    f = build_spherical_function(p["f"], p.get("grid_size", WULFF_GRID_SIZE[cfg.kind]))
     rep = wulff.vr_asymptotics(f, p["R_list"])
     rows = [(float(r), float(d), 0.0) for r, d in zip(rep.radii, rep.residuals)]
     metrics = {
@@ -227,9 +228,9 @@ def _run_selftest(cfg: RunConfig):
     from . import densities as dn
     from . import exact2d, polytope, wulff
     from .geometry import (
-        BallPolyhedron, DirectionGrid, SupportBody, project_onto_ballpoly,
+        BallPolyhedron, DirectionGrid, SupportBody, project_onto_ballpoly, support_function,
     )
-    from .intrinsic import exact_disk_intersection_2d, mean_width, omega, unit_ball_intrinsic
+    from .intrinsic import omega, unit_ball_intrinsic
 
     checks = []
 
@@ -238,7 +239,7 @@ def _run_selftest(cfg: RunConfig):
         _log(f"  {'ok' if ok else 'FAIL'}  {name}")
 
     lens = BallPolyhedron.from_arrays([[0.5, 0.0], [-0.5, 0.0]], 1.0)
-    area, perim = exact_disk_intersection_2d(lens)
+    area, perim = exact2d.exact_disk_intersection_2d(lens)
     check("lens area", abs(area - (2 * math.pi / 3 - math.sqrt(3) / 2)) < 1e-12)
     check("lens perimeter", abs(perim - 4 * math.pi / 3) < 1e-12)
     proj = project_onto_ballpoly(
@@ -249,7 +250,7 @@ def _run_selftest(cfg: RunConfig):
     check("V_1 of planar unit ball", abs(unit_ball_intrinsic(2, 1) - math.pi) < 1e-12)
     g = DirectionGrid.uniform_2d(2048)
     sq = SupportBody.cube(1.0, 2, g)
-    check("square mean width", abs(mean_width(sq) - 4 / math.pi) < 1e-4)
+    check("square mean width", abs(sq.mean_width() - 4 / math.pi) < 1e-4)
     f = dn.Box1DStep([0.0, 1.0], [1.0]).rearranged()
     check("interval rearrangement", abs(f.radii[0] - 0.5) < 1e-15)
     W = wulff.wulff_shape(wulff.SphericalFunction.from_support_body(sq))
@@ -259,6 +260,9 @@ def _run_selftest(cfg: RunConfig):
     check("lens support (exact arcs)",
           abs(exact2d.support_from_region(reg, np.array([[0.0, 1.0]]))[0]
               - math.sqrt(3) / 2) < 1e-12)
+    lens3 = BallPolyhedron.from_arrays([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]], 1.0)
+    check("3-D lens support (exact candidates)",
+          abs(support_function(lens3, np.array([0.0, 0.6, 0.8])) - math.sqrt(3) / 2) < 1e-12)
     unit_cube = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], float)
     check("unit cube hull intrinsic volumes",
           np.allclose(polytope.hull_intrinsic_volumes(unit_cube), [1, 3, 3, 1], atol=1e-12))

@@ -17,7 +17,8 @@ to (types, domain, required); a key outside its table is rejected, and
 all violations are reported at once. Each density, body and boundary
 function spec that passes its table is then built by its builder, whose
 constructor errors become schema errors naming the spec, and the few
-rules that relate keys read the built objects' dimensions.
+rules that relate keys read the built objects' dimensions and, where
+the run builds tangent balls, the boundary function's maximum.
 
 A previously written summary document (which echoes its config under a
 ``config`` key) loads directly, so archived runs re-run as-is.
@@ -37,6 +38,9 @@ import yaml
 from .errors import BallPolyError, ParseError, SchemaError
 
 DEFAULT_GRID_SIZE = 4096
+
+# Default grid of each Wulff kind's f; validation checks R against f on it.
+WULFF_GRID_SIZE = {"wulff-convergence": 720, "vr-asymptotics": 4096}
 
 
 @dataclass
@@ -351,7 +355,7 @@ def _check_spec(spec, family: str, where: str, errors: List[str],
 
 def _relations(kind: str, p: dict, built: dict) -> List[str]:
     """Rules between the keys of a params block that passed its table;
-    dimensions are read from the built objects."""
+    dimensions and boundary-function maxima are read from built objects."""
     from .densities import Product1D
     from .extremal import CIRCUMSCRIPTION_ESTIMATORS
 
@@ -368,6 +372,13 @@ def _relations(kind: str, p: dict, built: dict) -> List[str]:
         if p.get("estimator", "exact-2d") == "exact-2d" and n != 2:
             errors.append(f"params: key 'estimator' 'exact-2d' (the default) needs n = 2, "
                           f"got n={n}; use 'steiner-fit'")
+        if kind == "moments":  # the run's boundary function is h_K on the body's grid
+            h = built["body"].values
+            if np.min(h) <= 0:
+                errors.append("params.body: the body must contain the origin in its interior")
+            elif p["R"] <= np.max(h):
+                errors.append(f"params: key 'R' must exceed max h_K = {np.max(h):.6g} "
+                              f"on the body's grid, got R = {p['R']}")
     elif kind in ("minimize", "schneider", "simplex-bound"):
         n = built["body"].dimension
         expected = CIRCUMSCRIPTION_ESTIMATORS.get(n)
@@ -382,6 +393,12 @@ def _relations(kind: str, p: dict, built: dict) -> List[str]:
             hint = " (steiner-fit was removed: the objective is exact)" if est == "steiner-fit" else ""
             errors.append(f"params: key 'estimator' must be '{expected}' for a body of "
                           f"dimension {n}, or omitted, got {est!r}{hint}")
+    elif kind in WULFF_GRID_SIZE:
+        size = p.get("grid_size", WULFF_GRID_SIZE[kind])
+        f_max = build_spherical_function(p["f"], size).max
+        if min(p["R_list"]) <= f_max:
+            errors.append(f"params: key 'R_list' needs every R > max f = {f_max:.6g} "
+                          f"(f on the run's {size}-direction grid), got R = {min(p['R_list'])}")
     elif kind == "gorbovickis":
         if ("R" in p) == ("R_list" in p):
             errors.append("params: need 'R' or 'R_list', not both")

@@ -160,8 +160,6 @@ class UniformBody(Density):
             return np.all((pts >= r.lo) & (pts <= r.hi), axis=1)
         if isinstance(r, BallRegion):
             return np.sum((pts - r.center) ** 2, axis=1) <= r.radius**2
-        if isinstance(r, BallPolyhedron):
-            return r.contains(pts)
         return r.contains(pts)
 
     def pdf(self, points: np.ndarray) -> np.ndarray:
@@ -224,6 +222,26 @@ class UniformBody(Density):
 # Radial step densities
 
 
+def _decreasing_steps(heights, measures, radius_of, n: int) -> "RadialStep":
+    """Radial step density of the symmetric decreasing rearrangement of
+    pieces with the given heights and measures (volumes or lengths):
+    pieces sorted by decreasing height, zero heights dropped, and
+    ``radius_of`` mapping the cumulative measure to the shell's outer
+    radius. Equal heights merge, so the radii ascend strictly."""
+    order = np.argsort(-heights, kind="stable")
+    heights, measures = heights[order], measures[order]
+    keep = heights > 0
+    radii = radius_of(np.cumsum(measures[keep]))
+    merged_r, merged_h = [], []
+    for r, h in zip(radii, heights[keep]):
+        if merged_h and abs(h - merged_h[-1]) <= 1e-15 * max(1.0, abs(h)):
+            merged_r[-1] = r
+        else:
+            merged_r.append(r)
+            merged_h.append(h)
+    return RadialStep(merged_r, merged_h, n)
+
+
 class RadialStep(Density):
     """Piecewise-constant radial density: heights[k] on the shell
     radii[k-1] < |x| <= radii[k] (radii ascending, radii[-1] is the
@@ -276,22 +294,9 @@ class RadialStep(Density):
         return uniform_on_sphere(rng, n, size) * rho[:, None]
 
     def rearranged(self) -> "RadialStep":
-        order = np.argsort(-self.heights, kind="stable")
-        heights = self.heights[order]
-        vols = self._shell_vols[order]
-        keep = heights > 0
-        heights, vols = heights[keep], vols[keep]
-        cum = np.cumsum(vols)
-        radii = (cum / omega(self.dimension)) ** (1.0 / self.dimension)
-        # Merge equal heights (produced radii must be strictly ascending).
-        merged_r, merged_h = [], []
-        for r, h in zip(radii, heights):
-            if merged_h and abs(h - merged_h[-1]) <= 1e-15 * max(1.0, abs(h)):
-                merged_r[-1] = r
-            else:
-                merged_r.append(r)
-                merged_h.append(h)
-        return RadialStep(merged_r, merged_h, self.dimension)
+        n = self.dimension
+        return _decreasing_steps(self.heights, self._shell_vols,
+                                 lambda cum: (cum / omega(n)) ** (1.0 / n), n)
 
     def is_decreasing(self) -> bool:
         return bool(np.all(np.diff(self.heights) <= 1e-15))
@@ -359,20 +364,7 @@ class Box1DStep(Density):
 
     def rearranged(self) -> RadialStep:
         """Even decreasing rearrangement on the line, as a 1D radial step."""
-        order = np.argsort(-self.heights, kind="stable")
-        heights = self.heights[order]
-        lengths = self._lengths[order]
-        keep = heights > 0
-        heights, lengths = heights[keep], lengths[keep]
-        cum = np.cumsum(lengths)
-        merged_r, merged_h = [], []
-        for r, h in zip(cum / 2.0, heights):
-            if merged_h and abs(h - merged_h[-1]) <= 1e-15 * max(1.0, abs(h)):
-                merged_r[-1] = r
-            else:
-                merged_r.append(r)
-                merged_h.append(h)
-        return RadialStep(merged_r, merged_h, 1)
+        return _decreasing_steps(self.heights, self._lengths, lambda cum: cum / 2.0, 1)
 
     def integral_over_ball(self, r: float) -> float:
         lo = np.clip(-r, self.breaks[:-1], self.breaks[1:])

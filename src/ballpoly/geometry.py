@@ -5,7 +5,8 @@ balls. Everything downstream (volume estimation, dominance experiments,
 halfspace approximation) builds on four primitives implemented here:
 
 * cyclic Dykstra projection onto the intersection (nearest-point map),
-* support-function evaluation by projected ascent,
+* the exact support function and emptiness test, from candidate points
+  on the intersections of at most n bounding spheres,
 * convex bodies represented by support oracles on a direction grid,
 * star bodies represented by radial oracles.
 
@@ -16,6 +17,7 @@ function of its inputs and safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, islice
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,6 +27,15 @@ from .errors import EmptyIntersection, NonConvergence, ZeroVector
 # Dykstra defaults: tol is the max iterate movement over one full cycle.
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 10_000
+
+# Candidate oracle: feasibility slack and affine-dependence pivot floor,
+# relative to the largest radius and the longest centre difference; a
+# rho^2 at most RHO2_ULPS ulps of r_0^2 below zero is a tangency. Subsets
+# go through in batches of CANDIDATE_BATCH, which bounds the memory.
+CANDIDATE_RTOL = 1e-10
+AFFINE_RTOL = 1e-10
+RHO2_ULPS = 16
+CANDIDATE_BATCH = 1 << 14
 
 # Default direction-grid resolution in 2D/3D.
 DEFAULT_GRID_SIZE = 4096
@@ -79,9 +90,9 @@ class Ball:
 class BallPolyhedron:
     """Intersection of finitely many closed balls (possibly empty).
 
-    Emptiness is a legal state and is detected lazily: the cheap
-    pairwise certificate ``certainly_empty`` catches disjoint pairs,
-    and Dykstra non-convergence catches the rest.
+    Emptiness is a legal state and is decided exactly by ``is_empty``:
+    the cheap pairwise certificate ``certainly_empty`` catches disjoint
+    pairs, and the candidate points of ``_candidates`` decide the rest.
     """
 
     def __init__(self, balls: Sequence[Ball]):
@@ -115,6 +126,12 @@ class BallPolyhedron:
         d2 = np.sum((c[:, None, :] - c[None, :, :]) ** 2, axis=-1)
         gap = np.sqrt(d2) - (r[:, None] + r[None, :])
         return bool(np.any(gap > 0.0))
+
+    def is_empty(self) -> bool:
+        """Exact: the pairwise certificate, or no candidate in direction e_1."""
+        if self.certainly_empty():
+            return True
+        return next(_candidates(self, np.eye(self.dimension)[0]), None) is None
 
     def contains(self, points: np.ndarray, slack: float = 0.0) -> np.ndarray:
         """Boolean mask: which points lie in every ball (within slack)."""
@@ -247,54 +264,54 @@ def distance_to_ballpoly(
     return float(d[0])
 
 
-def support_function(
-    P: BallPolyhedron,
-    theta: np.ndarray,
-    tol: float = 1e-9,
-    max_iter: int = 400,
-) -> float:
-    """max <y, theta> over the ball intersection, by projected ascent.
+def _candidates(P: BallPolyhedron, theta: np.ndarray):
+    """Feasible candidate maximizers of <y, theta> over P, one array per
+    batch of subsets of k <= n balls that has any.
 
-    Diminishing steps c/k with a Dykstra projection after each step;
-    once the c/k schedule stalls (value change below tol), a
-    step-halving refinement pass handles non-smooth boundary corners,
-    where the diminishing schedule alone converges too slowly.
-
-    Raises EmptyIntersection on the pairwise certificate and propagates
-    NonConvergence from the projection.
+    The spheres of k balls with affinely independent centres meet in a
+    sphere centred at z = c_0 + u, u in the span of a_j = c_j - c_0 with
+    <a_j, u> = (|a_j|^2 + r_0^2 - r_j^2) / 2, of radius
+    rho = sqrt(r_0^2 - |u|^2) in the complement of that span. Its
+    candidate is z + rho * w, w the normalized projection of theta onto
+    the complement (0 if theta lies in the span). Extreme points lie on
+    such spheres (Caratheodory) and the KKT conditions put the maximizer
+    at its sphere's candidate, so h_P(theta) is the best feasible one.
     """
+    c, r = P.centers, P.radii
+    slack = CANDIDATE_RTOL * float(np.max(r))
+    for k in range(1, min(P.dimension, len(P)) + 1):
+        subsets = combinations(range(len(P)), k)
+        while (idx := np.array(list(islice(subsets, CANDIDATE_BATCH)), dtype=int)).size:
+            c0, r0 = c[idx[:, 0]], r[idx[:, 0]]
+            a = c[idx[:, 1:]] - c0[:, None, :]  # (subsets, k-1, n); k = 1 gives u = 0
+            q, R = np.linalg.qr(np.swapaxes(a, 1, 2))  # a^T = q R, q spans the a_j
+            pivots = np.abs(np.diagonal(R, axis1=1, axis2=2))
+            scale = np.max(np.linalg.norm(a, axis=2), axis=1, keepdims=True, initial=0.0)
+            ok = np.all(pivots > AFFINE_RTOL * scale, axis=1)
+            R[~ok] = np.eye(k - 1)  # dependent centres: solvable, masked out below
+            beta = 0.5 * (np.sum(a * a, axis=2) + r0[:, None] ** 2 - r[idx[:, 1:]] ** 2)
+            g = np.linalg.solve(np.swapaxes(R, 1, 2), beta[:, :, None])[:, :, 0]  # u = q g
+            rho2 = r0**2 - np.sum(g * g, axis=1)
+            ok &= rho2 >= -RHO2_ULPS * np.finfo(float).eps * r0**2
+            w = theta - np.einsum("snk,sk->sn", q, np.einsum("snk,n->sk", q, theta))
+            wn = np.linalg.norm(w, axis=1, keepdims=True)
+            w = np.divide(w, wn, out=np.zeros_like(w), where=wn > 1e-12)
+            rho = np.sqrt(np.maximum(rho2, 0.0))
+            y = (c0 + np.einsum("snk,sk->sn", q, g) + rho[:, None] * w)[ok]
+            y = y[P.contains(y, slack)]
+            if y.shape[0]:
+                yield y
+
+
+def support_function(P: BallPolyhedron, theta: np.ndarray) -> float:
+    """max <y, theta> over the ball intersection, exactly, in any
+    dimension: the best feasible candidate of ``_candidates``. Raises
+    EmptyIntersection when no candidate is feasible."""
     theta = as_unit(theta)
-    if P.certainly_empty():
+    values = [float(np.max(y @ theta)) for y in _candidates(P, theta)]
+    if not values:
         raise EmptyIntersection("support function of an empty intersection")
-    inner_tol = min(tol * 1e-2, 1e-10)
-    c0 = float(np.max(P.radii))
-
-    def proj(pt):
-        return project_onto_ballpoly(P, pt, tol=inner_tol)
-
-    y = proj(np.mean(P.centers, axis=0) + c0 * theta)
-    h = float(np.dot(y, theta))
-    stall = 0
-    k = 0
-    for k in range(1, max_iter + 1):
-        y_new = proj(y + (c0 / k) * theta)
-        h_new = float(np.dot(y_new, theta))
-        y = y_new
-        stall = stall + 1 if abs(h_new - h) < tol else 0
-        h = h_new
-        if stall >= 3:
-            break
-    # Refinement: halve the step until it is negligible.
-    s = c0 / max(k, 1)
-    floor = max(tol * 1e-2, 1e-14) * max(c0, 1.0)
-    while s > floor:
-        y_try = proj(y + s * theta)
-        h_try = float(np.dot(y_try, theta))
-        if h_try > h + 1e-16:
-            y, h = y_try, h_try
-        else:
-            s *= 0.5
-    return h
+    return max(values)
 
 
 def reflect(u: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -543,13 +560,3 @@ class StarBody:
     @property
     def max_radius(self) -> float:
         return float(np.max(self.values))
-
-
-def radial_function(S: StarBody, theta: np.ndarray) -> float:
-    """Radial function of a star body at a unit direction."""
-    return S.radial_one(as_unit(theta))
-
-
-def star_contains(S: StarBody, x: np.ndarray) -> bool:
-    """True iff x lies in the star body (origin always does)."""
-    return bool(S.contains(np.asarray(x, dtype=float)[None, :])[0])

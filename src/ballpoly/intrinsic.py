@@ -25,7 +25,7 @@ import numpy as np
 
 from . import exact2d
 from .errors import IllConditioned, NonConvergence
-from .geometry import BallPolyhedron, DirectionGrid, SupportBody, distances_to_ballpoly
+from .geometry import BallPolyhedron, distances_to_ballpoly
 from .rng import stream, uniform_in_ball
 
 # Batch size for Monte-Carlo splitting; totals are sums over batches
@@ -108,15 +108,13 @@ class EpsilonGrid:
 
 
 # ---------------------------------------------------------------------------
-# Exact planar oracle (re-exported from the arc decomposition)
-
-exact_disk_intersection_2d = exact2d.exact_disk_intersection_2d
+# Exact planar oracle
 
 
 def intrinsic_volumes_exact_2d(P: BallPolyhedron) -> IntrinsicVolumeVector:
     """(V_0, V_1, V_2) of a planar ball-polyhedron from the exact arcs:
     V_1 = perimeter / 2, V_2 = area; zeros when empty."""
-    area, perim = exact_disk_intersection_2d(P)
+    area, perim = exact2d.exact_disk_intersection_2d(P)
     if area == 0.0 and perim == 0.0:
         return IntrinsicVolumeVector(np.zeros(3), np.zeros(3), "exact-2d")
     return IntrinsicVolumeVector(
@@ -172,15 +170,8 @@ def _distances_for_expansion(P: BallPolyhedron, pts: np.ndarray) -> np.ndarray:
 
 
 def _assert_nonempty(P: BallPolyhedron) -> None:
-    if P.certainly_empty():
-        raise NonConvergence("intersection certifiably empty (disjoint pair)")
-    if P.dimension == 2:
-        if exact2d.region_of(P).empty:
-            raise NonConvergence("intersection empty (arc decomposition)")
-        return
-    from .geometry import project_onto_ballpoly
-
-    project_onto_ballpoly(P, P.smallest.center)  # raises NonConvergence if empty
+    if P.is_empty():
+        raise NonConvergence("intersection empty (no feasible candidate point)")
 
 
 def epsilon_expanded_volume(P: BallPolyhedron, eps: float, samples: int, seed: int):
@@ -277,9 +268,7 @@ def fit_intrinsic_volumes(
     if grid is None:
         grid = EpsilonGrid.default_for(P)
     grid.validate_covers(P)
-    try:
-        _assert_nonempty(P)
-    except NonConvergence:
+    if P.is_empty():
         return IntrinsicVolumeVector(np.zeros(n + 1), np.zeros(n + 1), "steiner-fit")
 
     v_bb = omega(n) * grid.bounding_radius**n
@@ -292,12 +281,7 @@ def fit_intrinsic_volumes(
 
 
 # ---------------------------------------------------------------------------
-# Mean width and the classical inequality margins
-
-
-def mean_width(K: SupportBody, grid: Optional[DirectionGrid] = None) -> float:
-    """Mean width w(K) = 2 * integral of h_K over the sphere."""
-    return K.mean_width(grid)
+# The classical inequality margins
 
 
 def isoperimetric_margins(V: IntrinsicVolumeVector) -> np.ndarray:

@@ -138,11 +138,6 @@ def ballpoly_approx(f: SphericalFunction, R: float,
     return BallPolyhedron.from_arrays(centers, R)
 
 
-def approx_support_2d(P: BallPolyhedron, probe_dirs: np.ndarray) -> np.ndarray:
-    """Exact support values of a planar ball-polyhedron from its arcs."""
-    return exact2d.support_from_region(exact2d.region_of(P), probe_dirs)
-
-
 @dataclass
 class ConvergenceReport:
     radii: np.ndarray
@@ -172,7 +167,7 @@ def convergence_rate(f: SphericalFunction, R_list: Sequence[float],
     res = []
     for R in R_list:
         P = ballpoly_approx(f, R, g)
-        h_a = approx_support_2d(P, probe)
+        h_a = exact2d.support_from_region(exact2d.region_of(P), probe)
         res.append(float(np.max(np.abs(h_w - h_a))))
     res = np.array(res)
     slope = float(np.polyfit(np.log(R_list), np.log(res), 1)[0])

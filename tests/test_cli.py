@@ -133,6 +133,18 @@ BAD_CONFIGS = [
     pytest.param({**smoke_doc("selftest"), "seed": -1}, "key 'seed'", id="seed-negative"),
     pytest.param(smoke_with("dominance-ball", density={"type": "uniform-ball", "radius": 10**400}),
                  "key 'radius'", id="radius-beyond-float"),
+    # R against the largest value of the boundary function (or support
+    # function) on the grid the run builds: these used to exit 3 mid-run.
+    pytest.param({"kind": "vr-asymptotics", "seed": 1, "params": {
+        "f": {"type": "support-cube", "side": 1.0}, "R_list": [0.1, 0.2]}},
+        "key 'R_list'", id="vr-R-below-max-f"),
+    pytest.param({"kind": "wulff-convergence", "seed": 1, "params": {
+        "f": {"type": "support-cube", "side": 1.0}, "R_list": [0.5, 10.0]}},
+        "key 'R_list'", id="wulff-R-below-max-f"),
+    pytest.param(smoke_with("moments", body={"type": "polytope", "vertices": [[1, 1], [2, 1], [1, 2]]}),
+                 "params.body: the body must contain the origin", id="moments-origin-outside"),
+    pytest.param(smoke_with("moments", body={"type": "cube", "side": 1.0, "n": 2}, R=0.5),
+                 "key 'R'", id="moments-R-below-max-support"),
 ]
 
 
@@ -242,6 +254,15 @@ class TestValidation:
         doc["params"]["grid_size"] = 1024
         assert run_main(doc, tmp_path) == 2
         assert "grid_size" in capsys.readouterr().err
+
+    def test_R_checked_on_the_runs_grid(self, tmp_path, capsys):
+        # On 12 directions the cube's max support is 0.683, not sqrt(2)/2.
+        doc = {"kind": "vr-asymptotics", "seed": 1, "params": {
+            "f": {"type": "support-cube", "side": 1.0}, "R_list": [0.69, 1.0]}}
+        assert run_main(doc, tmp_path) == 2
+        assert "R_list" in capsys.readouterr().err
+        doc["params"]["grid_size"] = 12
+        assert run_main(doc, tmp_path) == 0
 
     def test_circumscription_estimator_optional(self):
         config.validate({"kind": "minimize", "seed": 1,

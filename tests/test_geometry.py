@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ballpoly import exact2d
 from ballpoly.errors import EmptyIntersection, NonConvergence, ZeroVector
 from ballpoly.geometry import (
     Ball,
@@ -14,9 +15,7 @@ from ballpoly.geometry import (
     hausdorff_distance,
     minkowski_symmetral,
     project_onto_ballpoly,
-    radial_function,
     reflect,
-    star_contains,
     support_function,
 )
 
@@ -137,11 +136,11 @@ class TestSupportFunction:
         inside = ((x - 0.5) ** 2 + y**2 <= 1.0) & ((x + 0.5) ** 2 + y**2 <= 1.0)
         brute = np.max(y[inside])
         assert brute == pytest.approx(SQRT3 / 2, abs=2e-3)
-        h = support_function(lens(), np.array([0.0, 1.0]), tol=1e-9)
+        h = support_function(lens(), np.array([0.0, 1.0]))
         assert h == pytest.approx(SQRT3 / 2, abs=1e-7)
 
     def test_lens_horizontal(self):
-        h = support_function(lens(), np.array([1.0, 0.0]), tol=1e-9)
+        h = support_function(lens(), np.array([1.0, 0.0]))
         assert h == pytest.approx(0.5, abs=1e-7)
 
     def test_empty_raises(self):
@@ -152,7 +151,6 @@ class TestSupportFunction:
     def test_subadditivity(self):
         rng = np.random.default_rng(5)
         P = BallPolyhedron.from_arrays(rng.normal(0, 0.3, (3, 2)), 1.5)
-        tol = 1e-7
         for _ in range(10):
             t1 = rng.normal(size=2)
             t2 = rng.normal(size=2)
@@ -162,9 +160,9 @@ class TestSupportFunction:
             ns = np.linalg.norm(s)
             if ns < 1e-6:
                 continue
-            h_sum = support_function(P, s / ns, tol=tol) * ns
-            h1 = support_function(P, t1, tol=tol)
-            h2 = support_function(P, t2, tol=tol)
+            h_sum = support_function(P, s / ns) * ns
+            h1 = support_function(P, t1)
+            h2 = support_function(P, t2)
             assert h_sum <= h1 + h2 + 4e-6
 
     def test_reflection_symmetry(self):
@@ -175,9 +173,131 @@ class TestSupportFunction:
         for _ in range(5):
             t = rng.normal(size=2)
             t /= np.linalg.norm(t)
-            h1 = support_function(P, t, tol=1e-8)
-            h2 = support_function(P, reflect(u, t), tol=1e-8)
+            h1 = support_function(P, t)
+            h2 = support_function(P, reflect(u, t))
             assert h1 == pytest.approx(h2, abs=1e-6)
+
+
+def rotation_2d(a):
+    return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+
+
+def lens_support(theta, R, d):
+    """Closed-form support of the equal-radii lens B(-d/2 e1, R) & B(d/2 e1, R)
+    in any dimension: a ball's own support point while it lies on that
+    ball's cap, else the rim of radius sqrt(R^2 - d^2/4) in x1 = 0."""
+    t1 = abs(theta[0])
+    if R * t1 >= d / 2:
+        return R - d / 2 * t1
+    return np.sqrt(R**2 - d**2 / 4) * np.linalg.norm(theta[1:])
+
+
+class TestCandidateOracle:
+    """The exact support function and emptiness test from candidate
+    points on the intersections of at most n bounding spheres."""
+
+    def test_planar_matches_arcs(self):
+        rng = np.random.default_rng(2024)
+        empty = 0
+        for _ in range(1200):
+            k = int(rng.integers(1, 9))
+            P = BallPolyhedron.from_arrays(rng.normal(0, 0.6, (k, 2)), rng.uniform(0.8, 1.5, k))
+            region = exact2d.region_of(P)
+            assert P.is_empty() == region.empty
+            if region.empty:
+                empty += 1
+                with pytest.raises(EmptyIntersection):
+                    support_function(P, np.array([1.0, 0.0]))
+                continue
+            dirs = rng.normal(size=(3, 2))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            got = [support_function(P, t) for t in dirs]
+            assert np.allclose(got, exact2d.support_from_region(region, dirs), rtol=0, atol=1e-12)
+        assert empty >= 100
+
+    def test_triangle_without_pairwise_certificate_is_empty(self):
+        from ballpoly.intrinsic import fit_intrinsic_volumes
+
+        c = 1.1
+        P = BallPolyhedron.from_arrays(
+            [[c, 0.0], [-c / 2, c * np.sqrt(3) / 2], [-c / 2, -c * np.sqrt(3) / 2]], 1.0
+        )
+        assert not P.certainly_empty()
+        assert P.is_empty()
+        with pytest.raises(EmptyIntersection):
+            support_function(P, np.array([0.0, 1.0]))
+        V = fit_intrinsic_volumes(P, seed=1)
+        assert np.all(V.values == 0.0)
+
+    @pytest.mark.parametrize("angle", [0.3, 0.7, np.pi / 4])
+    def test_touching_pair_keeps_its_point(self, angle):
+        # Rotated centres round off, so the rim radius^2 of the pair can
+        # come out a few ulps below zero: it must clamp to the point, not
+        # vanish. A tangency is sqrt-sensitive to the data's rounding,
+        # which bounds the agreement at about sqrt(ulp).
+        Q = rotation_2d(angle)
+        P = BallPolyhedron.from_arrays(touching_pair().centers @ Q.T, 1.0)
+        assert not P.is_empty()
+        for u in (Q[:, 0], Q[:, 1], -Q[:, 1], (Q[:, 0] + Q[:, 1]) / np.sqrt(2.0)):
+            assert support_function(P, u) == pytest.approx(0.0, abs=1e-7)
+
+    @pytest.mark.parametrize("R, d", [(1.0, 1.0), (1.3, 0.4)])
+    def test_3d_lens_equal_radii(self, R, d):
+        P = BallPolyhedron.from_arrays([[-d / 2, 0.0, 0.0], [d / 2, 0.0, 0.0]], R)
+        rim = np.sqrt(R**2 - d**2 / 4)
+        assert support_function(P, np.array([0.0, 0.0, 1.0])) == pytest.approx(rim, abs=1e-12)
+        assert support_function(P, np.array([1.0, 0.0, 0.0])) == pytest.approx(R - d / 2, abs=1e-12)
+        rng = np.random.default_rng(31)
+        for t in rng.normal(size=(20, 3)):
+            t /= np.linalg.norm(t)
+            assert support_function(P, t) == pytest.approx(lens_support(t, R, d), abs=1e-12)
+
+    def test_3d_lens_unequal_radii(self):
+        r1, r2, d = 1.0, 1.5, 1.2
+        P = BallPolyhedron.from_arrays([[0.0, 0.0, 0.0], [d, 0.0, 0.0]], [r1, r2])
+        plane = (d**2 + r1**2 - r2**2) / (2 * d)  # the rim's x1
+        rim = np.sqrt(r1**2 - plane**2)
+        for t in ([0.0, 0.0, 1.0], [0.0, -0.6, 0.8]):
+            assert support_function(P, np.array(t)) == pytest.approx(rim, abs=1e-12)
+        assert support_function(P, np.array([1.0, 0.0, 0.0])) == pytest.approx(r1, abs=1e-12)
+        assert support_function(P, np.array([-1.0, 0.0, 0.0])) == pytest.approx(r2 - d, abs=1e-12)
+
+    def test_3d_matches_constrained_optimizer(self):
+        from scipy.optimize import minimize
+
+        rng = np.random.default_rng(32)
+        checked = 0
+        for _ in range(12):
+            k = int(rng.integers(3, 7))
+            C, R = rng.normal(0, 0.4, (k, 3)), rng.uniform(0.9, 1.3, k)
+            P = BallPolyhedron.from_arrays(C, R)
+            if P.is_empty():
+                continue
+            t = rng.normal(size=3)
+            t /= np.linalg.norm(t)
+            res = minimize(lambda y: -y @ t, C.mean(axis=0), jac=lambda y: -t, method="SLSQP",
+                           constraints={"type": "ineq", "jac": lambda y: -2 * (y - C),
+                                        "fun": lambda y: R**2 - np.sum((y - C) ** 2, axis=1)},
+                           options={"ftol": 1e-12, "maxiter": 500})
+            # SLSQP may stop on a line-search flag near the optimum, so
+            # its point is checked for feasibility instead of its flag.
+            assert np.max(np.linalg.norm(res.x - C, axis=1) - R) < 1e-8
+            assert support_function(P, t) == pytest.approx(-res.fun, abs=1e-7)
+            checked += 1
+        assert checked >= 8
+
+    def test_4d_ball_and_lens(self):
+        rng = np.random.default_rng(33)
+        c = np.array([0.3, -1.0, 0.5, 2.0])
+        ball = BallPolyhedron.from_arrays([c], 0.7)
+        R, d = 1.2, 0.9
+        lens4 = BallPolyhedron.from_arrays([[-d / 2, 0, 0, 0], [d / 2, 0, 0, 0]], R)
+        for t in rng.normal(size=(20, 4)):
+            t /= np.linalg.norm(t)
+            assert support_function(ball, t) == pytest.approx(c @ t + 0.7, abs=1e-12)
+            assert support_function(lens4, t) == pytest.approx(lens_support(t, R, d), abs=1e-12)
+        assert not lens4.is_empty()
+        assert BallPolyhedron.from_arrays([[-1.0, 0, 0, 0], [1.0, 0, 0, 0]], 0.9).is_empty()
 
 
 class TestReflect:
@@ -279,18 +399,18 @@ class TestStarBody:
     def test_ball_radial(self):
         g = DirectionGrid.uniform_2d(256)
         S = StarBody.ball(1.5, g)
-        assert radial_function(S, np.array([0.0, 1.0])) == pytest.approx(1.5)
+        assert S.radial_one(np.array([0.0, 1.0])) == pytest.approx(1.5)
 
     def test_contains_origin(self):
         g = DirectionGrid.uniform_2d(256)
         S = StarBody.ball(0.1, g)
-        assert star_contains(S, np.zeros(2))
+        assert S.contains(np.zeros(2))[0]
 
     def test_contains_boundary(self):
         g = DirectionGrid.uniform_2d(256)
         S = StarBody.ball(1.0, g)
-        assert star_contains(S, np.array([0.999, 0.0]))
-        assert not star_contains(S, np.array([1.01, 0.0]))
+        assert S.contains(np.array([0.999, 0.0]))[0]
+        assert not S.contains(np.array([1.01, 0.0]))[0]
 
     def test_zero_vector_direction(self):
         from ballpoly.geometry import direction_of

@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 from ballpoly.errors import IllConditioned, NonConvergence
+from ballpoly.exact2d import exact_disk_intersection_2d
 from ballpoly.geometry import BallPolyhedron, DirectionGrid, SupportBody
 from ballpoly.intrinsic import (
     EpsilonGrid,
     epsilon_expanded_volume,
-    exact_disk_intersection_2d,
     fit_intrinsic_volumes,
     intrinsic_volumes_exact_2d,
     isoperimetric_margins,
     mc_volume,
-    mean_width,
     omega,
     steiner_fit_from_distances,
     unit_ball_intrinsic,
@@ -176,17 +175,17 @@ class TestMeanWidth:
 
     def test_ball(self):
         K = SupportBody.ball(np.zeros(2), 1.5, self.grid())
-        assert mean_width(K) == pytest.approx(3.0, abs=1e-12)
+        assert K.mean_width() == pytest.approx(3.0, abs=1e-12)
 
     def test_segment(self):
         # Average of |cos| over the circle is 2/pi.
         d = 1.7
         K = SupportBody.segment(np.array([-d / 2, 0.0]), np.array([d / 2, 0.0]), self.grid())
-        assert mean_width(K) == pytest.approx(2 * d / math.pi, rel=1e-6)
+        assert K.mean_width() == pytest.approx(2 * d / math.pi, rel=1e-6)
 
     def test_unit_square(self):
         K = SupportBody.cube(1.0, 2, self.grid())
-        assert mean_width(K) == pytest.approx(4 / math.pi, rel=1e-6)
+        assert K.mean_width() == pytest.approx(4 / math.pi, rel=1e-6)
 
 
 class TestInequalityMargins:
