@@ -19,10 +19,7 @@ import sys
 
 import numpy as np
 
-from .config import (
-    WULFF_GRID_SIZE, RunConfig, build_body, build_density, build_spherical_function,
-    read_document, validate,
-)
+from .config import RunConfig, read_document, validate
 from .errors import BallPolyError, ParseError, SchemaError
 from .results import CurveTable, make_record, now_iso, write_results
 
@@ -32,7 +29,8 @@ def _log(msg: str):
 
 
 # ---------------------------------------------------------------------------
-# Kind runners: each returns (metrics, curves, failed_trials).
+# Kind runners: each returns (metrics, curves, failed_trials). They read
+# the objects validation built under their keys: p = {**params, **built}.
 
 
 def _survival_curve_table(name, test_curve, extremal_curve):
@@ -46,10 +44,9 @@ def _survival_curve_table(name, test_curve, extremal_curve):
 def _run_dominance(cfg: RunConfig, cube: bool):
     from . import dominance as dm
 
-    p = cfg.params
-    density = build_density(p["density"], p["n"])
+    p = {**cfg.params, **cfg.built}
     exp = dm.ExperimentConfig(
-        n=p["n"], N=p["N"], R=p["R"], j=p["j"], density=density,
+        n=p["n"], N=p["N"], R=p["R"], j=p["j"], density=p["density"],
         trials=p["trials"], seed=cfg.seed,
         s_grid=np.asarray(p["s_grid"], float) if "s_grid" in p else None,
         s_points=p.get("s_points", 20), alpha=p.get("alpha", 0.05),
@@ -75,10 +72,9 @@ def _run_dominance(cfg: RunConfig, cube: bool):
 def _run_moments(cfg: RunConfig):
     from . import dominance as dm
 
-    p = cfg.params
-    body = build_body(p["body"])
+    p = {**cfg.params, **cfg.built}
     lhs, rhs = dm.moment_samples(
-        body, R=p["R"], N=p["N"], j=p["j"], trials=p["trials"],
+        p["body"], R=p["R"], N=p["N"], j=p["j"], trials=p["trials"],
         seed=cfg.seed, estimator=p.get("estimator", "exact-2d"),
         fit_samples=p.get("fit_samples", 20_000),
     )
@@ -104,9 +100,9 @@ def _run_moments(cfg: RunConfig):
 def _run_wulff_convergence(cfg: RunConfig):
     from . import wulff
 
-    p = cfg.params
-    f = build_spherical_function(p["f"], p.get("grid_size", WULFF_GRID_SIZE[cfg.kind]))
-    rep = wulff.convergence_rate(f, p["R_list"], probe_size=p.get("probe_size", 4096))
+    p = {**cfg.params, **cfg.built}
+    _log(f"  f on the {p['grid_size']}-direction grid")
+    rep = wulff.convergence_rate(p["f"], p["R_list"], probe_size=p.get("probe_size", 4096))
     rows = [(float(r), float(d), 0.0) for r, d in zip(rep.radii, rep.residuals)]
     metrics = {"slope": rep.slope, "grid_size": rep.grid_size,
                "probe_size": rep.probe_size,
@@ -117,14 +113,14 @@ def _run_wulff_convergence(cfg: RunConfig):
 def _run_vr_asymptotics(cfg: RunConfig):
     from . import wulff
 
-    p = cfg.params
-    f = build_spherical_function(p["f"], p.get("grid_size", WULFF_GRID_SIZE[cfg.kind]))
-    rep = wulff.vr_asymptotics(f, p["R_list"])
+    p = {**cfg.params, **cfg.built}
+    _log(f"  f on the {p['grid_size']}-direction grid")
+    rep = wulff.vr_asymptotics(p["f"], p["R_list"])
     rows = [(float(r), float(d), 0.0) for r, d in zip(rep.radii, rep.residuals)]
     metrics = {
         "slope": rep.slope,
         "scaled_residuals": [float(x) for x in rep.scaled],
-        "sphere_mean": f.sphere_mean(),
+        "sphere_mean": p["f"].sphere_mean(),
     }
     return metrics, [CurveTable("residuals", ["R", "residual", "stderr"], rows)], 0
 
@@ -132,9 +128,8 @@ def _run_vr_asymptotics(cfg: RunConfig):
 def _run_minimize(cfg: RunConfig):
     from . import extremal as ex
 
-    p = cfg.params
-    body = build_body(p["body"])
-    prob = ex.CircumscriptionProblem(body, j=p["j"], N=p["N"])
+    p = {**cfg.params, **cfg.built}
+    prob = ex.CircumscriptionProblem(p["body"], j=p["j"], N=p["N"])
     res = ex.minimize_mjN(prob, restarts=p.get("restarts", 32), seed=cfg.seed,
                           max_fev=p.get("max_fev", 400))
     # The objective is exact, so "stderr" (and "lhs_stderr" of schneider)
@@ -152,9 +147,8 @@ def _run_minimize(cfg: RunConfig):
 def _run_schneider(cfg: RunConfig):
     from . import extremal as ex
 
-    p = cfg.params
-    body = build_body(p["body"])
-    rep = ex.schneider_check(body, j=p["j"], N=p["N"],
+    p = {**cfg.params, **cfg.built}
+    rep = ex.schneider_check(p["body"], j=p["j"], N=p["N"],
                              restarts=p.get("restarts", 32), seed=cfg.seed)
     metrics = {
         "lhs": rep.lhs, "rhs": rep.rhs, "margin": rep.margin,
@@ -167,9 +161,8 @@ def _run_schneider(cfg: RunConfig):
 def _run_simplex_bound(cfg: RunConfig):
     from . import extremal as ex
 
-    p = cfg.params
-    body = build_body(p["body"])
-    rep = ex.simplex_bound_check(body, restarts=p.get("restarts", 32), seed=cfg.seed)
+    p = {**cfg.params, **cfg.built}
+    rep = ex.simplex_bound_check(p["body"], restarts=p.get("restarts", 32), seed=cfg.seed)
     metrics = {
         "simplex_value": rep.simplex_value, "bound": rep.bound,
         "mean_width": rep.mean_width, "margin": rep.margin,
@@ -204,11 +197,9 @@ def _run_hull_bridge(cfg: RunConfig):
     from . import extremal as ex
     from .geometry import DirectionGrid
 
-    p = cfg.params
-    da = build_density(p["density_a"], 2)
-    db = build_density(p["density_b"], 2)
+    p = {**cfg.params, **cfg.built}
     rep = ex.hull_dominance_bridge(
-        da, db, N=p["N"], trials=p["trials"], R=p["R"], seed=cfg.seed,
+        p["density_a"], p["density_b"], N=p["N"], trials=p["trials"], R=p["R"], seed=cfg.seed,
         grid=DirectionGrid.uniform_2d(p.get("grid_size", 512)),
     )
     metrics = {

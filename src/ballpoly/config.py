@@ -18,7 +18,9 @@ all violations are reported at once. Each density, body and boundary
 function spec that passes its table is then built by its builder, whose
 constructor errors become schema errors naming the spec, and the few
 rules that relate keys read the built objects' dimensions and, where
-the run builds tangent balls, the boundary function's maximum.
+the run builds tangent balls, the boundary function's maximum. The run
+uses those same objects (``RunConfig.built``); a Wulff kind's f is
+built on the run's grid.
 
 A previously written summary document (which echoes its config under a
 ``config`` key) loads directly, so archived runs re-run as-is.
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -39,7 +41,7 @@ from .errors import BallPolyError, ParseError, SchemaError
 
 DEFAULT_GRID_SIZE = 4096
 
-# Default grid of each Wulff kind's f; validation checks R against f on it.
+# Default grid of each Wulff kind's f; validation builds f on the run's grid.
 WULFF_GRID_SIZE = {"wulff-convergence": 720, "vr-asymptotics": 4096}
 
 
@@ -50,6 +52,9 @@ class RunConfig:
     params: Dict[str, Any]
     workers: int = 1
     out: str = "results"
+    # The objects validation built from ``params``, under their keys (and
+    # a Wulff kind's resolved ``grid_size``); runners read these.
+    built: Dict[str, Any] = field(default_factory=dict, init=False)
 
     def canonical(self) -> Dict[str, Any]:
         """The semantically meaningful part (hash input): worker count
@@ -88,11 +93,11 @@ def build_density(spec: dict, n_hint: Optional[int] = None):
     raise SchemaError(f"unknown density type {t!r}")
 
 
-def build_body(spec: dict, default_grid: int = DEFAULT_GRID_SIZE):
+def build_body(spec: dict):
     from .geometry import DirectionGrid, SupportBody
 
     t = spec["type"]
-    size = int(spec.get("grid_size", default_grid))
+    size = int(spec.get("grid_size", DEFAULT_GRID_SIZE))
     if t == "ball":
         n = int(spec.get("n", 2))
         grid = DirectionGrid.for_dimension(n, size)
@@ -113,7 +118,7 @@ def build_body(spec: dict, default_grid: int = DEFAULT_GRID_SIZE):
     raise SchemaError(f"unknown body type {t!r}")
 
 
-def build_spherical_function(spec: dict, grid_size: int = 720):
+def build_spherical_function(spec: dict, grid_size: int):
     from .geometry import DirectionGrid, SupportBody
     from .wulff import SphericalFunction
 
@@ -208,10 +213,12 @@ FUNCTIONS = {
     "support-segment": {"length": (_NUM, _finite, OPT)},
 }
 
+# Each builder takes the spec and a hint: the run's dimension for a
+# density, the run's grid size for a boundary function.
 _SPECS = {
     "density": (DENSITIES, build_density),
-    "body": (BODIES, lambda spec, n_hint: build_body(spec)),
-    "f": (FUNCTIONS, lambda spec, n_hint: build_spherical_function(spec)),
+    "body": (BODIES, lambda spec, hint: build_body(spec)),
+    "f": (FUNCTIONS, build_spherical_function),
 }
 
 _DOMINANCE = {
@@ -294,7 +301,7 @@ TOP = {
 
 
 def _check_block(block, table: dict, where: str, errors: List[str],
-                 n_hint: Optional[int] = None) -> Dict[str, Any]:
+                 hint: Optional[int] = None) -> Dict[str, Any]:
     """Check a mapping against its table; returns the objects built from
     its spec-valued keys whose specs passed."""
     if not isinstance(block, dict):
@@ -309,7 +316,7 @@ def _check_block(block, table: dict, where: str, errors: List[str],
             continue
         v = block[key]
         if isinstance(types, str):
-            obj = _check_spec(v, types, f"{where}.{key}", errors, n_hint)
+            obj = _check_spec(v, types, f"{where}.{key}", errors, hint)
             if obj is not None:
                 built[key] = obj
         elif isinstance(types, list):
@@ -327,7 +334,7 @@ def _check_block(block, table: dict, where: str, errors: List[str],
 
 
 def _check_spec(spec, family: str, where: str, errors: List[str],
-                n_hint: Optional[int] = None, build: bool = True):
+                hint: Optional[int] = None, build: bool = True):
     """Check a spec against the table of its ``type``, then build it;
     returns the built object, or None when the spec is rejected (or
     ``build`` is off: a product builds its factors itself)."""
@@ -342,7 +349,7 @@ def _check_spec(spec, family: str, where: str, errors: List[str],
     if not build or len(errors) > before:
         return None
     try:
-        obj = builder(spec, n_hint)
+        obj = builder(spec, hint)
     except (ValueError, BallPolyError) as exc:
         errors.append(f"{where}: {exc}")
         return None
@@ -394,16 +401,19 @@ def _relations(kind: str, p: dict, built: dict) -> List[str]:
             errors.append(f"params: key 'estimator' must be '{expected}' for a body of "
                           f"dimension {n}, or omitted, got {est!r}{hint}")
     elif kind in WULFF_GRID_SIZE:
-        size = p.get("grid_size", WULFF_GRID_SIZE[kind])
-        f_max = build_spherical_function(p["f"], size).max
+        f_max = built["f"].max
         if min(p["R_list"]) <= f_max:
-            errors.append(f"params: key 'R_list' needs every R > max f = {f_max:.6g} "
-                          f"(f on the run's {size}-direction grid), got R = {min(p['R_list'])}")
+            errors.append(f"params: key 'R_list' needs every R > max f = {f_max:.6g} (f on the "
+                          f"run's {built['grid_size']}-direction grid), got R = {min(p['R_list'])}")
     elif kind == "gorbovickis":
         if ("R" in p) == ("R_list" in p):
             errors.append("params: need 'R' or 'R_list', not both")
-        if len(p["points"][0]) != 2 and p.get("samples", 0) < 1:
+        planar, samples = len(p["points"][0]) == 2, p.get("samples", 0)
+        if not planar and samples < 1:
             errors.append("params: key 'points' off the plane needs 'samples' >= 1")
+        if planar and samples != 0:
+            errors.append(f"params: key 'samples' must be 0 or omitted for planar 'points' "
+                          f"(the planar volume is exact), got {samples}")
     return errors
 
 
@@ -423,11 +433,18 @@ def validate(doc: dict) -> RunConfig:
             workers = env
         _check_block({"workers": workers}, {"workers": TOP["workers"]}, "BALLPOLY_WORKERS", errors)
     kind, params = doc.get("kind"), doc.get("params", {})
+    built: Dict[str, Any] = {}
     if isinstance(kind, str) and kind in PARAMS and isinstance(params, dict):
-        n = params.get("n")
-        n_hint = n if isinstance(n, int) and not isinstance(n, bool) else None
+        # The builders' hint (see _SPECS); a bad value, reported by its
+        # key's check, falls back to the default.
+        default = WULFF_GRID_SIZE.get(kind)
+        hint = params.get("grid_size" if default else "n", default)
+        if isinstance(hint, bool) or not isinstance(hint, int) or hint < 1:
+            hint = default
         before = len(errors)
-        built = _check_block(params, PARAMS[kind], "params", errors, n_hint)
+        built = _check_block(params, PARAMS[kind], "params", errors, hint)
+        if kind in WULFF_GRID_SIZE:
+            built["grid_size"] = hint
         if kind in ("minimize", "schneider", "simplex-bound"):
             errors.extend(f"params: key '{k}' was removed: the objective is exact and "
                           "draws no samples" for k in _CIRCUMSCRIPTION_REMOVED if k in params)
@@ -435,8 +452,10 @@ def validate(doc: dict) -> RunConfig:
             errors.extend(_relations(kind, params, built))
     if errors:
         raise SchemaError("; ".join(errors))
-    return RunConfig(kind=kind, seed=doc["seed"], params=params,
-                     workers=workers, out=doc.get("out") or "results")
+    cfg = RunConfig(kind=kind, seed=doc["seed"], params=params,
+                    workers=workers, out=doc.get("out") or "results")
+    cfg.built.update(built)
+    return cfg
 
 
 def read_document(path: str):

@@ -16,7 +16,7 @@ the transform the product-density dominance argument consumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -498,13 +498,13 @@ def _cover_radius(f: Density) -> float:
     return 1.0
 
 
-def is_less_peaked(f: Density, g: Density, trials: int = 20_000, seed: int = 0,
-                   scales: int = 20, random_witnesses: int = 40) -> PeakednessReport:
+def is_less_peaked(f: Density, g: Density, trials: int = 20_000,
+                   seed: int = 0) -> PeakednessReport:
     """Test whether f is less peaked than g: integral of f over every
     centered symmetric convex set is at most that of g.
 
-    Witnesses are centered balls and boxes at ``scales`` sizes plus
-    random symmetric slab intersections. Exact integrals are used where
+    Witnesses are centered balls and boxes at 20 sizes plus 40 random
+    symmetric slab intersections. Exact integrals are used where
     the families provide them; otherwise the excess is estimated by
     sampling and a violation requires a margin above 4 standard errors.
     """
@@ -513,11 +513,11 @@ def is_less_peaked(f: Density, g: Density, trials: int = 20_000, seed: int = 0,
     n = f.dimension
     cover = 1.05 * max(_cover_radius(f), _cover_radius(g))
     witnesses = []
-    for i, t in enumerate(np.geomspace(0.05 * cover, cover, scales)):
+    for t in np.geomspace(0.05 * cover, cover, 20):
         witnesses.append(("ball", float(t)))
         witnesses.append(("box", float(t)))
     rng_w = stream(seed, 0)
-    for _ in range(random_witnesses):
+    for _ in range(40):
         k = int(rng_w.integers(1, n + 2))
         U = uniform_on_sphere(rng_w, n, k)
         widths = rng_w.uniform(0.1, 1.0, size=k) * cover
@@ -581,10 +581,11 @@ class GridDensity2D:
         return out
 
     @classmethod
-    def rasterize(cls, f: Density, extent: float, cells: int, frame: float = 0.0,
-                  subsamples: int = 4) -> "GridDensity2D":
+    def rasterize(cls, f: Density, extent: float, cells: int,
+                  frame: float = 0.0) -> "GridDensity2D":
         """Rasterize a planar density on [-extent, extent]^2 in the
-        given frame by cell supersampling."""
+        given frame, averaging 4 x 4 subsamples per cell."""
+        subsamples = 4
         if f.dimension != 2:
             raise UnsupportedTag("grid densities are 2D only")
         d = 2.0 * extent / cells

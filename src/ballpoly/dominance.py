@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import math
 import multiprocessing as mp
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from . import exact2d
-from .densities import Density, UniformBody, ball_extremizer, cube_extremizer, Product1D
+from .densities import (
+    BallRegion, Density, Product1D, UniformBody, ball_extremizer, cube_extremizer,
+)
 from .errors import BallPolyError, NonIntegrable, UnsupportedDimension
 from .geometry import BallPolyhedron
 from .intrinsic import EpsilonGrid, fit_intrinsic_volumes
@@ -331,13 +333,8 @@ def moment_samples(K, R: float, N: int, j: int, trials: int, seed: int = 0,
     the tangent-center star body of K (lhs) versus uniform on its
     volume-matched ball (rhs). Returns the two TrialBatches, from which
     ``moment_report`` scores any number of p."""
-    f = SphericalFunction.from_support_body(K)
-    if f.min <= 0:
-        raise ValueError("the body must contain the origin in its interior")
-    A = build_A(f, R)
+    A = build_A(SphericalFunction.from_support_body(K), R)
     r = volume_radius(A)
-    from .densities import BallRegion
-
     dens_a = UniformBody(A)
     dens_b = UniformBody(BallRegion(np.zeros(K.dimension), r))
     cfg = ExperimentConfig(
@@ -368,11 +365,10 @@ def moment_report(lhs_vals: np.ndarray, rhs_vals: np.ndarray, p: float) -> Momen
 
 
 def moment_compare(K, R: float, N: int, j: int, p: float, trials: int,
-                   seed: int = 0, estimator: str = "exact-2d",
-                   fit_samples: int = 20_000) -> MomentReport:
-    """p-th moment comparison for one p: ``moment_samples`` scored by
-    ``moment_report``."""
-    lhs, rhs = moment_samples(K, R, N, j, trials, seed, estimator, fit_samples)
+                   seed: int = 0) -> MomentReport:
+    """p-th moment comparison for one p with the planar exact
+    estimator: ``moment_samples`` scored by ``moment_report``."""
+    lhs, rhs = moment_samples(K, R, N, j, trials, seed)
     return moment_report(lhs.values, rhs.values, p)
 
 
@@ -388,10 +384,11 @@ class QuasiConcavityReport:
     violations: int
 
 
-def quasiconcavity_test(N: int, n: int, radii, trials: int, seed: int = 0,
-                        tol: float = 1e-9) -> QuasiConcavityReport:
+def quasiconcavity_test(N: int, n: int, radii, trials: int,
+                        seed: int = 0) -> QuasiConcavityReport:
     """Check midpoint quasi-concavity and reflection evenness of the
-    map (centers) -> V_n(intersection), with exact planar evaluation.
+    map (centers) -> V_n(intersection), with exact planar evaluation;
+    a midpoint more than 1e-9 below the smaller end counts as a violation.
 
     Center tuples are drawn inside a ball sized so intersections are
     typically nonempty; tuples with an empty side are resampled (the
@@ -418,7 +415,7 @@ def quasiconcavity_test(N: int, n: int, radii, trials: int, seed: int = 0,
         vm = vol(0.5 * (u + v))
         m = vm - min(vu, vv)
         margin = min(margin, m)
-        if m < -tol:
+        if m < -1e-9:
             violations += 1
         done += 1
     even_dev = 0.0
@@ -433,20 +430,19 @@ def quasiconcavity_test(N: int, n: int, radii, trials: int, seed: int = 0,
     return QuasiConcavityReport(float(margin), float(even_dev), trials, violations)
 
 
-def bll_numeric_check(indicator, densities_1d: List[Density],
-                      resolution: int = 0):
+def bll_numeric_check(indicator, densities_1d: List[Density]):
     """Rearrangement inequality on the line, by tensor midpoint
-    quadrature: integral of F * prod f_i against the same with every
-    f_i replaced by its even decreasing rearrangement (the rearranged
-    side dominates for even quasi-concave F).
+    quadrature with 8192, 1024 or 160 nodes per axis for N = 1, 2, 3:
+    integral of F * prod f_i against the same with every f_i replaced by
+    its even decreasing rearrangement (the rearranged side dominates for
+    even quasi-concave F).
 
     ``indicator`` maps an (m, N) array of coordinates to values in
     [0, 1]. Returns (lhs, rhs, quadrature_error_estimate)."""
     N = len(densities_1d)
     if N > 3:
         raise ValueError("tensor quadrature supported up to N = 3")
-    if resolution == 0:
-        resolution = {1: 8192, 2: 1024, 3: 160}[N]
+    resolution = {1: 8192, 2: 1024, 3: 160}[N]
     rearranged = [f.rearranged() for f in densities_1d]
 
     def supports(fs):

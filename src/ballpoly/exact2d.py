@@ -51,13 +51,13 @@ class DiskRegion:
     perimeter: float
     arcs: np.ndarray = field(default_factory=lambda: np.empty((0, 5)))
 
-    def contains(self, points: np.ndarray, slack: float = 0.0) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
         if self.empty:
             return np.zeros(pts.shape[0], dtype=bool)
         inside = np.ones(pts.shape[0], dtype=bool)
         for c, r in zip(self.centers, self.radii):
-            inside &= np.sum((pts - c) ** 2, axis=1) <= (r + slack) ** 2
+            inside &= np.sum((pts - c) ** 2, axis=1) <= r ** 2
         return inside
 
 

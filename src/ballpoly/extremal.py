@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -61,7 +61,7 @@ class CircumscriptionProblem:
     j: int
     N: int
     estimator: str = ""  # '' picks from n: 'exact-2d' (n = 2) or 'exact-hull-3d' (n = 3)
-    penalty_bound: float = 0.0  # 0 -> auto from the body scale
+    penalty_bound: float = field(init=False)  # box half-side; stored, read per objective call
 
     def __post_init__(self):
         n = self.K.dimension
@@ -75,9 +75,7 @@ class CircumscriptionProblem:
         if self.estimator not in ("", expected):
             raise UnsupportedDimension(
                 f"estimator {self.estimator!r} does not fit n={n}; use {expected!r}")
-        if self.penalty_bound <= 0:
-            h_max = float(np.max(self.K.values))
-            self.penalty_bound = 40.0 * max(1.0, h_max)
+        self.penalty_bound = 40.0 * max(1.0, float(np.max(self.K.values)))
 
 
 @dataclass
@@ -280,21 +278,24 @@ def gorbovickis_deficit(points: np.ndarray, R: float, samples: int = 0,
     fixed points: omega_n R^n - vol, with the extracted R^{n-1}
     coefficient and the implied support-mean functional.
 
-    Planar configurations use the exact oracle; set ``samples`` for the
-    Monte-Carlo route in higher dimension."""
+    In the plane the volume is exact (arc decomposition) and
+    ``samples`` must be 0; in higher dimension it is a hit-or-miss
+    estimate from ``samples`` >= 1 points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[1]
+    if n == 2 and samples != 0:
+        raise ValueError(f"planar volumes are exact: samples must be 0, got {samples}")
+    if n != 2 and samples <= 0:
+        raise ValueError("n >= 3 needs a Monte-Carlo sample budget")
     diam = float(np.max(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)))
     warning = None
     if R < 5.0 * diam and diam > 0:
         warning = f"R = {R} below 5*diam = {5 * diam}; asymptotics unreliable"
         warnings.warn(warning)
     P = BallPolyhedron.from_arrays(pts, R)
-    if n == 2 and samples == 0:
+    if n == 2:
         vol, se = exact2d.exact_disk_intersection_2d(P)[0], 0.0
     else:
-        if samples <= 0:
-            raise ValueError("n >= 3 needs a Monte-Carlo sample budget")
         vol, se = mc_volume(P, samples, seed)
     deficit = omega(n) * R**n - vol
     coeff = deficit / R ** (n - 1)
@@ -327,24 +328,22 @@ class HullBridgeReport:
 
 
 def hull_dominance_bridge(density_a, density_b, N: int, trials: int, R: float,
-                          seed: int = 0, grid: Optional[DirectionGrid] = None,
-                          labels=("a", "b")) -> HullBridgeReport:
+                          seed: int = 0, *, grid: DirectionGrid) -> HullBridgeReport:
     """Expected hull mean width under two sampling densities, estimated
-    two ways per trial: directly from the hull support function, and
-    from the ball-volume deficit at radius R (planar, exact oracle).
+    two ways per trial: directly from the hull support function on
+    ``grid``, and from the ball-volume deficit at radius R (planar,
+    exact oracle). The report's dicts are keyed "a" and "b".
 
     The dominance margin is E_a[w] - E_b[w] (direct estimates) with its
     combined standard error; ``agreement`` reports the relative gap
     between the two estimators under each density."""
-    g = grid if grid is not None else DirectionGrid.uniform_2d(512)
-    la, lb = labels
-    out_direct = {la: np.empty(trials), lb: np.empty(trials)}
-    out_deficit = {la: np.empty(trials), lb: np.empty(trials)}
+    out_direct = {"a": np.empty(trials), "b": np.empty(trials)}
+    out_deficit = {"a": np.empty(trials), "b": np.empty(trials)}
     n = 2
-    for label, dens in ((la, density_a), (lb, density_b)):
+    for i, (label, dens) in enumerate((("a", density_a), ("b", density_b))):
         for t in range(trials):
-            pts = dens.sample(stream(seed, t, 0 if label == la else 1), N)
-            out_direct[label][t] = 2.0 * hull_support_mean(pts, g)
+            pts = dens.sample(stream(seed, t, i), N)
+            out_direct[label][t] = 2.0 * hull_support_mean(pts, grid)
             vol, _ = exact2d.exact_disk_intersection_2d(BallPolyhedron.from_arrays(pts, R))
             coeff = (omega(n) * R**n - vol) / R ** (n - 1)
             out_deficit[label][t] = 2.0 * coeff / (n * omega(n))
@@ -352,8 +351,8 @@ def hull_dominance_bridge(density_a, density_b, N: int, trials: int, R: float,
     fm = {k: float(np.mean(v)) for k, v in out_deficit.items()}
     dse = {k: float(np.std(v, ddof=1) / math.sqrt(trials)) for k, v in out_direct.items()}
     fse = {k: float(np.std(v, ddof=1) / math.sqrt(trials)) for k, v in out_deficit.items()}
-    margin = dm[la] - dm[lb]
-    sigma = math.hypot(dse[la], dse[lb])
+    margin = dm["a"] - dm["b"]
+    sigma = math.hypot(dse["a"], dse["b"])
     agreement = {
         k: abs(fm[k] - dm[k]) / dm[k] if dm[k] != 0 else 0.0 for k in dm
     }

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,13 +47,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def as_unit(v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def as_unit(v: np.ndarray) -> np.ndarray:
     """Validate and return ``v`` as a unit vector (copy)."""
     v = np.asarray(v, dtype=float)
     nv = float(np.linalg.norm(v))
     if nv == 0.0:
         raise ZeroVector("cannot normalize the zero vector")
-    if abs(nv - 1.0) > tol:
+    if abs(nv - 1.0) > 1e-9:
         v = v / nv
     return v
 
@@ -385,9 +385,9 @@ class DirectionGrid:
         return cls(dirs, np.full(size, 1.0 / size))
 
     @classmethod
-    def for_dimension(cls, n: int, size: int = DEFAULT_GRID_SIZE, seed: int = 0) -> "DirectionGrid":
+    def for_dimension(cls, n: int, size: int = DEFAULT_GRID_SIZE) -> "DirectionGrid":
         """Default grid: uniform angles (2D), Fibonacci (3D), or a
-        fixed-seed symmetrized random set (n >= 4)."""
+        symmetrized random set drawn from stream (0, n, size) for n >= 4."""
         if n == 1:
             return cls(np.array([[1.0], [-1.0]]), np.array([0.5, 0.5]))
         if n == 2:
@@ -396,7 +396,7 @@ class DirectionGrid:
             return cls.fibonacci_3d(size)
         from .rng import stream, uniform_on_sphere
 
-        half = uniform_on_sphere(stream(seed, n, size), n, size // 2)
+        half = uniform_on_sphere(stream(0, n, size), n, size // 2)
         dirs = np.vstack([half, -half])
         return cls(dirs, np.full(dirs.shape[0], 1.0 / dirs.shape[0]))
 
@@ -480,9 +480,9 @@ class SupportBody:
     def support_one(self, direction: np.ndarray) -> float:
         return float(self.support(np.asarray(direction, dtype=float)[None, :])[0])
 
-    def mean_width(self, grid: Optional[DirectionGrid] = None) -> float:
-        """w = 2 * integral of h over the sphere (probability measure)."""
-        g = grid if grid is not None else self.grid
+    def mean_width(self) -> float:
+        """w = 2 * integral of h over the sphere, on the body's grid."""
+        g = self.grid
         return 2.0 * float(np.dot(g.weights, self.support(g.directions)))
 
 
@@ -503,12 +503,12 @@ def minkowski_symmetral(K: SupportBody, u: np.ndarray) -> SupportBody:
     return SupportBody(K.dimension, K.grid, oracle=h)
 
 
-def hausdorff_distance(A: SupportBody, B: SupportBody, grid: Optional[DirectionGrid] = None) -> float:
+def hausdorff_distance(A: SupportBody, B: SupportBody) -> float:
     """Hausdorff distance of convex bodies via the support-function
-    sup-norm, evaluated on a direction grid."""
+    sup-norm, evaluated on A's direction grid."""
     if A.dimension != B.dimension:
         raise ValueError("dimension mismatch")
-    g = grid if grid is not None else A.grid
+    g = A.grid
     return float(np.max(np.abs(A.support(g.directions) - B.support(g.directions))))
 
 
@@ -546,15 +546,15 @@ class StarBody:
     def radial_one(self, direction: np.ndarray) -> float:
         return float(self.radial(np.asarray(direction, dtype=float)[None, :])[0])
 
-    def contains(self, points: np.ndarray, slack: float = 1e-12) -> np.ndarray:
-        """Membership mask: |x| <= rho(x/|x|); the origin is always in."""
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Membership mask: |x| <= rho(x/|x|) + 1e-12; the origin is in."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         norms = np.linalg.norm(pts, axis=1)
         inside = np.ones(pts.shape[0], dtype=bool)
         nz = norms > 0
         if np.any(nz):
             rho = self.radial(pts[nz] / norms[nz, None])
-            inside[nz] = norms[nz] <= rho + slack
+            inside[nz] = norms[nz] <= rho + 1e-12
         return inside
 
     @property

@@ -60,7 +60,7 @@ class IntrinsicVolumeVector:
 
     values: np.ndarray
     stderr: np.ndarray
-    method: str  # 'exact-2d' | 'steiner-fit' | 'quadrature'
+    method: str  # 'exact-2d' | 'steiner-fit'
     vn_crosscheck: Optional[tuple] = None  # (mc estimate, mc stderr)
 
     def __getitem__(self, j: int) -> float:
@@ -87,14 +87,11 @@ class EpsilonGrid:
             raise ValueError("epsilon values must be positive, distinct, ascending")
 
     @classmethod
-    def default_for(cls, P: BallPolyhedron, samples: int = 200_000,
-                    count: Optional[int] = None) -> "EpsilonGrid":
-        """Log-spaced epsilons in [0.05, 0.5] * r_min with a bounding
-        ball centered at the smallest ball's center."""
-        n = P.dimension
+    def default_for(cls, P: BallPolyhedron, samples: int = 200_000) -> "EpsilonGrid":
+        """n + 3 log-spaced epsilons in [0.05, 0.5] * r_min with a
+        bounding ball centered at the smallest ball's center."""
         r_min = float(np.min(P.radii))
-        k = count if count is not None else n + 3
-        eps = np.geomspace(0.05 * r_min, 0.5 * r_min, k)
+        eps = np.geomspace(0.05 * r_min, 0.5 * r_min, P.dimension + 3)
         return cls(eps, samples, P.smallest.center, r_min + eps[-1])
 
     def validate_covers(self, P: BallPolyhedron) -> None:

@@ -83,8 +83,7 @@ def _unique_path(base: Path) -> Path:
     return base.with_name(f"{base.stem}-{stamp}{base.suffix}")
 
 
-def write_results(record: ResultRecord, out_dir: str,
-                  formats: Sequence[str] = ("csv", "yaml")) -> List[Path]:
+def write_results(record: ResultRecord, out_dir: str) -> List[Path]:
     """Emit the summary document and one CSV per curve; returns paths.
 
     The summary echoes the config under ``config`` so the file itself
@@ -92,31 +91,28 @@ def write_results(record: ResultRecord, out_dir: str,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{record.kind}-{record.config_hash[:12]}"
-    written: List[Path] = []
-    if "yaml" in formats:
-        path = _unique_path(out / f"{stem}.summary.yaml")
-        doc = {
-            "config": record.config,
-            "record": {
-                "config_hash": record.config_hash,
-                "version": record.version,
-                "rng_contract": record.rng_contract,
-                "started": record.started,
-                "finished": record.finished,
-                "failed_trials": record.failed_trials,
-                "metrics": record.metrics,
-            },
-        }
-        with open(path, "w") as fh:
-            yaml.safe_dump(doc, fh, sort_keys=False, default_flow_style=False)
+    path = _unique_path(out / f"{stem}.summary.yaml")
+    doc = {
+        "config": record.config,
+        "record": {
+            "config_hash": record.config_hash,
+            "version": record.version,
+            "rng_contract": record.rng_contract,
+            "started": record.started,
+            "finished": record.finished,
+            "failed_trials": record.failed_trials,
+            "metrics": record.metrics,
+        },
+    }
+    with open(path, "w") as fh:
+        yaml.safe_dump(doc, fh, sort_keys=False, default_flow_style=False)
+    written = [path]
+    for curve in record.curves:
+        path = _unique_path(out / f"{stem}-{curve.name}.csv")
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(curve.header)
+            for row in curve.rows:
+                w.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
         written.append(path)
-    if "csv" in formats:
-        for curve in record.curves:
-            path = _unique_path(out / f"{stem}-{curve.name}.csv")
-            with open(path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(curve.header)
-                for row in curve.rows:
-                    w.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
-            written.append(path)
     return written

@@ -13,7 +13,7 @@ builds those objects and measures the convergence claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -79,10 +79,10 @@ def build_A(f: SphericalFunction, R: float) -> StarBody:
     return StarBody(f.grid.dimension, f.grid, oracle=rho)
 
 
-def volume_radius(S: StarBody, grid: Optional[DirectionGrid] = None) -> float:
+def volume_radius(S: StarBody) -> float:
     """Radius of the ball with the star body's volume, by quadrature of
-    the n-th radial moment."""
-    g = grid if grid is not None else S.grid
+    the n-th radial moment on the body's grid."""
+    g = S.grid
     n = S.dimension
     rho = S.radial(-g.directions)
     return float(np.dot(g.weights, rho**n) ** (1.0 / n))
@@ -117,22 +117,21 @@ def _polar_dual_vertices(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray
     return V
 
 
-def wulff_shape(f: SphericalFunction, grid: Optional[DirectionGrid] = None) -> SupportBody:
-    """Wulff shape of f on the grid: the halfspace intersection
+def wulff_shape(f: SphericalFunction) -> SupportBody:
+    """Wulff shape of f on its grid: the halfspace intersection
     represented by its vertices (exact support oracle)."""
-    g = grid if grid is not None else f.grid
+    g = f.grid
     offsets = f(g.directions)
     verts = _polar_dual_vertices(g.directions, offsets)
     return SupportBody.polytope(verts, g)
 
 
-def ballpoly_approx(f: SphericalFunction, R: float,
-                    grid: Optional[DirectionGrid] = None) -> BallPolyhedron:
-    """Tangent-ball approximation: one ball of radius R per grid
-    direction, centered at -(R - f(theta)) * theta."""
+def ballpoly_approx(f: SphericalFunction, R: float) -> BallPolyhedron:
+    """Tangent-ball approximation: one ball of radius R per direction of
+    f's grid, centered at -(R - f(theta)) * theta."""
     if R <= f.max:
         raise RadiusTooSmall(f"need R > max f = {f.max}, got R = {R}")
-    g = grid if grid is not None else f.grid
+    g = f.grid
     offsets = f(g.directions)
     centers = -(R - offsets)[:, None] * g.directions
     return BallPolyhedron.from_arrays(centers, R)
@@ -148,7 +147,6 @@ class ConvergenceReport:
 
 
 def convergence_rate(f: SphericalFunction, R_list: Sequence[float],
-                     grid: Optional[DirectionGrid] = None,
                      probe_size: int = 4096) -> ConvergenceReport:
     """Hausdorff distance between the tangent-ball approximation and
     the Wulff shape over ascending radii, with the fitted log-log slope
@@ -157,16 +155,16 @@ def convergence_rate(f: SphericalFunction, R_list: Sequence[float],
     2D only: the ball-polyhedron support function is evaluated exactly
     from the arc decomposition.
     """
-    g = grid if grid is not None else f.grid
+    g = f.grid
     if g.dimension != 2:
         raise UnsupportedDimension("convergence experiments are 2D only")
     R_list = np.asarray(sorted(R_list), dtype=float)
-    W = wulff_shape(f, g)
+    W = wulff_shape(f)
     probe = DirectionGrid.uniform_2d(probe_size).directions
     h_w = W.support(probe)
     res = []
     for R in R_list:
-        P = ballpoly_approx(f, R, g)
+        P = ballpoly_approx(f, R)
         h_a = exact2d.support_from_region(exact2d.region_of(P), probe)
         res.append(float(np.max(np.abs(h_w - h_a))))
     res = np.array(res)
@@ -182,16 +180,14 @@ class VrReport:
     slope: float
 
 
-def vr_asymptotics(f: SphericalFunction, R_list: Sequence[float],
-                   grid: Optional[DirectionGrid] = None) -> VrReport:
+def vr_asymptotics(f: SphericalFunction, R_list: Sequence[float]) -> VrReport:
     """Residuals vr(A(f,R)) - (R - mean f) over ascending radii.
 
     The residual is nonnegative (power-mean inequality) and decays like
     1/R; ``scaled`` exposes residual * R for the boundedness check."""
-    g = grid if grid is not None else f.grid
     R_list = np.asarray(sorted(R_list), dtype=float)
     l1 = f.sphere_mean()
-    res = np.array([volume_radius(build_A(f, R), g) - (R - l1) for R in R_list])
+    res = np.array([volume_radius(build_A(f, R)) - (R - l1) for R in R_list])
     with np.errstate(divide="ignore"):
         slope = float(np.polyfit(np.log(R_list), np.log(np.maximum(res, 1e-300)), 1)[0])
     return VrReport(R_list, res, res * R_list, slope)

@@ -1,10 +1,11 @@
 """The benchmark in ``perfbench/`` patches and calls ``ballpoly`` names
 from the outside. Importing it and installing its tracer here makes a
-rename or deletion of any of those names fail this suite rather than
-the benchmark run."""
+rename or deletion of any of those names, or of a parameter its calls
+pass, fail this suite rather than the benchmark run."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 from ballpoly import dominance, exact2d
@@ -55,5 +56,44 @@ def test_every_module_attribute_the_benchmark_uses_exists():
             for name in chain[1:]:
                 assert hasattr(obj, name), f"{path.name}: {'.'.join(chain)}"
                 obj = getattr(obj, name)
+            checked += 1
+    assert checked > 0
+
+
+def _ballpoly_names(tree) -> dict:
+    """Each name a module binds by ``from ballpoly[.module] import ...``,
+    mapped to the object it binds."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ballpoly":
+            owner = importlib.import_module(node.module)
+            for alias in node.names:
+                names[alias.asname or alias.name] = (
+                    getattr(owner, alias.name) if hasattr(owner, alias.name)
+                    else importlib.import_module(f"{node.module}.{alias.name}"))
+    return names
+
+
+def test_every_call_the_benchmark_makes_binds():
+    # A parameter the benchmark passes and the library no longer takes
+    # would otherwise surface only as a failed benchmark run.
+    checked = 0
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = _ballpoly_names(tree)
+        for node in ast.walk(tree):
+            chain = _chain(node.func) if isinstance(node, ast.Call) else None
+            if not chain or chain[0] not in names:
+                continue
+            obj = names[chain[0]]
+            for name in chain[1:]:
+                obj = getattr(obj, name)
+            where = f"{path.name}:{node.lineno}: {'.'.join(chain)}"
+            assert not any(isinstance(a, ast.Starred) for a in node.args), where
+            assert all(k.arg is not None for k in node.keywords), where
+            try:
+                inspect.signature(obj).bind(*node.args, **{k.arg: k for k in node.keywords})
+            except TypeError as exc:
+                raise AssertionError(f"{where}: {exc}") from None
             checked += 1
     assert checked > 0

@@ -2,7 +2,9 @@
 written result record, and every kind run end to end on a tiny budget."""
 
 import ast
+import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -145,6 +147,10 @@ BAD_CONFIGS = [
                  "params.body: the body must contain the origin", id="moments-origin-outside"),
     pytest.param(smoke_with("moments", body={"type": "cube", "side": 1.0, "n": 2}, R=0.5),
                  "key 'R'", id="moments-R-below-max-support"),
+    # The planar deficit is exact; a sample budget used to switch it to
+    # a Monte-Carlo estimate.
+    pytest.param(smoke_with("gorbovickis", samples=100), "key 'samples'",
+                 id="planar-gorbovickis-samples"),
 ]
 
 
@@ -348,6 +354,34 @@ class TestSchemaTables:
             read, declared = _keys_read(fn), set(config.PARAMS[kind])
             assert read <= declared, f"{kind}: {fn.name} reads undeclared {read - declared}"
             assert declared - read == self.UNREAD.get(kind, set()), f"{kind}: unread keys"
+
+
+class TestBuildOnce:
+    @pytest.mark.parametrize("name", ["moments", "minimize", "vr-asymptotics", "hull-bridge"])
+    def test_validate_and_run_build_each_spec_once(self, name, monkeypatch):
+        built = Counter()
+        depth = [0]  # a builder's own nested builds are part of its one build
+
+        def counting(builder):
+            def wrapper(spec, *args):
+                if depth[0] == 0:
+                    built[json.dumps(spec, sort_keys=True)] += 1
+                depth[0] += 1
+                try:
+                    return builder(spec, *args)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        for family, (tables, builder) in list(config._SPECS.items()):
+            monkeypatch.setitem(config._SPECS, family, (tables, counting(builder)))
+        for module in (config, cli):
+            for attr in ("build_density", "build_body", "build_spherical_function"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, counting(getattr(module, attr)))
+        cli.run(config.validate(smoke_doc(name)))
+        specs = [v for v in SMOKE[name].values() if isinstance(v, dict)]
+        assert built == Counter(json.dumps(spec, sort_keys=True) for spec in specs)
 
 
 class TestMoments:

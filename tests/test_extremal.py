@@ -190,3 +190,13 @@ class TestMinimize:
         assert res.best_restart == best_restart
         np.testing.assert_allclose(res.trace, trace, rtol=1e-12, atol=0.0)
         assert res.evaluations == len(calls)
+
+
+class TestGorbovickis:
+    @pytest.mark.parametrize("points, samples", [
+        ([[0.0, 0.0], [1.0, 0.0]], 100),  # planar volumes are exact
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], 0),  # n >= 3 needs a sample budget
+    ])
+    def test_sample_budget_follows_dimension(self, points, samples):
+        with pytest.raises(ValueError, match="samples|sample budget"):
+            ex.gorbovickis_deficit(np.array(points), 10.0, samples=samples)
