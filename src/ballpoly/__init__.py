@@ -2,8 +2,8 @@
 
 Library layout:
 
-* ``geometry``   vectors, ball-polyhedra, Dykstra projection, exact
-  support function and emptiness, support and radial oracles,
+* ``geometry``   vectors, ball-polyhedra, their exact nearest-point
+  map, support function and emptiness, support and radial oracles,
   reflections, Hausdorff distance
 * ``exact2d``    exact circular-arc decomposition of planar disk
   intersections (area, perimeter, support, distance)
@@ -45,10 +45,8 @@ from .geometry import (
     DirectionGrid,
     StarBody,
     SupportBody,
-    distance_to_ballpoly,
     hausdorff_distance,
     minkowski_symmetral,
-    project_onto_ballpoly,
     reflect,
     support_function,
 )

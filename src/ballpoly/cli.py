@@ -219,7 +219,8 @@ def _run_selftest(cfg: RunConfig):
     from . import densities as dn
     from . import exact2d, polytope, wulff
     from .geometry import (
-        BallPolyhedron, DirectionGrid, SupportBody, project_onto_ballpoly, support_function,
+        BallPolyhedron, DirectionGrid, SupportBody, project_points_onto_ballpoly,
+        support_function,
     )
     from .intrinsic import omega, unit_ball_intrinsic
 
@@ -233,9 +234,9 @@ def _run_selftest(cfg: RunConfig):
     area, perim = exact2d.exact_disk_intersection_2d(lens)
     check("lens area", abs(area - (2 * math.pi / 3 - math.sqrt(3) / 2)) < 1e-12)
     check("lens perimeter", abs(perim - 4 * math.pi / 3) < 1e-12)
-    proj = project_onto_ballpoly(
-        BallPolyhedron.from_arrays([[2.0, 0.0]], 1.0), np.array([0.0, 0.0]))
-    check("single-ball projection", np.allclose(proj, [1.0, 0.0], atol=1e-9))
+    proj, ok = project_points_onto_ballpoly(
+        BallPolyhedron.from_arrays([[2.0, 0.0]], 1.0), np.array([[0.0, 0.0]]))
+    check("single-ball projection", ok[0] and np.allclose(proj[0], [1.0, 0.0], atol=1e-12))
     check("omega_2", abs(omega(2) - math.pi) < 1e-15)
     check("omega_3", abs(omega(3) - 4 * math.pi / 3) < 1e-15)
     check("V_1 of planar unit ball", abs(unit_ball_intrinsic(2, 1) - math.pi) < 1e-12)

@@ -2,11 +2,11 @@
 
 A ball-polyhedron is the intersection of finitely many closed Euclidean
 balls. Everything downstream (volume estimation, dominance experiments,
-halfspace approximation) builds on four primitives implemented here:
+halfspace approximation) builds on three primitives implemented here:
 
-* cyclic Dykstra projection onto the intersection (nearest-point map),
-* the exact support function and emptiness test, from candidate points
-  on the intersections of at most n bounding spheres,
+* the exact nearest-point map, support function and emptiness test,
+  all from candidate points on the spheres where at most n bounding
+  spheres meet,
 * convex bodies represented by support oracles on a direction grid,
 * star bodies represented by radial oracles.
 
@@ -22,16 +22,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptyIntersection, NonConvergence, ZeroVector
-
-# Dykstra defaults: tol is the max iterate movement over one full cycle.
-DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITER = 10_000
+from .errors import EmptyIntersection, ZeroVector
 
 # Candidate oracle: feasibility slack and affine-dependence pivot floor,
 # relative to the largest radius and the longest centre difference; a
-# rho^2 at most RHO2_ULPS ulps of r_0^2 below zero is a tangency. Subsets
-# go through in batches of CANDIDATE_BATCH, which bounds the memory.
+# rho^2 at most RHO2_ULPS ulps of r_0^2 below zero is a tangency. Subsets,
+# and the nearest-point map's (point, candidate) pairs, go through in
+# batches of CANDIDATE_BATCH, which bounds the memory.
 CANDIDATE_RTOL = 1e-10
 AFFINE_RTOL = 1e-10
 RHO2_ULPS = 16
@@ -93,6 +90,8 @@ class BallPolyhedron:
     Emptiness is a legal state and is decided exactly by ``is_empty``:
     the cheap pairwise certificate ``certainly_empty`` catches disjoint
     pairs, and the candidate points of ``_candidates`` decide the rest.
+    The support function, the nearest-point map and the emptiness test
+    all read the same spheres of ``_spheres``.
     """
 
     def __init__(self, balls: Sequence[Ball]):
@@ -143,148 +142,27 @@ class BallPolyhedron:
         return inside
 
 
-def _project_onto_ball(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    d = points - center
-    dist = np.linalg.norm(d, axis=1)
-    out = dist > radius
-    if np.any(out):
-        points = points.copy()
-        points[out] = center + d[out] * (radius / dist[out])[:, None]
-    return points
+def _spheres(P: BallPolyhedron):
+    """The spheres where the boundaries of k <= n balls meet, one tuple
+    (k, q, z, rho) per batch of subsets S of k balls.
 
-
-def project_points_onto_ballpoly(
-    P: BallPolyhedron,
-    points: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-):
-    """Batched cyclic Dykstra projection onto the intersection of balls.
-
-    Parameters
-    ----------
-    P : BallPolyhedron
-    points : (m, n) array
-    tol : convergence threshold on the iterate movement per full cycle
-    max_iter : maximum number of full cycles
-
-    Returns
-    -------
-    projections : (m, n) array
-    converged : (m,) boolean mask
-
-    Dykstra's corrections make the limit the true nearest point of the
-    intersection, not merely a feasible point. Non-converged rows signal
-    an empty or numerically empty intersection.
-    """
-    x = np.atleast_2d(np.asarray(points, dtype=float)).copy()
-    m, n = x.shape
-    k = len(P)
-    corrections = np.zeros((k, m, n))
-    active = np.ones(m, dtype=bool)
-    converged = np.zeros(m, dtype=bool)
-    centers, radii = P.centers, P.radii
-    # Small movement alone does not certify feasibility: on an empty
-    # intersection the iterates settle into a gap cycle. Convergence
-    # additionally requires membership in every ball within viol_tol.
-    viol_tol = 10.0 * tol * max(1.0, float(np.max(radii)))
-    for _ in range(max_iter):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        xa = x[idx]
-        start = xa.copy()
-        for i in range(k):
-            y = xa + corrections[i, idx]
-            proj = _project_onto_ball(y, centers[i], radii[i])
-            corrections[i, idx] = y - proj
-            xa = proj
-        x[idx] = xa
-        moved = np.linalg.norm(xa - start, axis=1)
-        viol = np.zeros(idx.size)
-        for i in range(k):
-            d = np.linalg.norm(xa - centers[i], axis=1) - radii[i]
-            np.maximum(viol, d, out=viol)
-        ok = (moved <= tol) & (viol <= viol_tol)
-        stuck = (moved <= tol * 1e-3) & (viol > viol_tol)
-        converged[idx[ok]] = True
-        active[idx] = ~(ok | stuck)
-    return x, converged
-
-
-def project_onto_ballpoly(
-    P: BallPolyhedron,
-    x: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> np.ndarray:
-    """Euclidean-nearest point of the intersection, within tol.
-
-    Raises NonConvergence when the iteration stalls (empty or
-    near-empty intersection for this tolerance).
-    """
-    proj, ok = project_points_onto_ballpoly(P, np.asarray(x, dtype=float)[None, :], tol, max_iter)
-    if not ok[0]:
-        raise NonConvergence(
-            f"Dykstra projection did not converge in {max_iter} cycles (tol={tol:g}); "
-            "the intersection is empty or numerically empty"
-        )
-    return proj[0]
-
-
-def distances_to_ballpoly(
-    P: BallPolyhedron,
-    points: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-):
-    """Batched distances to the intersection; returns (dists, converged)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    inside = P.contains(pts)
-    dists = np.zeros(pts.shape[0])
-    converged = np.ones(pts.shape[0], dtype=bool)
-    outside = ~inside
-    if np.any(outside):
-        proj, ok = project_points_onto_ballpoly(P, pts[outside], tol, max_iter)
-        dists[outside] = np.linalg.norm(pts[outside] - proj, axis=1)
-        converged[outside] = ok
-    return dists, converged
-
-
-def distance_to_ballpoly(
-    P: BallPolyhedron,
-    x: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> float:
-    """Euclidean distance from x to the intersection; 0 iff x inside."""
-    d, ok = distances_to_ballpoly(P, np.asarray(x, dtype=float)[None, :], tol, max_iter)
-    if not ok[0]:
-        raise NonConvergence("distance query did not converge; intersection empty?")
-    return float(d[0])
-
-
-def _candidates(P: BallPolyhedron, theta: np.ndarray):
-    """Feasible candidate maximizers of <y, theta> over P, one array per
-    batch of subsets of k <= n balls that has any.
-
-    The spheres of k balls with affinely independent centres meet in a
-    sphere centred at z = c_0 + u, u in the span of a_j = c_j - c_0 with
+    For affinely independent centres the spheres of S meet in a sphere
+    centred at z = c_0 + u, u in the span of a_j = c_j - c_0 with
     <a_j, u> = (|a_j|^2 + r_0^2 - r_j^2) / 2, of radius
-    rho = sqrt(r_0^2 - |u|^2) in the complement of that span. Its
-    candidate is z + rho * w, w the normalized projection of theta onto
-    the complement (0 if theta lies in the span). Extreme points lie on
-    such spheres (Caratheodory) and the KKT conditions put the maximizer
-    at its sphere's candidate, so h_P(theta) is the best feasible one.
+    rho = sqrt(r_0^2 - |u|^2) in the complement of that span. The
+    orthogonal q (subsets, n, n) spans the a_j with its first k - 1
+    columns and the complement with the rest; at k = n that is one
+    normal, and the sphere is the two points z +- rho * q[:, :, n - 1].
+    Subsets with dependent centres or no real rho are left out.
     """
     c, r = P.centers, P.radii
-    slack = CANDIDATE_RTOL * float(np.max(r))
     for k in range(1, min(P.dimension, len(P)) + 1):
         subsets = combinations(range(len(P)), k)
         while (idx := np.array(list(islice(subsets, CANDIDATE_BATCH)), dtype=int)).size:
             c0, r0 = c[idx[:, 0]], r[idx[:, 0]]
             a = c[idx[:, 1:]] - c0[:, None, :]  # (subsets, k-1, n); k = 1 gives u = 0
-            q, R = np.linalg.qr(np.swapaxes(a, 1, 2))  # a^T = q R, q spans the a_j
+            q, R = np.linalg.qr(np.swapaxes(a, 1, 2), mode="complete")  # a^T = q R
+            R = R[:, : k - 1]
             pivots = np.abs(np.diagonal(R, axis1=1, axis2=2))
             scale = np.max(np.linalg.norm(a, axis=2), axis=1, keepdims=True, initial=0.0)
             ok = np.all(pivots > AFFINE_RTOL * scale, axis=1)
@@ -293,14 +171,114 @@ def _candidates(P: BallPolyhedron, theta: np.ndarray):
             g = np.linalg.solve(np.swapaxes(R, 1, 2), beta[:, :, None])[:, :, 0]  # u = q g
             rho2 = r0**2 - np.sum(g * g, axis=1)
             ok &= rho2 >= -RHO2_ULPS * np.finfo(float).eps * r0**2
-            w = theta - np.einsum("snk,sk->sn", q, np.einsum("snk,n->sk", q, theta))
-            wn = np.linalg.norm(w, axis=1, keepdims=True)
-            w = np.divide(w, wn, out=np.zeros_like(w), where=wn > 1e-12)
-            rho = np.sqrt(np.maximum(rho2, 0.0))
-            y = (c0 + np.einsum("snk,sk->sn", q, g) + rho[:, None] * w)[ok]
-            y = y[P.contains(y, slack)]
-            if y.shape[0]:
-                yield y
+            z = c0 + np.einsum("snk,sk->sn", q[:, :, : k - 1], g)
+            yield k, q[ok], z[ok], np.sqrt(np.maximum(rho2[ok], 0.0))
+
+
+def _toward(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v (..., subsets, n) projected onto the complement of the span of
+    q (subsets, n, k - 1) and normalized; 0 where v lies in the span
+    (projection norm at most 1e-12)."""
+    w = v - np.einsum("snk,...sk->...sn", q, np.einsum("snk,...sn->...sk", q, v))
+    wn = np.linalg.norm(w, axis=-1, keepdims=True)
+    return np.divide(w, wn, out=np.zeros_like(w), where=wn > 1e-12)
+
+
+def _candidates(P: BallPolyhedron, theta: np.ndarray):
+    """Feasible candidate maximizers of <y, theta> over P, one array per
+    batch of ``_spheres`` that has any.
+
+    The candidate of a sphere is z + rho * w, w the normalized
+    projection of theta onto the complement (0 if theta lies in the
+    span). Extreme points lie on such spheres (Caratheodory) and the
+    KKT conditions put the maximizer at its sphere's candidate, so
+    h_P(theta) is the best feasible one.
+    """
+    slack = CANDIDATE_RTOL * float(np.max(P.radii))
+    for k, q, z, rho in _spheres(P):
+        y = z + rho[:, None] * _toward(q[:, :, : k - 1], np.broadcast_to(theta, z.shape))
+        y = y[P.contains(y, slack)]
+        if y.shape[0]:
+            yield y
+
+
+def project_points_onto_ballpoly(P: BallPolyhedron, points: np.ndarray):
+    """Nearest points of the ball intersection, exactly, in any dimension.
+
+    Returns ``(projections (m, n), converged (m,) bool)``. A point of P
+    is its own projection. For a point x outside, the KKT conditions
+    give x - y = sum_{i in S} lambda_i (y - c_i) with lambda_i > 0 for
+    some S of at most n balls with affinely independent centres, so the
+    nearest point y lies on the sphere of S (``_spheres``) on the side
+    of x: y = z + rho * w, w the normalized projection of x - z onto the
+    complement of the centres' span. At |S| = n both points z +- rho * nu
+    are kept, and they do not depend on x. y is the nearest candidate
+    that lies in every ball within CANDIDATE_RTOL of the largest radius;
+    it is the projection onto the ball farthest from x whenever that
+    projection is feasible, which is checked first.
+    A row is unconverged, and NaN, only when no candidate is feasible,
+    which is when P is empty. Points go through in batches of at most
+    CANDIDATE_BATCH (point, candidate) pairs, which bounds the memory.
+    """
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    n = x.shape[1]
+    c, r = P.centers, P.radii
+    proj = x.copy()
+    converged = np.ones(x.shape[0], dtype=bool)
+    outside = np.flatnonzero(~P.contains(x))
+    slack = CANDIDATE_RTOL * float(np.max(r))
+    spheres, vertices = [], [np.empty((0, n))]
+    for k, q, z, rho in _spheres(P):
+        if k < n:
+            spheres.append((q[:, :, : k - 1], z, rho))
+        else:
+            nu = rho[:, None] * q[:, :, n - 1]
+            vertices += [z + nu, z - nu]
+    vertices = np.concatenate(vertices)
+    vertices = vertices[P.contains(vertices, slack)]
+    moving = sum(z.shape[0] for _, z, _ in spheres)  # candidates that depend on x
+    width = moving + vertices.shape[0]
+    if width == 0:  # only in one dimension, where every candidate is a vertex
+        proj[outside], converged[outside] = np.nan, False
+        return proj, converged
+    step = max(1, CANDIDATE_BATCH // width)
+    for lo in range(0, outside.size, step):
+        rows = outside[lo : lo + step]
+        # d(x, P) >= d(x, B_i) for every ball, so where the projection
+        # onto the farthest ball is feasible, it is the nearest point.
+        i = np.argmax(np.stack([np.linalg.norm(x[rows] - ci, axis=1) - ri
+                                for ci, ri in zip(c, r)], axis=1), axis=1)
+        d = x[rows] - c[i]
+        y = c[i] + d * (r[i] / np.linalg.norm(d, axis=1))[:, None]
+        face = P.contains(y, slack)
+        proj[rows[face]] = y[face]
+        rows = rows[~face]
+        xb, at = x[rows], np.arange(rows.size)
+        y = [z + rho[:, None] * _toward(q, xb[:, None, :] - z) for q, z, rho in spheres]
+        y = np.concatenate(y + [np.broadcast_to(vertices, (rows.size,) + vertices.shape)], axis=1)
+        feasible = np.ones((rows.size, width), dtype=bool)
+        feasible[:, :moving] = P.contains(y[:, :moving].reshape(-1, n), slack).reshape(
+            rows.size, moving)
+        d2 = np.where(feasible, np.sum((y - xb[:, None, :]) ** 2, axis=2), np.inf)
+        best = np.argmin(d2, axis=1)
+        converged[rows] = feasible[at, best]
+        proj[rows] = np.where(converged[rows, None], y[at, best], np.nan)
+    return proj, converged
+
+
+def distances_to_ballpoly(P: BallPolyhedron, points: np.ndarray):
+    """Batched distances to the intersection; returns (dists, converged),
+    with the contract of ``project_points_onto_ballpoly``."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    inside = P.contains(pts)
+    dists = np.zeros(pts.shape[0])
+    converged = np.ones(pts.shape[0], dtype=bool)
+    outside = ~inside
+    if np.any(outside):
+        proj, ok = project_points_onto_ballpoly(P, pts[outside])
+        dists[outside] = np.linalg.norm(pts[outside] - proj, axis=1)
+        converged[outside] = ok
+    return dists, converged
 
 
 def support_function(P: BallPolyhedron, theta: np.ndarray) -> float:

@@ -151,19 +151,10 @@ def mc_volume(P: BallPolyhedron, samples: int, seed: int):
 
 def _distances_for_expansion(P: BallPolyhedron, pts: np.ndarray) -> np.ndarray:
     """Distance from sample points to the body: exact arcs in the
-    plane, batched Dykstra otherwise."""
+    plane, the exact nearest-point map otherwise."""
     if P.dimension == 2:
         return exact2d.distance_from_region(exact2d.region_of(P), pts)
-    d, ok = distances_to_ballpoly(P, pts, tol=1e-9, max_iter=2000)
-    if not np.all(ok):
-        bad = np.flatnonzero(~ok)
-        d2, ok2 = distances_to_ballpoly(P, pts[bad], tol=1e-9, max_iter=20_000)
-        if not np.all(ok2):
-            raise NonConvergence(
-                f"{np.count_nonzero(~ok2)} distance queries failed to converge"
-            )
-        d[bad] = d2
-    return d
+    return distances_to_ballpoly(P, pts)[0]
 
 
 def _assert_nonempty(P: BallPolyhedron) -> None:

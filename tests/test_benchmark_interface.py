@@ -8,7 +8,9 @@ import importlib
 import inspect
 from pathlib import Path
 
-from ballpoly import dominance, exact2d
+import numpy as np
+
+from ballpoly import dominance, exact2d, geometry
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -36,6 +38,29 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert (exact2d.disk_region, dominance._trial_value) == originals
+
+
+def test_traced_distance_queries_count_the_outside_points(monkeypatch):
+    # The benchmark's 3-D distance layer reads the (projections,
+    # converged) pair that the nearest-point map returns.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    importlib.import_module("workloads")
+    spans = importlib.import_module("spans")
+    P = geometry.BallPolyhedron.from_arrays(
+        [[0.0, 0.0, 0.0], [0.8, 0.0, 0.0], [0.3, 0.6, 0.0]], 1.0)
+    pts = np.random.default_rng(0).normal(0, 1.0, (500, 3))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        geometry.distances_to_ballpoly(P, pts)
+    finally:
+        tracer.uninstall()
+    m = spans.layer_metrics(tracer)
+    outside = int(np.count_nonzero(~P.contains(pts)))
+    assert 0 < outside < pts.shape[0]
+    assert m["geometry.dykstra.calls"] == 1
+    assert m["geometry.dykstra.points"] == outside
+    assert m["geometry.dykstra.unconverged_ratio"] == 0
 
 
 def test_every_module_attribute_the_benchmark_uses_exists():

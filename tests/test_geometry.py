@@ -3,18 +3,18 @@
 import numpy as np
 import pytest
 
-from ballpoly import exact2d
-from ballpoly.errors import EmptyIntersection, NonConvergence, ZeroVector
+from ballpoly import exact2d, geometry
+from ballpoly.errors import EmptyIntersection, ZeroVector
 from ballpoly.geometry import (
     Ball,
     BallPolyhedron,
     DirectionGrid,
     StarBody,
     SupportBody,
-    distance_to_ballpoly,
+    distances_to_ballpoly,
     hausdorff_distance,
     minkowski_symmetral,
-    project_onto_ballpoly,
+    project_points_onto_ballpoly,
     reflect,
     support_function,
 )
@@ -27,52 +27,44 @@ def lens():
 
 
 def touching_pair():
-    # Intersection is exactly the single point (0, 0): zero
-    # transversality, the worst case for alternating projections.
+    # Intersection is exactly the single point (0, 0), where the two
+    # boundary circles are tangent.
     return BallPolyhedron.from_arrays([[1.0, 0.0], [-1.0, 0.0]], 1.0)
 
 
 class TestProjection:
     def test_single_ball_outside(self):
         P = BallPolyhedron.from_arrays([[2.0, 0.0]], 1.0)
-        assert np.allclose(project_onto_ballpoly(P, np.array([0.0, 0.0])), [1.0, 0.0], atol=1e-9)
+        proj, _ = project_points_onto_ballpoly(P, np.array([[0.0, 0.0]]))
+        assert np.allclose(proj[0], [1.0, 0.0], atol=1e-9)
 
     def test_interior_point_fixed(self):
         P = BallPolyhedron.from_arrays([[0.0, 0.0]], 2.0)
         x = np.array([1.0, 0.0])
-        assert np.allclose(project_onto_ballpoly(P, x), x)
+        proj, _ = project_points_onto_ballpoly(P, x[None, :])
+        assert np.allclose(proj[0], x)
 
     def test_touching_pair_limit(self):
-        # Single-point intersection: zero transversality makes the rate
-        # sublinear, so the convergence flag stays off at tight
-        # tolerance while the iterate itself approaches the limit (0,0).
-        from ballpoly.geometry import project_points_onto_ballpoly
-
-        P = touching_pair()
-        x = np.array([[0.0, 5.0]])
-        errs = []
-        for budget in (2_000, 20_000, 120_000):
-            proj, _ = project_points_onto_ballpoly(P, x, tol=1e-9, max_iter=budget)
-            errs.append(np.linalg.norm(proj[0]))
-        assert errs[2] < errs[1] < errs[0]
-        assert errs[2] < 0.03
+        # Single-point intersection: the point is the pair's vertex.
+        proj, ok = project_points_onto_ballpoly(touching_pair(), np.array([[0.0, 5.0]]))
+        assert ok[0]
+        assert np.linalg.norm(proj[0]) < 1e-12
 
     def test_nonconvergence_on_empty(self):
         P = BallPolyhedron.from_arrays([[2.0, 0.0], [-2.0, 0.0]], 1.0)
-        with pytest.raises(NonConvergence):
-            project_onto_ballpoly(P, np.array([0.0, 0.0]), max_iter=500)
         assert P.certainly_empty()
+        _, ok = project_points_onto_ballpoly(P, np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 5.0]]))
+        assert not np.any(ok)
 
     def test_nonconvergence_on_empty_without_certificate(self):
-        # Pairwise overlapping but commonly empty: only the projection
-        # signal detects it.
+        # Pairwise overlapping but commonly empty.
         c = 1.1
         P = BallPolyhedron.from_arrays(
             [[c, 0.0], [-c / 2, c * np.sqrt(3) / 2], [-c / 2, -c * np.sqrt(3) / 2]], 1.0
         )
         assert not P.certainly_empty()
-        with pytest.raises(NonConvergence):
-            project_onto_ballpoly(P, np.array([0.0, 0.0]), max_iter=5_000)
+        _, ok = project_points_onto_ballpoly(P, np.array([[0.0, 0.0], [c, 0.0], [0.0, 5.0]]))
+        assert not np.any(ok)
 
     def test_idempotence(self):
         rng = np.random.default_rng(11)
@@ -80,12 +72,11 @@ class TestProjection:
             k = int(rng.integers(1, 5))
             P = BallPolyhedron.from_arrays(rng.normal(0, 0.4, (k, 2)), rng.uniform(1.0, 2.0, k))
             x = rng.normal(0, 2, 2)
-            try:
-                p1 = project_onto_ballpoly(P, x, tol=1e-10)
-            except NonConvergence:
+            p1, ok = project_points_onto_ballpoly(P, x[None, :])
+            if not ok[0]:
                 continue
-            p2 = project_onto_ballpoly(P, p1, tol=1e-10)
-            assert np.linalg.norm(p2 - p1) <= 2e-10
+            p2, _ = project_points_onto_ballpoly(P, p1)
+            assert np.linalg.norm(p2[0] - p1[0]) <= 2e-10
 
     def test_nonexpansive(self):
         rng = np.random.default_rng(12)
@@ -93,10 +84,8 @@ class TestProjection:
             k = int(rng.integers(1, 5))
             P = BallPolyhedron.from_arrays(rng.normal(0, 0.4, (k, 2)), rng.uniform(1.0, 2.0, k))
             x, y = rng.normal(0, 2, 2), rng.normal(0, 2, 2)
-            try:
-                px = project_onto_ballpoly(P, x, tol=1e-10)
-                py = project_onto_ballpoly(P, y, tol=1e-10)
-            except NonConvergence:
+            (px, py), ok = project_points_onto_ballpoly(P, np.vstack([x, y]))
+            if not np.all(ok):
                 continue
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 2e-10
 
@@ -104,20 +93,18 @@ class TestProjection:
 class TestDistance:
     def test_single_ball(self):
         P = BallPolyhedron.from_arrays([[0.0, 0.0]], 1.0)
-        assert distance_to_ballpoly(P, np.array([3.0, 0.0])) == pytest.approx(2.0, abs=1e-9)
+        d, _ = distances_to_ballpoly(P, np.array([[3.0, 0.0]]))
+        assert d[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_touching_pair(self):
-        # Degenerate target {(0,0)}: use the batch API, whose iterate
-        # approximates the distance even when the flag is off.
-        from ballpoly.geometry import distances_to_ballpoly
-
-        d, _ = distances_to_ballpoly(touching_pair(), np.array([[0.0, 1.0]]),
-                                     tol=1e-9, max_iter=120_000)
-        assert d[0] == pytest.approx(1.0, abs=0.05)
+        d, ok = distances_to_ballpoly(touching_pair(), np.array([[0.0, 1.0]]))
+        assert ok[0]
+        assert d[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_inside_zero(self):
         P = lens()
-        assert distance_to_ballpoly(P, np.array([0.0, 0.0])) == 0.0
+        d, _ = distances_to_ballpoly(P, np.array([[0.0, 0.0]]))
+        assert d[0] == 0.0
 
 
 class TestSupportFunction:
@@ -298,6 +285,103 @@ class TestCandidateOracle:
             assert support_function(lens4, t) == pytest.approx(lens_support(t, R, d), abs=1e-12)
         assert not lens4.is_empty()
         assert BallPolyhedron.from_arrays([[-1.0, 0, 0, 0], [1.0, 0, 0, 0]], 0.9).is_empty()
+
+
+def lens_distance(x, R, d):
+    """Closed-form distance from x to the equal-radii lens
+    B(-d/2 e1, R) & B(d/2 e1, R) in any dimension, in the half-plane of
+    (x1, |x_rest|): the rim point's distance inside its normal cone,
+    else the distance to the ball whose cap faces x (0 inside it)."""
+    p = np.array([x[0], np.linalg.norm(x[1:])])
+    rim = np.array([0.0, np.sqrt(R**2 - d**2 / 4)])
+    cone = np.column_stack([rim + [d / 2, 0.0], rim - [d / 2, 0.0]])  # v - c for both balls
+    if np.all(np.linalg.solve(cone, p - rim) >= 0):
+        return np.linalg.norm(p - rim)
+    c = np.array([-d / 2 if p[0] >= 0 else d / 2, 0.0])
+    return max(np.linalg.norm(p - c) - R, 0.0)
+
+
+class TestNearestPointMap:
+    """The exact nearest-point map from candidate points on the same
+    spheres as the support function."""
+
+    def test_planar_matches_arcs(self):
+        rng = np.random.default_rng(2025)
+        empty = 0
+        for _ in range(1300):
+            k = int(rng.integers(1, 9))
+            P = BallPolyhedron.from_arrays(rng.normal(0, 0.6, (k, 2)), rng.uniform(0.8, 1.5, k))
+            pts = rng.normal(0, 1.5, (20, 2))
+            d, ok = distances_to_ballpoly(P, pts)
+            region = exact2d.region_of(P)
+            if region.empty:
+                empty += 1
+                assert not np.any(ok)
+                continue
+            assert np.all(ok)
+            assert np.allclose(d, exact2d.distance_from_region(region, pts), rtol=0, atol=1e-12)
+        assert 1300 - empty >= 1000
+
+    def test_3d_matches_constrained_optimizer(self):
+        from scipy.optimize import minimize
+
+        rng = np.random.default_rng(34)
+        checked = 0
+        for N in range(3, 10):
+            for _ in range(3):
+                C, R = rng.normal(0, 0.4, (N, 3)), rng.uniform(0.9, 1.3, N)
+                P = BallPolyhedron.from_arrays(C, R)
+                if P.is_empty():
+                    continue
+                xs = rng.normal(0, 1.5, (4, 3))
+                d, ok = distances_to_ballpoly(P, xs)
+                assert np.all(ok)
+                start = next(geometry._candidates(P, np.eye(3)[0]))[0]  # a point of P
+                for x, dx in zip(xs, d):
+                    res = minimize(lambda y: np.sum((y - x) ** 2), start, jac=lambda y: 2 * (y - x),
+                                   method="SLSQP",
+                                   constraints={"type": "ineq", "jac": lambda y: -2 * (y - C),
+                                                "fun": lambda y: R**2 - np.sum((y - C) ** 2, axis=1)},
+                                   options={"ftol": 1e-14, "maxiter": 500})
+                    assert np.max(np.linalg.norm(res.x - C, axis=1) - R) < 1e-8
+                    assert dx == pytest.approx(np.linalg.norm(res.x - x), abs=1e-7)
+                checked += 1
+        assert checked >= 12
+
+    def test_4d_lens(self):
+        rng = np.random.default_rng(35)
+        R, d = 1.2, 0.9
+        P = BallPolyhedron.from_arrays([[-d / 2, 0, 0, 0], [d / 2, 0, 0, 0]], R)
+        pts = rng.normal(0, 1.5, (200, 4))
+        got, ok = distances_to_ballpoly(P, pts)
+        assert np.all(ok)
+        want = [lens_distance(x, R, d) for x in pts]
+        assert np.count_nonzero(got > 0) >= 100
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_point_batch_size_does_not_change_results(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        P = BallPolyhedron.from_arrays(rng.normal(0, 0.4, (9, 3)), 1.5)
+        pts = rng.normal(0, 1.5, (150, 3))
+        want = project_points_onto_ballpoly(P, pts)
+        for batch in (1, 300, 5000):
+            monkeypatch.setattr(geometry, "CANDIDATE_BATCH", batch)
+            got = project_points_onto_ballpoly(P, pts)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_vertices_of_three_balls(self):
+        # Centres on a circle of radius a in x3 = 0: the balls meet in
+        # the vertices (0, 0, +-h), the nearest points to points far
+        # above or below them near the axis. No single ball's
+        # projection of those points is feasible.
+        a, R = 0.8, 1.0
+        ang = 2 * np.pi * np.arange(3) / 3
+        P = BallPolyhedron.from_arrays(np.column_stack([a * np.cos(ang), a * np.sin(ang),
+                                                        np.zeros(3)]), R)
+        h = np.sqrt(R**2 - a**2)
+        proj, ok = project_points_onto_ballpoly(P, np.array([[0.0, 0.0, 5.0], [0.1, 0.0, -3.0]]))
+        assert np.all(ok)
+        assert np.allclose(proj, [[0.0, 0.0, h], [0.0, 0.0, -h]], rtol=0, atol=1e-12)
 
 
 class TestReflect:

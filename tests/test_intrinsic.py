@@ -169,6 +169,23 @@ class TestSteinerFit:
         assert ok >= 2
 
 
+    def test_steiner_3d_body_rep_seed_3904087448_trial_2(self):
+        # The body of the 3-D dominance-ball config with estimator
+        # steiner-fit (N = 3, R = 1, centres uniform on the volume-one
+        # ball), drawn as its trial 2 draws them at seed 3904087448,
+        # with the fit seed that trial derives.
+        from ballpoly import config, rng
+
+        seed, t = 3904087448, 2
+        density = config.build_density(
+            {"type": "uniform-ball", "n": 3, "radius": (3 / (4 * math.pi)) ** (1 / 3)}, 3)
+        C = np.vstack([density.sample(rng.stream(seed, t, i), 1)[0] for i in range(3)])
+        P = BallPolyhedron.from_arrays(C, 1.0)
+        fit_seed = int(np.random.SeedSequence((seed, t, 10_000)).generate_state(1)[0])
+        V = fit_intrinsic_volumes(P, EpsilonGrid.default_for(P, samples=20_000), seed=fit_seed)
+        est, se = V.vn_crosscheck
+        assert abs(V.values[3] - est) <= 4 * math.hypot(V.stderr[3], se)
+
 class TestMeanWidth:
     def grid(self):
         return DirectionGrid.uniform_2d(4096)
