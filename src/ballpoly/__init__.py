@@ -9,8 +9,8 @@ Library layout:
   intersections (area, perimeter, support, distance)
 * ``intrinsic``  intrinsic volumes: exact 2D, Monte-Carlo volume,
   expansion-volume fits, inequality margins
-* ``densities``  closed-form sampling densities, symmetric decreasing
-  rearrangement, peakedness comparison
+* ``densities``  closed-form sampling densities and their symmetric
+  decreasing rearrangement
 * ``dominance``  survival-curve dominance experiments and moment
   comparisons for random ball-polyhedra
 * ``wulff``      tangent-center star bodies, Wulff shapes,

@@ -123,6 +123,25 @@ def intrinsic_volumes_exact_2d(P: BallPolyhedron) -> IntrinsicVolumeVector:
 # Monte-Carlo estimators
 
 
+def _hit_or_miss(center: np.ndarray, radius: float, samples: int, seed: int, hit):
+    """(estimate, stderr) of the volume of {x : hit(x)} inside the ball
+    B(center, radius), from uniform points drawn in batches of
+    ``MC_BATCH`` on the streams keyed (seed, batch)."""
+    n = center.shape[0]
+    v_ref = omega(n) * radius**n
+    hits = 0
+    done = 0
+    batch_idx = 0
+    while done < samples:
+        m = min(MC_BATCH, samples - done)
+        pts = center + radius * uniform_in_ball(stream(seed, batch_idx), n, m)
+        hits += int(np.count_nonzero(hit(pts)))
+        done += m
+        batch_idx += 1
+    p = hits / samples
+    return v_ref * p, v_ref * math.sqrt(p * (1.0 - p) / samples)
+
+
 def mc_volume(P: BallPolyhedron, samples: int, seed: int):
     """Hit-or-miss volume estimate inside the smallest ball of P.
 
@@ -131,22 +150,10 @@ def mc_volume(P: BallPolyhedron, samples: int, seed: int):
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    n = P.dimension
-    ball = P.smallest
-    v_ref = omega(n) * ball.radius**n
     if P.certainly_empty():
         return 0.0, 0.0
-    hits = 0
-    done = 0
-    batch_idx = 0
-    while done < samples:
-        m = min(MC_BATCH, samples - done)
-        pts = ball.center + ball.radius * uniform_in_ball(stream(seed, batch_idx), n, m)
-        hits += int(np.count_nonzero(P.contains(pts)))
-        done += m
-        batch_idx += 1
-    p = hits / samples
-    return v_ref * p, v_ref * math.sqrt(p * (1.0 - p) / samples)
+    ball = P.smallest
+    return _hit_or_miss(ball.center, ball.radius, samples, seed, P.contains)
 
 
 def _distances_for_expansion(P: BallPolyhedron, pts: np.ndarray) -> np.ndarray:
@@ -157,32 +164,15 @@ def _distances_for_expansion(P: BallPolyhedron, pts: np.ndarray) -> np.ndarray:
     return distances_to_ballpoly(P, pts)[0]
 
 
-def _assert_nonempty(P: BallPolyhedron) -> None:
-    if P.is_empty():
-        raise NonConvergence("intersection empty (no feasible candidate point)")
-
-
 def epsilon_expanded_volume(P: BallPolyhedron, eps: float, samples: int, seed: int):
     """Hit-or-miss estimate of vol(K + eps*B) = vol{x : dist(x,K) <= eps}."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    _assert_nonempty(P)
-    n = P.dimension
+    if P.is_empty():
+        raise NonConvergence("intersection empty (no feasible candidate point)")
     ball = P.smallest
-    radius = ball.radius + eps
-    v_bb = omega(n) * radius**n
-    hits = 0
-    done = 0
-    batch_idx = 0
-    while done < samples:
-        m = min(MC_BATCH, samples - done)
-        pts = ball.center + radius * uniform_in_ball(stream(seed, batch_idx), n, m)
-        d = _distances_for_expansion(P, pts)
-        hits += int(np.count_nonzero(d <= eps))
-        done += m
-        batch_idx += 1
-    p = hits / samples
-    return v_bb * p, v_bb * math.sqrt(p * (1.0 - p) / samples)
+    return _hit_or_miss(ball.center, ball.radius + eps, samples, seed,
+                        lambda pts: _distances_for_expansion(P, pts) <= eps)
 
 
 # ---------------------------------------------------------------------------

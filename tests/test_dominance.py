@@ -282,84 +282,3 @@ class TestMoments:
 
 def rhs_ok(rep):
     return rep.rhs > 0 and np.isfinite(rep.rhs)
-
-
-class TestQuasiConcavity:
-    def test_single_ball_trivially_quasiconcave(self):
-        rep = dm.quasiconcavity_test(N=1, n=2, radii=1.0, trials=50, seed=20)
-        assert rep.midpoint_margin >= -1e-9
-        assert rep.violations == 0
-
-    def test_midpoint_and_evenness(self):
-        rep = dm.quasiconcavity_test(N=3, n=2, radii=[1.0, 1.2, 0.9],
-                                     trials=150, seed=21)
-        assert rep.violations == 0
-        assert rep.midpoint_margin >= -1e-9
-        assert rep.evenness_deviation < 1e-9
-
-    def test_lens_profile_monotone_in_separation(self):
-        # Along the line of centers the two-disk area decreases with
-        # separation, hence is quasi-concave there.
-        import ballpoly.exact2d as e2
-
-        seps = np.linspace(0.0, 1.9, 25)
-        areas = []
-        for d in seps:
-            reg = e2.disk_region(np.array([[d / 2, 0.0], [-d / 2, 0.0]]),
-                                 np.array([1.0, 1.0]))
-            areas.append(reg.area)
-        assert all(areas[i + 1] <= areas[i] + 1e-12 for i in range(len(areas) - 1))
-
-
-class TestRearrangementIntegral:
-    def test_disjoint_supports_versus_rearranged(self):
-        f1 = dn.Box1DStep([0.0, 1.0], [1.0])
-        f2 = dn.Box1DStep([2.0, 3.0], [1.0])
-
-        def F(pts):
-            return (np.abs(pts[:, 0] - pts[:, 1]) <= 1.0).astype(float)
-
-        lhs, rhs, err = dm.bll_numeric_check(F, [f1, f2])
-        assert lhs == pytest.approx(0.0, abs=1e-9)
-        assert rhs == pytest.approx(1.0, abs=max(err, 1e-3))
-
-    def test_symmetric_decreasing_fixed_point(self):
-        f1 = dn.Box1DStep([-1.0, 1.0], [0.5])
-        f2 = dn.Box1DStep([-0.5, 0.5], [1.0])
-
-        def F(pts):
-            return (np.abs(pts).sum(axis=1) <= 0.8).astype(float)
-
-        lhs, rhs, err = dm.bll_numeric_check(F, [f1, f2])
-        assert lhs == pytest.approx(rhs, abs=max(2 * err, 1e-6))
-
-    def test_total_mass_indicator(self):
-        f1 = dn.Box1DStep([-1.0, 1.0], [0.5])
-
-        def F(pts):
-            return np.ones(pts.shape[0])
-
-        lhs, rhs, err = dm.bll_numeric_check(F, [f1])
-        assert lhs == pytest.approx(1.0, abs=1e-9)
-        assert rhs == pytest.approx(1.0, abs=1e-9)
-
-    def test_random_even_quasiconcave_dominated(self):
-        rng = np.random.default_rng(22)
-        for trial in range(5):
-            f1 = dn.Box1DStep([-1.0, rng.uniform(-0.5, 0.5), 1.5], None) if False else None
-            # random two-piece densities
-            b = sorted(rng.uniform(-1.5, 1.5, 3))
-            h = rng.uniform(0.1, 1.0, 2)
-            mass = h[0] * (b[1] - b[0]) + h[1] * (b[2] - b[1])
-            f1 = dn.Box1DStep(b, h / mass)
-            b2 = sorted(rng.uniform(-1.5, 1.5, 3))
-            h2 = rng.uniform(0.1, 1.0, 2)
-            mass2 = h2[0] * (b2[1] - b2[0]) + h2[1] * (b2[2] - b2[1])
-            f2 = dn.Box1DStep(b2, h2 / mass2)
-            w = rng.uniform(0.5, 2.0)
-
-            def F(pts, w=w):
-                return (np.abs(pts[:, 0]) + np.abs(pts[:, 1]) <= w).astype(float)
-
-            lhs, rhs, err = dm.bll_numeric_check(F, [f1, f2])
-            assert lhs <= rhs + 2 * err + 1e-6

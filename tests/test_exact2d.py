@@ -43,6 +43,17 @@ class TestClosedForms:
             area, _ = e2.exact_disk_intersection_2d(P)
             assert area == pytest.approx(lens_area_closed_form(d, R), rel=1e-12)
 
+    def test_lens_profile_monotone_in_separation(self):
+        # Along the line of centers the two-disk area decreases with
+        # separation, hence is quasi-concave there.
+        seps = np.linspace(0.0, 1.9, 25)
+        areas = []
+        for d in seps:
+            reg = e2.disk_region(np.array([[d / 2, 0.0], [-d / 2, 0.0]]),
+                                 np.array([1.0, 1.0]))
+            areas.append(reg.area)
+        assert all(areas[i + 1] <= areas[i] + 1e-12 for i in range(len(areas) - 1))
+
     def test_disjoint(self):
         P = BallPolyhedron.from_arrays([[1.5, 0.0], [-1.5, 0.0]], 1.0)
         assert e2.exact_disk_intersection_2d(P) == (0.0, 0.0)
