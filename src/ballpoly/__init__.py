@@ -3,14 +3,12 @@
 Library layout:
 
 * ``geometry``   vectors, ball-polyhedra, their exact nearest-point
-  map, support function and emptiness, support and radial oracles,
-  reflections, Hausdorff distance
+  map, support function and emptiness, support and radial oracles
 * ``exact2d``    exact circular-arc decomposition of planar disk
   intersections (area, perimeter, support, distance)
-* ``intrinsic``  intrinsic volumes: exact 2D, Monte-Carlo volume,
-  expansion-volume fits, inequality margins
-* ``densities``  closed-form sampling densities and their symmetric
-  decreasing rearrangement
+* ``intrinsic``  intrinsic volumes: Monte-Carlo volume and
+  expansion-volume fits
+* ``densities``  closed-form sampling densities
 * ``dominance``  survival-curve dominance experiments and moment
   comparisons for random ball-polyhedra
 * ``wulff``      tangent-center star bodies, Wulff shapes,
@@ -45,15 +43,11 @@ from .geometry import (
     DirectionGrid,
     StarBody,
     SupportBody,
-    hausdorff_distance,
-    minkowski_symmetral,
-    reflect,
     support_function,
 )
 from .intrinsic import (
     EpsilonGrid,
     IntrinsicVolumeVector,
-    epsilon_expanded_volume,
     fit_intrinsic_volumes,
     mc_volume,
     omega,

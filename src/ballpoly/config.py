@@ -38,8 +38,7 @@ import numpy as np
 import yaml
 
 from .errors import BallPolyError, ParseError, SchemaError
-
-DEFAULT_GRID_SIZE = 4096
+from .geometry import DEFAULT_GRID_SIZE
 
 # Default grid of each Wulff kind's f; validation builds f on the run's grid.
 WULFF_GRID_SIZE = {"wulff-convergence": 720, "vr-asymptotics": 4096}
@@ -471,9 +470,3 @@ def read_document(path: str):
     if isinstance(doc, dict) and "config" in doc and "record" in doc:
         doc = doc["config"]
     return doc
-
-
-def load_config(path: str) -> RunConfig:
-    """Load and validate a config file (or a previously written summary
-    document, whose config echo round-trips)."""
-    return validate(read_document(path))

@@ -196,7 +196,6 @@ class SurvivalCurve:
 
     s: np.ndarray
     p: np.ndarray
-    trials: int
     alpha: float
     band: float
 
@@ -206,7 +205,7 @@ class SurvivalCurve:
         v = np.sort(np.asarray(samples, dtype=float))
         m = v.size
         p = 1.0 - np.searchsorted(v, s_grid, side="right") / m
-        return cls(np.asarray(s_grid, dtype=float), p, m, alpha, dkw_band(m, alpha))
+        return cls(np.asarray(s_grid, dtype=float), p, alpha, dkw_band(m, alpha))
 
 
 @dataclass
@@ -330,10 +329,12 @@ def _p_mean(values: np.ndarray, p: float):
 
 
 def moment_samples(K, R: float, N: int, j: int, trials: int, seed: int = 0,
-                   estimator: str = "exact-2d", fit_samples: int = 20_000):
+                   estimator: str = "exact-2d", fit_samples: int = 20_000,
+                   workers: int = 1):
     """Trials of both sides of the moment comparison: centers uniform on
     the tangent-center star body of K (lhs) versus uniform on its
-    volume-matched ball (rhs). Returns the two TrialBatches, from which
+    volume-matched ball (rhs), each side run by ``run_trials`` on
+    ``workers`` processes. Returns the two TrialBatches, from which
     ``moment_report`` scores any number of p."""
     A = build_A(SphericalFunction.from_support_body(K), R)
     r = volume_radius(A)
@@ -341,7 +342,7 @@ def moment_samples(K, R: float, N: int, j: int, trials: int, seed: int = 0,
     dens_b = UniformBody(BallRegion(np.zeros(K.dimension), r))
     cfg = ExperimentConfig(
         n=K.dimension, N=N, R=R, j=j, density=dens_a, trials=trials,
-        seed=seed, estimator=estimator, fit_samples=fit_samples,
+        seed=seed, estimator=estimator, fit_samples=fit_samples, workers=workers,
     )
     return run_trials(cfg), run_trials(cfg, density=[dens_b] * N)
 

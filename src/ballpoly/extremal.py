@@ -81,7 +81,6 @@ class CircumscriptionProblem:
 @dataclass
 class OptimizationResult:
     value: float
-    thetas: np.ndarray
     restarts_used: int
     best_restart: int
     trace: np.ndarray  # best value per restart
@@ -197,7 +196,7 @@ def minimize_mjN(prob: CircumscriptionProblem, restarts: int = 32,
     gdirs = prob.K.grid.directions
     margin = float(np.min(np.max(gdirs @ verts.T, axis=1) - prob.K.support(gdirs)))
     return OptimizationResult(
-        value=float(value), thetas=thetas, restarts_used=restarts,
+        value=float(value), restarts_used=restarts,
         best_restart=best_r, trace=trace, feasibility_margin=margin,
         evaluations=evaluations,
     )
@@ -208,7 +207,6 @@ class SchneiderReport:
     lhs: float
     rhs: float
     margin: float
-    lhs_result: OptimizationResult
     rhs_source: str
 
 
@@ -226,8 +224,7 @@ def schneider_check(K: SupportBody, j: int, N: int, restarts: int = 32,
         ball = SupportBody.ball(np.zeros(n), w / 2.0, K.grid)
         rhs = minimize_mjN(CircumscriptionProblem(ball, j, N), restarts, seed + 1).value
         source = "optimized ball instance"
-    return SchneiderReport(lhs_res.value, float(rhs), float(rhs - lhs_res.value),
-                           lhs_res, source)
+    return SchneiderReport(lhs_res.value, float(rhs), float(rhs - lhs_res.value), source)
 
 
 @dataclass
@@ -237,7 +234,6 @@ class SimplexBoundReport:
     mean_width: float
     margin: float
     note: str
-    result: OptimizationResult
 
 
 def simplex_bound_check(K: SupportBody, restarts: int = 32,
@@ -252,7 +248,6 @@ def simplex_bound_check(K: SupportBody, restarts: int = 32,
     return SimplexBoundReport(
         res.value, float(bound), float(w), float(bound - res.value),
         note="log-factor refinement needs a non-constructive absolute constant; not checked",
-        result=res,
     )
 
 
@@ -264,10 +259,8 @@ def simplex_bound_check(K: SupportBody, restarts: int = 32,
 class DeficitReport:
     volume: float
     volume_stderr: float
-    deficit: float
     deficit_coefficient: float  # deficit / R^{n-1}
     width_functional: float     # deficit / (n omega_n R^{n-1}) -> mean(h_hull)
-    radius: float
     warning: Optional[str]
     note: str = NORMALIZATION_NOTE
 
@@ -300,10 +293,8 @@ def gorbovickis_deficit(points: np.ndarray, R: float, samples: int = 0,
     deficit = omega(n) * R**n - vol
     coeff = deficit / R ** (n - 1)
     return DeficitReport(
-        volume=vol, volume_stderr=se, deficit=float(deficit),
-        deficit_coefficient=float(coeff),
-        width_functional=float(coeff / (n * omega(n))),
-        radius=R, warning=warning,
+        volume=vol, volume_stderr=se, deficit_coefficient=float(coeff),
+        width_functional=float(coeff / (n * omega(n))), warning=warning,
     )
 
 
@@ -319,11 +310,9 @@ class HullBridgeReport:
     direct_mean: dict
     deficit_mean: dict
     direct_stderr: dict
-    deficit_stderr: dict
     dominance_margin: float
     dominance_sigma: float
     agreement: dict
-    trials: int
     radius: float
 
 
@@ -350,12 +339,11 @@ def hull_dominance_bridge(density_a, density_b, N: int, trials: int, R: float,
     dm = {k: float(np.mean(v)) for k, v in out_direct.items()}
     fm = {k: float(np.mean(v)) for k, v in out_deficit.items()}
     dse = {k: float(np.std(v, ddof=1) / math.sqrt(trials)) for k, v in out_direct.items()}
-    fse = {k: float(np.std(v, ddof=1) / math.sqrt(trials)) for k, v in out_deficit.items()}
     margin = dm["a"] - dm["b"]
     sigma = math.hypot(dse["a"], dse["b"])
     agreement = {
         k: abs(fm[k] - dm[k]) / dm[k] if dm[k] != 0 else 0.0 for k in dm
     }
-    return HullBridgeReport(dm, fm, dse, fse, float(margin),
+    return HullBridgeReport(dm, fm, dse, float(margin),
                             float(margin / sigma) if sigma > 0 else np.inf,
-                            agreement, trials, R)
+                            agreement, R)

@@ -55,15 +55,6 @@ def as_unit(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def direction_of(x: np.ndarray) -> np.ndarray:
-    """Unit direction of a nonzero point; raises ZeroVector at the origin."""
-    x = np.asarray(x, dtype=float)
-    nx = float(np.linalg.norm(x))
-    if nx == 0.0:
-        raise ZeroVector("the origin has no direction")
-    return x / nx
-
-
 # ---------------------------------------------------------------------------
 # Ball polyhedra
 
@@ -292,18 +283,6 @@ def support_function(P: BallPolyhedron, theta: np.ndarray) -> float:
     return max(values)
 
 
-def reflect(u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Reflection about the hyperplane orthogonal to the unit vector u.
-
-    Works on a single point or row-stacked points; an involution.
-    """
-    u = as_unit(u)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x - 2.0 * np.dot(x, u) * u
-    return x - 2.0 * np.outer(x @ u, u)
-
-
 # ---------------------------------------------------------------------------
 # Direction grids
 
@@ -313,9 +292,8 @@ class DirectionGrid:
     """Quadrature grid on the unit sphere: unit directions plus weights
     summing to one (uniform-measure quadrature).
 
-    2D grids are uniform in angle, which makes reflections about grid
-    directions exact index permutations. In higher dimension the grid
-    is a fixed low discrepancy point set with equal weights.
+    2D grids are uniform in angle. In higher dimension the grid is a
+    fixed low discrepancy point set with equal weights.
     """
 
     directions: np.ndarray
@@ -338,10 +316,6 @@ class DirectionGrid:
     @property
     def dimension(self) -> int:
         return self.directions.shape[1]
-
-    @property
-    def is_uniform_2d(self) -> bool:
-        return self.dimension == 2 and len(self) % 2 == 0
 
     @classmethod
     def uniform_2d(cls, size: int = DEFAULT_GRID_SIZE) -> "DirectionGrid":
@@ -378,28 +352,14 @@ class DirectionGrid:
         dirs = np.vstack([half, -half])
         return cls(dirs, np.full(dirs.shape[0], 1.0 / dirs.shape[0]))
 
-    def reflected_indices(self, j: int) -> np.ndarray:
-        """Permutation k -> index of R_u(theta_k) for u = directions[j].
-
-        Exact for uniform 2D grids of even size: reflecting the angle
-        phi about the line orthogonal to u (angle alpha) gives
-        2*alpha + pi - phi, which lands back on the grid.
-        """
-        if not self.is_uniform_2d:
-            raise ValueError("index reflection needs a uniform 2D grid of even size")
-        m = len(self)
-        k = np.arange(m)
-        return (2 * j + m // 2 - k) % m
-
-
 # ---------------------------------------------------------------------------
 # Support bodies
 
 
 class SupportBody:
     """Convex body represented by an exact support-function oracle
-    (balls, polytopes, symmetral composites). ``values`` caches the
-    oracle on the grid.
+    (balls, polytopes, segments, cubes). ``values`` caches the oracle
+    on the grid.
     """
 
     def __init__(
@@ -455,39 +415,10 @@ class SupportBody:
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         return np.asarray(self.oracle(dirs), dtype=float)
 
-    def support_one(self, direction: np.ndarray) -> float:
-        return float(self.support(np.asarray(direction, dtype=float)[None, :])[0])
-
     def mean_width(self) -> float:
         """w = 2 * integral of h over the sphere, on the body's grid."""
         g = self.grid
         return 2.0 * float(np.dot(g.weights, self.support(g.directions)))
-
-
-def minkowski_symmetral(K: SupportBody, u: np.ndarray) -> SupportBody:
-    """Minkowski symmetral (K + R_u K)/2 about the hyperplane u-perp.
-
-    On support functions this is the exact average
-    h(theta) -> (h(theta) + h(R_u theta))/2, so the result's oracle is
-    symmetric under R_u by construction and mean width is preserved.
-    """
-    u = as_unit(u)
-    base = K.oracle
-
-    def h(dirs):
-        dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        return 0.5 * (np.asarray(base(dirs)) + np.asarray(base(reflect(u, dirs))))
-
-    return SupportBody(K.dimension, K.grid, oracle=h)
-
-
-def hausdorff_distance(A: SupportBody, B: SupportBody) -> float:
-    """Hausdorff distance of convex bodies via the support-function
-    sup-norm, evaluated on A's direction grid."""
-    if A.dimension != B.dimension:
-        raise ValueError("dimension mismatch")
-    g = A.grid
-    return float(np.max(np.abs(A.support(g.directions) - B.support(g.directions))))
 
 
 # ---------------------------------------------------------------------------
@@ -513,16 +444,9 @@ class StarBody:
         if np.any(self.values <= 0):
             raise ValueError("radial function must be positive on the grid")
 
-    @classmethod
-    def ball(cls, radius: float, grid: DirectionGrid) -> "StarBody":
-        return cls(grid.dimension, grid, oracle=lambda d: np.full(np.atleast_2d(d).shape[0], radius))
-
     def radial(self, dirs: np.ndarray) -> np.ndarray:
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         return np.asarray(self.oracle(dirs), dtype=float)
-
-    def radial_one(self, direction: np.ndarray) -> float:
-        return float(self.radial(np.asarray(direction, dtype=float)[None, :])[0])
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Membership mask: |x| <= rho(x/|x|) + 1e-12; the origin is in."""

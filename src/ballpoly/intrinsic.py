@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import exact2d
-from .errors import IllConditioned, NonConvergence
+from .errors import IllConditioned
 from .geometry import BallPolyhedron, distances_to_ballpoly
 from .rng import stream, uniform_in_ball
 
@@ -56,19 +56,11 @@ def unit_ball_intrinsic(n: int, j: int, r: float = 1.0) -> float:
 
 @dataclass
 class IntrinsicVolumeVector:
-    """V_0..V_n with per-entry standard errors and the method tag."""
+    """V_0..V_n with per-entry standard errors."""
 
     values: np.ndarray
     stderr: np.ndarray
-    method: str  # 'exact-2d' | 'steiner-fit'
     vn_crosscheck: Optional[tuple] = None  # (mc estimate, mc stderr)
-
-    def __getitem__(self, j: int) -> float:
-        return float(self.values[j])
-
-    @property
-    def dimension(self) -> int:
-        return len(self.values) - 1
 
 
 @dataclass
@@ -105,41 +97,7 @@ class EpsilonGrid:
 
 
 # ---------------------------------------------------------------------------
-# Exact planar oracle
-
-
-def intrinsic_volumes_exact_2d(P: BallPolyhedron) -> IntrinsicVolumeVector:
-    """(V_0, V_1, V_2) of a planar ball-polyhedron from the exact arcs:
-    V_1 = perimeter / 2, V_2 = area; zeros when empty."""
-    area, perim = exact2d.exact_disk_intersection_2d(P)
-    if area == 0.0 and perim == 0.0:
-        return IntrinsicVolumeVector(np.zeros(3), np.zeros(3), "exact-2d")
-    return IntrinsicVolumeVector(
-        np.array([1.0, perim / 2.0, area]), np.zeros(3), "exact-2d"
-    )
-
-
-# ---------------------------------------------------------------------------
 # Monte-Carlo estimators
-
-
-def _hit_or_miss(center: np.ndarray, radius: float, samples: int, seed: int, hit):
-    """(estimate, stderr) of the volume of {x : hit(x)} inside the ball
-    B(center, radius), from uniform points drawn in batches of
-    ``MC_BATCH`` on the streams keyed (seed, batch)."""
-    n = center.shape[0]
-    v_ref = omega(n) * radius**n
-    hits = 0
-    done = 0
-    batch_idx = 0
-    while done < samples:
-        m = min(MC_BATCH, samples - done)
-        pts = center + radius * uniform_in_ball(stream(seed, batch_idx), n, m)
-        hits += int(np.count_nonzero(hit(pts)))
-        done += m
-        batch_idx += 1
-    p = hits / samples
-    return v_ref * p, v_ref * math.sqrt(p * (1.0 - p) / samples)
 
 
 def mc_volume(P: BallPolyhedron, samples: int, seed: int):
@@ -153,7 +111,19 @@ def mc_volume(P: BallPolyhedron, samples: int, seed: int):
     if P.certainly_empty():
         return 0.0, 0.0
     ball = P.smallest
-    return _hit_or_miss(ball.center, ball.radius, samples, seed, P.contains)
+    n = P.dimension
+    v_ref = omega(n) * ball.radius**n
+    hits = 0
+    done = 0
+    batch_idx = 0
+    while done < samples:
+        m = min(MC_BATCH, samples - done)
+        pts = ball.center + ball.radius * uniform_in_ball(stream(seed, batch_idx), n, m)
+        hits += int(np.count_nonzero(P.contains(pts)))
+        done += m
+        batch_idx += 1
+    p = hits / samples
+    return v_ref * p, v_ref * math.sqrt(p * (1.0 - p) / samples)
 
 
 def _distances_for_expansion(P: BallPolyhedron, pts: np.ndarray) -> np.ndarray:
@@ -162,17 +132,6 @@ def _distances_for_expansion(P: BallPolyhedron, pts: np.ndarray) -> np.ndarray:
     if P.dimension == 2:
         return exact2d.distance_from_region(exact2d.region_of(P), pts)
     return distances_to_ballpoly(P, pts)[0]
-
-
-def epsilon_expanded_volume(P: BallPolyhedron, eps: float, samples: int, seed: int):
-    """Hit-or-miss estimate of vol(K + eps*B) = vol{x : dist(x,K) <= eps}."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if P.is_empty():
-        raise NonConvergence("intersection empty (no feasible candidate point)")
-    ball = P.smallest
-    return _hit_or_miss(ball.center, ball.radius + eps, samples, seed,
-                        lambda pts: _distances_for_expansion(P, pts) <= eps)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +206,7 @@ def fit_intrinsic_volumes(
         grid = EpsilonGrid.default_for(P)
     grid.validate_covers(P)
     if P.is_empty():
-        return IntrinsicVolumeVector(np.zeros(n + 1), np.zeros(n + 1), "steiner-fit")
+        return IntrinsicVolumeVector(np.zeros(n + 1), np.zeros(n + 1))
 
     v_bb = omega(n) * grid.bounding_radius**n
     rng = stream(seed, 0)
@@ -255,34 +214,4 @@ def fit_intrinsic_volumes(
     dists = _distances_for_expansion(P, pts)
     values, stderr = steiner_fit_from_distances(dists, v_bb, grid.eps, n)
     crosscheck = mc_volume(P, grid.samples, seed + 1)
-    return IntrinsicVolumeVector(values, stderr, "steiner-fit", vn_crosscheck=crosscheck)
-
-
-# ---------------------------------------------------------------------------
-# The classical inequality margins
-
-
-def isoperimetric_margins(V: IntrinsicVolumeVector) -> np.ndarray:
-    """Margins of (V_j/V_j(B))^{1/j} - (V_n/V_n(B))^{1/n} for j < n.
-
-    Nonnegative margins (up to estimator noise) are what the
-    volume-vs-V_j comparison asserts for every convex body.
-    """
-    n = V.dimension
-    vn = (max(V[n], 0.0) / unit_ball_intrinsic(n, n)) ** (1.0 / n)
-    out = []
-    for j in range(1, n):
-        vj = (max(V[j], 0.0) / unit_ball_intrinsic(n, j)) ** (1.0 / j)
-        out.append(vj - vn)
-    return np.array(out)
-
-
-def urysohn_margins(V: IntrinsicVolumeVector) -> np.ndarray:
-    """Margins of V_1/V_1(B) - (V_j/V_j(B))^{1/j} for 1 < j <= n."""
-    n = V.dimension
-    v1 = max(V[1], 0.0) / unit_ball_intrinsic(n, 1)
-    out = []
-    for j in range(2, n + 1):
-        vj = (max(V[j], 0.0) / unit_ball_intrinsic(n, j)) ** (1.0 / j)
-        out.append(v1 - vj)
-    return np.array(out)
+    return IntrinsicVolumeVector(values, stderr, vn_crosscheck=crosscheck)

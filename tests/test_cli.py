@@ -336,9 +336,11 @@ def _keys_read(fn) -> set:
 
 class TestSchemaTables:
     # Declared keys no runner reads: the circumscription estimator is only
-    # checked against the body's dimension.
+    # checked against the body's dimension, and a Wulff kind's grid_size
+    # is consumed by validation, which builds f on that grid.
     UNREAD = {"minimize": {"estimator"}, "schneider": {"estimator"},
-              "simplex-bound": {"estimator"}}
+              "simplex-bound": {"estimator"},
+              "wulff-convergence": {"grid_size"}, "vr-asymptotics": {"grid_size"}}
 
     def test_runners_read_exactly_the_declared_keys(self):
         tree = ast.parse(Path(cli.__file__).read_text())
@@ -400,6 +402,27 @@ class TestMoments:
         assert record.metrics["combined_stderrs"] == [r.combined_stderr for r in expected]
         assert record.failed_trials == 0
 
+    def test_workers_give_the_same_metrics(self, tmp_path, monkeypatch):
+        # Trial values depend only on the seed and the trial index, so a
+        # forked run must reproduce the single-process metrics bit for bit.
+        contexts = []
+        get_context = dm.mp.get_context
+
+        def spy(method=None):
+            contexts.append(method)
+            return get_context(method)
+
+        monkeypatch.setattr(dm.mp, "get_context", spy)
+        metrics = {}
+        for workers in (1, 2):
+            out = tmp_path / str(workers)
+            out.mkdir()
+            assert run_main(moments_doc([1, -1, "-inf"]), out, "--workers", str(workers)) == 0
+            (summary,) = (out / "out").glob("*.summary.yaml")
+            metrics[workers] = yaml.safe_load(summary.read_text())["record"]["metrics"]
+            assert contexts == (["fork", "fork"] if workers == 2 else [])
+        assert metrics[2] == metrics[1]
+
 
 class TestRecord:
     def test_summary_carries_rng_contract(self, tmp_path):
@@ -417,7 +440,8 @@ class TestSmoke:
         (summary,) = (tmp_path / "out").glob("*.summary.yaml")
         doc = yaml.safe_load(summary.read_text())
         assert doc["record"]["rng_contract"] == 2
-        assert results.config_hash(config.load_config(str(summary))) == doc["record"]["config_hash"]
+        reloaded = config.validate(config.read_document(str(summary)))
+        assert results.config_hash(reloaded) == doc["record"]["config_hash"]
         err = capsys.readouterr().err
         for key in doc["record"]["metrics"]:
             assert f"{key}=" in err

@@ -1,4 +1,4 @@
-"""Density families: mass, samplers, rearrangement."""
+"""Density families: mass checks, extremizers and samplers."""
 
 import math
 
@@ -14,17 +14,6 @@ from ballpoly.rng import stream
 
 
 class TestConstruction:
-    def test_masses_are_one(self):
-        specs = [
-            dn.UniformBody(dn.Box.centered_cube(1.0, 2)),
-            dn.UniformBody(dn.BallRegion(np.zeros(2), 0.7)),
-            dn.RadialStep([1.0], [1.0 / math.pi], 2),
-            dn.Box1DStep([-1.0, 1.0], [0.5]),
-            dn.Product1D([dn.Box1DStep([-1, 1], [0.5]), dn.Box1DStep([-0.5, 0.5], [1.0])]),
-        ]
-        for f in specs:
-            assert f.mass() == pytest.approx(1.0, abs=1e-9)
-
     def test_bad_mass_rejected(self):
         with pytest.raises(ValueError):
             dn.RadialStep([1.0], [1.0], 2)  # mass pi, not 1
@@ -46,22 +35,17 @@ class TestConstruction:
         assert np.all(np.abs(x) <= 0.5 + 1e-12)
         assert q.sup_bound == pytest.approx(1.0)
 
-    def test_uniform_ballpoly_region(self):
-        P = BallPolyhedron.from_arrays([[0.5, 0.0], [-0.5, 0.0]], 1.0)
-        f = dn.UniformBody(P)
-        area = 2 * math.pi / 3 - math.sqrt(3) / 2
-        assert f.sup_bound == pytest.approx(1 / area)
-        x = f.sample(stream(1), 3000)
-        assert np.all(P.contains(x, slack=1e-9))
+    def test_radial_step_sup_bound(self):
+        # The ball extremizer of a radial step takes its height from the
+        # highest step, wherever that step lies.
+        assert dn.RadialStep([0.5, 1.0], [0.6, 0.4], 1).sup_bound == 0.6
+        assert dn.RadialStep([0.5, 1.0], [0.4, 0.6], 1).sup_bound == 0.6
 
-    def test_pdf_closed_forms(self):
-        box = dn.UniformBody(dn.Box(np.array([0.0, 0.0]), np.array([2.0, 0.5])))
-        assert box.pdf(np.array([[1.0, 0.25], [2.5, 0.25]])).tolist() == [1.0, 0.0]
-        ball = dn.UniformBody(dn.BallRegion(np.array([1.0, 0.0]), 0.5))
-        assert ball.pdf(np.array([[1.2, 0.1], [0.0, 0.0]])).tolist() == pytest.approx(
-            [1.0 / (math.pi * 0.25), 0.0], rel=1e-15)
-        radial = dn.RadialStep([0.5, 1.0], [0.6, 0.4], 1)
-        assert radial.pdf(np.array([[-0.25], [0.75], [1.5]])).tolist() == [0.6, 0.4, 0.0]
+    def test_ballpoly_region_unsupported(self):
+        # Uniform densities live on boxes, balls and star bodies only.
+        P = BallPolyhedron.from_arrays([[0.5, 0.0], [-0.5, 0.0]], 1.0)
+        with pytest.raises(UnsupportedTag):
+            dn.UniformBody(P)
 
 
 class TestSamplers:
@@ -121,61 +105,3 @@ class TestSamplers:
         assert np.all(S.contains(x))
         # Center of mass shifts toward the bulge.
         assert x[:, 0].mean() > 0.05
-
-
-class TestRearrangement:
-    def test_interval_translation(self):
-        f = dn.Box1DStep([0.0, 1.0], [1.0])
-        g = f.rearranged()
-        assert g.radii == pytest.approx([0.5])
-        assert g.heights == pytest.approx([1.0])
-
-    def test_set_to_ball(self):
-        f = dn.UniformBody(dn.Box.centered_cube(2.0, 2))  # volume 4
-        g = f.rearranged()
-        assert g.radii[-1] == pytest.approx(math.sqrt(4 / math.pi))
-        assert g.heights[0] == pytest.approx(0.25)
-
-    def test_fixed_point(self):
-        f = dn.Box1DStep([-1.0, 1.0], [0.5])
-        g = f.rearranged()
-        assert g.radii == pytest.approx([1.0])
-        assert g.heights == pytest.approx([0.5])
-
-    def test_radial_step_sorting(self):
-        f = dn.RadialStep([0.5, 1.0], [0.1, (1 - 0.1 * math.pi * 0.25) / (math.pi * 0.75)], 2)
-        g = f.rearranged()
-        assert g.is_decreasing()
-        assert g.mass() == pytest.approx(1.0, abs=1e-12)
-
-    def test_equimeasurability(self):
-        # Level-set volumes agree on a 50-point threshold grid.
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            k = int(rng.integers(1, 5))
-            radii = np.sort(rng.uniform(0.2, 2.0, k))
-            radii += np.arange(k) * 1e-3
-            heights = rng.uniform(0.1, 1.0, k)
-            lower = np.concatenate([[0.0], radii[:-1]])
-            mass = float(np.sum(heights * math.pi * (radii**2 - lower**2)))
-            f = dn.RadialStep(radii, heights / mass, 2)
-            g = f.rearranged()
-            for s in np.linspace(0.0, f.sup_bound * 1.05, 50):
-                assert f.level_set_volume(s) == pytest.approx(g.level_set_volume(s), abs=1e-6)
-
-    def test_product_rearranged_factors_decreasing(self):
-        f = dn.Product1D([dn.Box1DStep([0.0, 1.0], [1.0]), dn.Box1DStep([-2.0, 2.0], [0.25])])
-        g = f.rearranged()
-        for factor in g.factors:
-            assert factor.is_decreasing()
-        assert g.mass() == pytest.approx(1.0, abs=1e-12)
-
-
-class TestGridSymmetrization:
-    def test_product_pdf_is_product_of_factors(self):
-        # Closed form: 1/4 on (-1, 0] and 3/4 on (0, 1], times 1/2 on (0, 2].
-        f = dn.Product1D([dn.Box1DStep([-1.0, 0.0, 1.0], [0.25, 0.75]),
-                          dn.Box1DStep([0.0, 2.0], [0.5])])
-        pts = np.array([[-0.5, 1.0], [0.5, 1.9], [0.5, 2.5], [-1.5, 1.0], [1.0, 0.0]])
-        assert f.pdf(pts).tolist() == [0.125, 0.375, 0.0, 0.0, 0.0]
-        assert f.mass() == 1.0

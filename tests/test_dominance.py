@@ -226,8 +226,7 @@ class TestCubeExtremizer:
         assert rep.verdict.consistent
 
     def test_mixed_step_densities_consistent(self):
-        # Mass 1: 0.5/1.1 on length 2.2; the equal heights are kept so that
-        # Box1DStep.rearranged takes its equal-height merge branch.
+        # Mass 1: 0.5/1.1 on length 2.2, in three pieces of equal height.
         f1 = dn.Box1DStep([-1.0, -0.2, 0.6, 1.2], [0.5 / 1.1] * 3)
         f2 = dn.Box1DStep([-2.0, 0.0, 0.5], [0.3, 0.8])
         cfg = dm.ExperimentConfig(

@@ -54,6 +54,19 @@ class TestClosedForms:
             areas.append(reg.area)
         assert all(areas[i + 1] <= areas[i] + 1e-12 for i in range(len(areas) - 1))
 
+    def test_monotonicity_under_subset(self):
+        # Dropping balls enlarges the body, so V_1 = perimeter / 2 and
+        # V_2 = area grow.
+        rng = np.random.default_rng(16)
+        for _ in range(25):
+            C = rng.normal(0, 0.3, (4, 2))
+            R = rng.uniform(0.9, 1.4, 4)
+            area_p, perim_p = e2.exact_disk_intersection_2d(BallPolyhedron.from_arrays(C, R))
+            area_q, perim_q = e2.exact_disk_intersection_2d(
+                BallPolyhedron.from_arrays(C[:2], R[:2]))
+            assert perim_p / 2.0 <= perim_q / 2.0 + 1e-12
+            assert area_p <= area_q + 1e-12
+
     def test_disjoint(self):
         P = BallPolyhedron.from_arrays([[1.5, 0.0], [-1.5, 0.0]], 1.0)
         assert e2.exact_disk_intersection_2d(P) == (0.0, 0.0)

@@ -1,4 +1,4 @@
-"""Projection, support, reflection, and body-representation tests."""
+"""Projection, support, and body-representation tests."""
 
 import numpy as np
 import pytest
@@ -12,10 +12,7 @@ from ballpoly.geometry import (
     StarBody,
     SupportBody,
     distances_to_ballpoly,
-    hausdorff_distance,
-    minkowski_symmetral,
     project_points_onto_ballpoly,
-    reflect,
     support_function,
 )
 
@@ -130,6 +127,10 @@ class TestSupportFunction:
         h = support_function(lens(), np.array([1.0, 0.0]))
         assert h == pytest.approx(0.5, abs=1e-7)
 
+    def test_zero_direction_raises(self):
+        with pytest.raises(ZeroVector):
+            support_function(lens(), np.zeros(2))
+
     def test_empty_raises(self):
         P = BallPolyhedron.from_arrays([[2.0, 0.0], [-2.0, 0.0]], 1.0)
         with pytest.raises(EmptyIntersection):
@@ -161,7 +162,7 @@ class TestSupportFunction:
             t = rng.normal(size=2)
             t /= np.linalg.norm(t)
             h1 = support_function(P, t)
-            h2 = support_function(P, reflect(u, t))
+            h2 = support_function(P, t - 2.0 * np.dot(t, u) * u)
             assert h1 == pytest.approx(h2, abs=1e-6)
 
 
@@ -384,23 +385,6 @@ class TestNearestPointMap:
         assert np.allclose(proj, [[0.0, 0.0, h], [0.0, 0.0, -h]], rtol=0, atol=1e-12)
 
 
-class TestReflect:
-    def test_axis(self):
-        assert np.allclose(reflect(np.array([1.0, 0.0]), np.array([3.0, 1.0])), [-3.0, 1.0])
-
-    def test_involution(self):
-        rng = np.random.default_rng(3)
-        u = rng.normal(size=3)
-        u /= np.linalg.norm(u)
-        x = rng.normal(size=3)
-        assert np.allclose(reflect(u, reflect(u, x)), x, atol=1e-14)
-
-    def test_fixed_hyperplane(self):
-        u = np.array([0.0, 1.0])
-        x = np.array([2.5, 0.0])
-        assert np.allclose(reflect(u, x), x)
-
-
 class TestDirectionGrid:
     def test_weights_and_norms(self):
         g = DirectionGrid.uniform_2d(64)
@@ -414,14 +398,6 @@ class TestDirectionGrid:
         # Quadrature sanity: mean of z^2 over the sphere is 1/3.
         assert np.dot(g.weights, g.directions[:, 2] ** 2) == pytest.approx(1 / 3, abs=1e-3)
 
-    def test_reflection_closure(self):
-        g = DirectionGrid.uniform_2d(32)
-        j = 5
-        perm = g.reflected_indices(j)
-        u = g.directions[j]
-        expected = reflect(u, g.directions)
-        assert np.allclose(g.directions[perm], expected, atol=1e-12)
-
 
 class TestSupportBody:
     def grid(self):
@@ -430,77 +406,25 @@ class TestSupportBody:
     def test_ball_support(self):
         g = self.grid()
         K = SupportBody.ball(np.array([1.0, 0.0]), 2.0, g)
-        assert K.support_one(np.array([0.0, 1.0])) == pytest.approx(2.0)
-        assert K.support_one(np.array([1.0, 0.0])) == pytest.approx(3.0)
+        h = K.support(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert h == pytest.approx([2.0, 3.0])
 
-    def test_symmetral_fixes_balls(self):
-        g = self.grid()
-        K = SupportBody.ball(np.zeros(2), 1.5, g)
-        M = minkowski_symmetral(K, np.array([1.0, 0.0]))
-        assert np.allclose(M.values, K.values, atol=1e-14)
 
-    def test_symmetral_centers_segment(self):
-        g = self.grid()
-        K = SupportBody.segment(np.array([1.0, 0.0]), np.array([3.0, 0.0]), g)
-        M = minkowski_symmetral(K, np.array([1.0, 0.0]))
-        expected = SupportBody.segment(np.array([-1.0, 0.0]), np.array([1.0, 0.0]), g)
-        assert hausdorff_distance(M, expected) < 1e-12
-
-    def test_symmetral_preserves_mean_width(self):
-        g = self.grid()
-        K = SupportBody.cube(1.0, 2, g)
-        u = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        M = minkowski_symmetral(K, u)
-        w_k, w_m = K.mean_width(), M.mean_width()
-        assert w_m == pytest.approx(w_k, abs=1e-12)
-        assert w_k == pytest.approx(4.0 / np.pi, abs=1e-5)
-
-    def test_symmetral_reflection_invariance_exact(self):
-        g = self.grid()
-        K = SupportBody.polytope(np.array([[0.3, 0.1], [1.0, 0.4], [-0.2, 0.8]]), g)
-        u = np.array([np.cos(0.7), np.sin(0.7)])
-        M = minkowski_symmetral(K, u)
-        dirs = np.random.default_rng(0).normal(size=(50, 2))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        assert np.allclose(M.support(dirs), M.support(reflect(u, dirs)), atol=1e-14)
-
-    def test_hausdorff(self):
-        g = self.grid()
-        B1 = SupportBody.ball(np.zeros(2), 1.0, g)
-        B2 = SupportBody.ball(np.zeros(2), 2.0, g)
-        assert hausdorff_distance(B1, B2) == pytest.approx(1.0)
-        assert hausdorff_distance(B1, B1) == 0.0
-
-    def test_hausdorff_square_vs_circumball(self):
-        g = self.grid()
-        sq = SupportBody.cube(1.0, 2, g)
-        ball = SupportBody.ball(np.zeros(2), np.sqrt(2) / 2, g)
-        # Largest support gap sits at the axis directions.
-        assert hausdorff_distance(sq, ball) == pytest.approx(np.sqrt(2) / 2 - 0.5, abs=1e-9)
+def round_star(radius, grid):
+    return StarBody(2, grid, oracle=lambda d: np.full(np.atleast_2d(d).shape[0], radius))
 
 
 class TestStarBody:
-    def test_ball_radial(self):
-        g = DirectionGrid.uniform_2d(256)
-        S = StarBody.ball(1.5, g)
-        assert S.radial_one(np.array([0.0, 1.0])) == pytest.approx(1.5)
-
     def test_contains_origin(self):
         g = DirectionGrid.uniform_2d(256)
-        S = StarBody.ball(0.1, g)
+        S = round_star(0.1, g)
         assert S.contains(np.zeros(2))[0]
 
     def test_contains_boundary(self):
         g = DirectionGrid.uniform_2d(256)
-        S = StarBody.ball(1.0, g)
+        S = round_star(1.0, g)
         assert S.contains(np.array([0.999, 0.0]))[0]
         assert not S.contains(np.array([1.01, 0.0]))[0]
-
-    def test_zero_vector_direction(self):
-        from ballpoly.geometry import direction_of
-
-        with pytest.raises(ZeroVector):
-            direction_of(np.zeros(2))
 
 
 class TestBallPolyhedron:

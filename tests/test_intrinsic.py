@@ -5,20 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from ballpoly.errors import IllConditioned, NonConvergence
+from ballpoly.errors import IllConditioned
 from ballpoly.exact2d import exact_disk_intersection_2d
 from ballpoly.geometry import BallPolyhedron, DirectionGrid, SupportBody
 from ballpoly.intrinsic import (
     EpsilonGrid,
-    epsilon_expanded_volume,
     fit_intrinsic_volumes,
-    intrinsic_volumes_exact_2d,
-    isoperimetric_margins,
     mc_volume,
     omega,
     steiner_fit_from_distances,
     unit_ball_intrinsic,
-    urysohn_margins,
 )
 
 LENS = BallPolyhedron.from_arrays([[0.5, 0.0], [-0.5, 0.0]], 1.0)
@@ -82,37 +78,6 @@ class TestMonteCarloVolume:
             intr.MC_BATCH = old
         assert est1 != est2  # different stream layout is fine...
         assert abs(est1 - est2) < 0.05  # ...but statistically consistent
-
-
-class TestEpsilonExpansion:
-    def test_disk(self):
-        P = BallPolyhedron.from_arrays([[0.0, 0.0]], 1.0)
-        est, se = epsilon_expanded_volume(P, 0.5, 100_000, seed=5)
-        assert est == pytest.approx(math.pi * 2.25, abs=3 * se + 1e-12)
-
-    def test_square_surrogate(self):
-        # Four huge balls approximate the unit square; its expanded
-        # volume at eps=1 is 1 + 4 + pi.
-        R = 1000.0
-        d = R - 0.5
-        P = BallPolyhedron.from_arrays(
-            [[d, 0.0], [-d, 0.0], [0.0, d], [0.0, -d]], R
-        )
-        area, perim = exact_disk_intersection_2d(P)
-        assert area == pytest.approx(1.0, rel=2e-3)
-        assert perim == pytest.approx(4.0, rel=2e-3)
-        est, se = epsilon_expanded_volume(P, 1.0, 300_000, seed=6)
-        assert est == pytest.approx(1 + 4 + math.pi, abs=4 * se + 0.02)
-
-    def test_small_eps_recovers_volume(self):
-        est_eps, se_eps = epsilon_expanded_volume(LENS, 1e-3, 200_000, seed=7)
-        est_mc, se_mc = mc_volume(LENS, 200_000, seed=8)
-        assert abs(est_eps - est_mc) <= 3 * math.hypot(se_eps, se_mc) + 0.01
-
-    def test_empty_raises(self):
-        P = BallPolyhedron.from_arrays([[2.0, 0.0], [-2.0, 0.0]], 1.0)
-        with pytest.raises(NonConvergence):
-            epsilon_expanded_volume(P, 0.1, 1000, seed=9)
 
 
 class TestSteinerFit:
@@ -203,40 +168,3 @@ class TestMeanWidth:
     def test_unit_square(self):
         K = SupportBody.cube(1.0, 2, self.grid())
         assert K.mean_width() == pytest.approx(4 / math.pi, rel=1e-6)
-
-
-class TestInequalityMargins:
-    def test_exact_bodies(self):
-        V = intrinsic_volumes_exact_2d(LENS)
-        assert np.all(isoperimetric_margins(V) >= -1e-12)
-        assert np.all(urysohn_margins(V) >= -1e-12)
-
-    def test_ball_is_tight(self):
-        P = BallPolyhedron.from_arrays([[0.0, 0.0]], 2.0)
-        V = intrinsic_volumes_exact_2d(P)
-        assert isoperimetric_margins(V)[0] == pytest.approx(0.0, abs=1e-12)
-        assert urysohn_margins(V)[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_random_bodies(self):
-        rng = np.random.default_rng(15)
-        for _ in range(40):
-            k = int(rng.integers(2, 7))
-            P = BallPolyhedron.from_arrays(rng.normal(0, 0.3, (k, 2)), rng.uniform(0.8, 1.5, k))
-            V = intrinsic_volumes_exact_2d(P)
-            if V.values[0] == 0.0:
-                continue
-            assert np.all(isoperimetric_margins(V) >= -1e-9)
-            assert np.all(urysohn_margins(V) >= -1e-9)
-
-    def test_monotonicity_under_subset(self):
-        # Dropping balls enlarges the body, so every V_j grows.
-        rng = np.random.default_rng(16)
-        for _ in range(25):
-            C = rng.normal(0, 0.3, (4, 2))
-            R = rng.uniform(0.9, 1.4, 4)
-            P = BallPolyhedron.from_arrays(C, R)
-            Q = BallPolyhedron.from_arrays(C[:2], R[:2])
-            vp = intrinsic_volumes_exact_2d(P).values
-            vq = intrinsic_volumes_exact_2d(Q).values
-            assert vp[1] <= vq[1] + 1e-12
-            assert vp[2] <= vq[2] + 1e-12

@@ -1,5 +1,7 @@
-"""tools/surface.py counts source lines and settable parameters."""
+"""tools/surface.py counts source lines and settable parameters, and
+every public name of the library has a reader outside the tests."""
 
+import ast
 import importlib.util
 import textwrap
 from pathlib import Path
@@ -90,3 +92,110 @@ def test_counts_a_fixture_module(tmp_path, capsys):
         f"lines: {len(FIXTURE.splitlines())}",
         "settable parameters: 18 (8 with defaults, 10 without)",
     ]
+
+
+# ---------------------------------------------------------------------------
+# Every public name of the library is reached from the library or the
+# benchmark, not only from tests.
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ballpoly"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _public_definitions(tree):
+    """(name, owner class or None, node) for each public top-level
+    function and class and each public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, None, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield item.name, node.name, item
+
+
+def _references(tree, classes, strings):
+    """(name, qualifier, line) for each use of a name in code. A bare
+    name can only reach a top-level definition (qualifier ""); an
+    attribute is qualified by the class it is read from when that is a
+    library class. With ``strings``, a string constant, which is how the
+    benchmark names what it patches, reaches any definition (qualifier
+    None); the library itself names nothing by string, and its strings
+    (config keys, messages) would hide dead names. Comments and
+    docstrings are not code, and import statements bind names without
+    using them."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, "", node.lineno
+        elif isinstance(node, ast.Attribute):
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            yield node.attr, owner if owner in classes else None, node.lineno
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, None, node.lineno
+
+
+def unreferenced_names(package=PACKAGE, readers=PERFBENCH):
+    """Public names of ``package`` that nothing in the package (its
+    ``__init__`` re-exports aside) or in ``readers/*.py`` uses outside
+    the name's own definition."""
+    sources = {p: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))
+               if p.name != "__init__.py"}
+    definitions = [(path, name, owner, node) for path, tree in sources.items()
+                   for name, owner, node in _public_definitions(tree)]
+    classes = {name for _, name, _, node in definitions if isinstance(node, ast.ClassDef)}
+    uses = [(path, ref) for path, tree in sources.items()
+            for ref in _references(tree, classes, strings=False)]
+    uses += [(path, ref) for path in sorted(readers.glob("*.py"))
+             for ref in _references(ast.parse(path.read_text()), classes, strings=True)]
+    missing = []
+    for path, name, owner, node in definitions:
+        if not any(n == name and (q is None or q == (owner or ""))
+                   and not (p == path and node.lineno <= line <= node.end_lineno)
+                   for p, (n, q, line) in uses):
+            missing.append(f"{owner}.{name}" if owner else name)
+    return missing
+
+
+def test_every_public_name_is_reached():
+    assert unreferenced_names() == []
+
+
+def test_guard_finds_names_only_tests_reach(tmp_path):
+    package, readers = tmp_path / "pkg", tmp_path / "bench"
+    package.mkdir()
+    readers.mkdir()
+    (package / "__init__.py").write_text("from .mod import Body, helper\n")
+    (package / "mod.py").write_text(textwrap.dedent('''
+        def helper(x):
+            return helper(x - 1) if x else 0
+
+
+        def patched():
+            return 0
+
+
+        class Body:
+            def size(self):
+                return 1
+
+            def ball(self):
+                return 2
+
+            def lonely(self):
+                # lonely is named in this comment only
+                return "lonely value"
+
+
+        class Other:
+            def ball(self):
+                return 3
+
+
+        def run():
+            return Body().size() + Other.ball(None)
+    '''))
+    (readers / "bench.py").write_text(
+        "import mod\n\nTARGETS = [(mod, \"patched\")]\nmod.run()\n")
+    # helper calls only itself and is re-exported; Body.ball loses to the
+    # qualified Other.ball; lonely appears in a comment and inside a string.
+    assert unreferenced_names(package, readers) == ["helper", "Body.ball", "Body.lonely"]
