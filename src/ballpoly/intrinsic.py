@@ -62,6 +62,10 @@ class IntrinsicVolumeVector:
     stderr: np.ndarray
     vn_crosscheck: Optional[tuple] = None  # (mc estimate, mc stderr)
 
+    @property
+    def dimension(self) -> int:
+        return len(self.values) - 1
+
 
 @dataclass
 class EpsilonGrid:

@@ -1,6 +1,8 @@
 """Intrinsic-volume estimators against closed forms and the 2D oracle."""
 
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +152,28 @@ class TestSteinerFit:
         V = fit_intrinsic_volumes(P, EpsilonGrid.default_for(P, samples=20_000), seed=fit_seed)
         est, se = V.vn_crosscheck
         assert abs(V.values[3] - est) <= 4 * math.hypot(V.stderr[3], se)
+
+    def test_traced_fit_reads_the_result(self, monkeypatch):
+        # The benchmark's fit observer reads a real result's dimension,
+        # values, stderr and cross-check after every traced fit.
+        from ballpoly import intrinsic
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        importlib.import_module("workloads")
+        spans = importlib.import_module("spans")
+        P = BallPolyhedron.from_arrays([[0.0, 0.0, 0.0], [0.6, 0.0, 0.0]], 1.0)
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            V = intrinsic.fit_intrinsic_volumes(
+                P, EpsilonGrid.default_for(P, samples=20_000), seed=15)
+        finally:
+            tracer.uninstall()
+        assert V.dimension == 3
+        m = spans.layer_metrics(tracer)
+        assert m["intrinsic.fit.calls"] == 1
+        assert m["intrinsic.crosscheck.outliers"] == 0
+
 
 class TestMeanWidth:
     def grid(self):
