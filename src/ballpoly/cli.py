@@ -134,7 +134,7 @@ def _run_minimize(cfg: RunConfig):
     # is 0.0; the keys stay for readers of the record, perfbench among them.
     metrics = {
         "value": res.value, "stderr": 0.0,
-        "restarts": res.restarts_used, "best_restart": res.best_restart,
+        "restarts": len(res.trace), "best_restart": res.best_restart,
         "feasibility_margin": res.feasibility_margin,
         "evaluations": res.evaluations,
     }

@@ -34,7 +34,8 @@ class RadiusTooSmall(BallPolyError):
 
 
 class UnboundedConfiguration(BallPolyError):
-    """A halfspace configuration does not bound a finite polytope."""
+    """A halfspace configuration does not bound a finite,
+    full-dimensional polytope (Qhull could not build it)."""
 
 
 class RejectionStall(BallPolyError):

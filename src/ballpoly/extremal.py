@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize as scipy_minimize
-from scipy.spatial import QhullError
 
 from . import exact2d, polytope
 from .errors import UnboundedConfiguration, UnsupportedDimension
@@ -81,7 +79,6 @@ class CircumscriptionProblem:
 @dataclass
 class OptimizationResult:
     value: float
-    restarts_used: int
     best_restart: int
     trace: np.ndarray  # best value per restart
     feasibility_margin: float
@@ -126,7 +123,8 @@ class _Objective:
     """Exact V_j of the touching-halfspace intersection for a direction
     tuple: area or half-perimeter of the clipped polygon in the plane,
     the hull's intrinsic volumes in 3D. A 3D configuration whose
-    vertices Qhull cannot produce scores the box penalty (2*bound)^3."""
+    vertices or hull Qhull cannot produce scores the box penalty
+    (2*bound)^3."""
 
     def __init__(self, prob: CircumscriptionProblem):
         self.prob = prob
@@ -149,11 +147,14 @@ class _Objective:
     def __call__(self, thetas: np.ndarray) -> float:
         p = self.prob
         if self.n == 2:
-            area, perim = polytope.polygon_area_perimeter(self.vertices(thetas))
+            # The clipper's float pairs go straight to the shoelace: an
+            # array of a handful of vertices costs more than their sums.
+            poly = polytope.clip_vertices(thetas, self.offsets(thetas), p.penalty_bound)
+            area, perim = polytope.polygon_area_perimeter(poly)
             return area if p.j == 2 else perim / 2.0
         try:
             return polytope.hull_intrinsic_volumes(self.vertices(thetas))[p.j]
-        except (UnboundedConfiguration, QhullError):
+        except UnboundedConfiguration:
             return (2.0 * p.penalty_bound) ** 3
 
 
@@ -168,6 +169,11 @@ def minimize_mjN(prob: CircumscriptionProblem, restarts: int = 32,
     (offsets are the support values); the feasibility margin is
     re-checked on the body's grid.
     """
+    # Deferred: importing scipy.optimize more than doubles a cold
+    # start's time and resident memory, and only the circumscription
+    # kinds search.
+    from scipy.optimize import minimize
+
     obj = _Objective(prob)
     n, N = prob.K.dimension, prob.N
     dim = N * (n - 1)
@@ -179,7 +185,7 @@ def minimize_mjN(prob: CircumscriptionProblem, restarts: int = 32,
     init = np.vstack([x0] + [x0 + step * np.eye(dim)[k] for k in range(dim)])
     for r in range(restarts):
         chart = _chart(uniform_on_sphere(stream(seed, r), n, N))
-        res = scipy_minimize(
+        res = minimize(
             lambda v: obj(chart(v)), x0, method="Nelder-Mead",
             options={
                 "maxfev": max_fev, "xatol": 1e-7, "fatol": 1e-7,
@@ -196,8 +202,7 @@ def minimize_mjN(prob: CircumscriptionProblem, restarts: int = 32,
     gdirs = prob.K.grid.directions
     margin = float(np.min(np.max(gdirs @ verts.T, axis=1) - prob.K.support(gdirs)))
     return OptimizationResult(
-        value=float(value), restarts_used=restarts,
-        best_restart=best_r, trace=trace, feasibility_margin=margin,
+        value=float(value), best_restart=best_r, trace=trace, feasibility_margin=margin,
         evaluations=evaluations,
     )
 

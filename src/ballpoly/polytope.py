@@ -8,12 +8,19 @@ the vertex enumeration is delegated to Qhull, and the intrinsic volumes
 of the resulting polytope come from its convex hull. (Wulff shapes are
 not built here: ``wulff.wulff_shape`` takes them from a polar-dual
 convex hull.)
+
+Importing this module does not import scipy: the two Qhull calls import
+``scipy.spatial`` when they run, and ``extremal.minimize_mjN`` imports
+``scipy.optimize`` the same way. So of the CLI kinds only ``minimize``,
+``schneider`` and ``simplex-bound`` (Nelder-Mead, and Qhull in 3D),
+``wulff-convergence`` (the Wulff hull) and ``selftest`` load scipy;
+``dominance-ball``, ``dominance-cube``, ``moments``, ``gorbovickis``,
+``hull-bridge`` and ``vr-asymptotics`` run without it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from .errors import UnboundedConfiguration
 
@@ -24,9 +31,9 @@ CLIP_EPS = 1e-12
 BOX_NORMALS_3D = np.vstack([np.eye(3), -np.eye(3)])
 
 
-def clip_polygon(normals: np.ndarray, offsets: np.ndarray, bound: float) -> np.ndarray:
-    """Vertices (CCW) of {x : <x,n_i> <= c_i} intersected with the box
-    [-bound, bound]^2; empty array when infeasible."""
+def clip_vertices(normals: np.ndarray, offsets: np.ndarray, bound: float) -> list:
+    """Vertices (CCW, as float pairs) of {x : <x,n_i> <= c_i} intersected
+    with the box [-bound, bound]^2; an empty list when infeasible."""
     # Plain floats: a polygon has a handful of vertices, so per-vertex
     # numpy arithmetic would cost more than the clipping itself.
     normals = np.atleast_2d(np.asarray(normals, dtype=float)).tolist()
@@ -50,20 +57,59 @@ def clip_polygon(normals: np.ndarray, offsets: np.ndarray, bound: float) -> np.n
                 out.append((ax + t * (bx - ax), ay + t * (by - ay)))
             ax, ay, da = bx, by, db
         poly = out
+    return poly
+
+
+def clip_polygon(normals: np.ndarray, offsets: np.ndarray, bound: float) -> np.ndarray:
+    """``clip_vertices`` as an (m, 2) array; shape (0, 2) when infeasible."""
+    poly = clip_vertices(normals, offsets, bound)
     return np.array(poly) if poly else np.empty((0, 2))
 
 
-def polygon_area_perimeter(vertices: np.ndarray):
-    """(area, perimeter) of a simple polygon (shoelace); the area is
-    unsigned, so either orientation serves."""
-    v = np.atleast_2d(vertices)
-    if v.shape[0] < 3:
+def _pairwise_sum(terms: list) -> float:
+    """Sum of floats in the order numpy's ``sum`` adds a float64 array:
+    sequential below 8 terms, 8 strided accumulators combined pairwise
+    up to 128, halves (at a multiple of 8) beyond."""
+    n = len(terms)
+    if n < 8:
+        total = 0.0
+        for t in terms:
+            total += t
+        return total
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    r = terms[:8]
+    tail = n - n % 8
+    for i in range(8, tail, 8):
+        for k in range(8):
+            r[k] += terms[i + k]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for t in terms[tail:]:
+        total += t
+    return total
+
+
+def polygon_area_perimeter(vertices):
+    """(area, perimeter) of a simple polygon given as (x, y) pairs, an
+    array or the list ``clip_vertices`` returns (shoelace); the area is
+    unsigned, so either orientation serves.
+
+    Plain floats, yet bit for bit the numpy sums over the vertex array:
+    ``_pairwise_sum`` adds in numpy's order, and ``abs(complex(dx, dy))``
+    is the C library's ``hypot``, as ``np.hypot`` is (``math.hypot`` is
+    CPython's own and differs by an ulp on some edges)."""
+    if isinstance(vertices, np.ndarray):
+        vertices = vertices.tolist()
+    if len(vertices) < 3:
         return 0.0, 0.0
-    w = np.concatenate((v[1:], v[:1]))  # the next vertex of each
-    x, y, xr, yr = v[:, 0], v[:, 1], w[:, 0], w[:, 1]
-    area = 0.5 * float((x * yr - xr * y).sum())
-    perim = float(np.hypot(xr - x, yr - y).sum())
-    return abs(area), perim
+    cross, edges = [], []
+    x, y = vertices[0]
+    for xr, yr in vertices[1:] + vertices[:1]:
+        cross.append(x * yr - xr * y)
+        edges.append(abs(complex(xr - x, yr - y)))
+        x, y = xr, yr
+    return abs(0.5 * _pairwise_sum(cross)), _pairwise_sum(edges)
 
 
 def halfspace_vertices_3d(normals: np.ndarray, offsets: np.ndarray,
@@ -72,8 +118,14 @@ def halfspace_vertices_3d(normals: np.ndarray, offsets: np.ndarray,
     [-bound, bound]^3 so the result is always bounded.
 
     ``interior`` must be strictly feasible: any interior point of a body
-    serves for a configuration of halfspaces touching it.
+    serves for a configuration of halfspaces touching it. A
+    configuration Qhull cannot intersect raises UnboundedConfiguration.
     """
+    # Deferred: importing scipy.spatial more than doubles a cold start's
+    # time and resident memory, and only 3D circumscription reaches
+    # this function.
+    from scipy.spatial import HalfspaceIntersection, QhullError
+
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
     offsets = np.asarray(offsets, dtype=float)
     A = np.vstack([normals, BOX_NORMALS_3D])
@@ -82,7 +134,10 @@ def halfspace_vertices_3d(normals: np.ndarray, offsets: np.ndarray,
     margin = float(np.min(c - A @ np.asarray(interior, dtype=float)))
     if margin <= 0:
         raise UnboundedConfiguration("interior point is not strictly feasible")
-    hs = HalfspaceIntersection(halfspaces, np.asarray(interior, dtype=float))
+    try:
+        hs = HalfspaceIntersection(halfspaces, np.asarray(interior, dtype=float))
+    except QhullError as exc:
+        raise UnboundedConfiguration("Qhull cannot intersect the halfspaces") from exc
     return hs.intersections
 
 
@@ -93,9 +148,17 @@ def hull_intrinsic_volumes(vertices: np.ndarray):
     edges of the triangulated boundary, the edge length times the
     exterior dihedral angle, divided by 2*pi (Schneider, Convex Bodies,
     2nd ed., section 4.2); an edge between coplanar triangles has angle
-    zero and adds nothing.
+    zero and adds nothing. Points whose hull Qhull cannot build (fewer
+    than four, or flat) raise UnboundedConfiguration.
     """
-    hull = ConvexHull(np.asarray(vertices, dtype=float))
+    # Deferred, as in halfspace_vertices_3d: only 3D circumscription
+    # and the selftest reach this function.
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        hull = ConvexHull(np.asarray(vertices, dtype=float))
+    except QhullError as exc:
+        raise UnboundedConfiguration("Qhull cannot build the hull") from exc
     tri = hull.simplices
     # Neighbour k of a triangle lies across the edge opposite its vertex k.
     s = np.repeat(np.arange(tri.shape[0]), 3)

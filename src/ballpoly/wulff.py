@@ -96,6 +96,9 @@ def _polar_dual_vertices(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray
     """Vertices of {x : <x, n_i> <= c_i} with all c_i > 0 (origin
     interior) via the polar-dual convex hull: hull facets of the dual
     points n_i/c_i correspond to primal vertices."""
+    # Deferred: importing scipy.spatial more than doubles a cold start's
+    # time and resident memory, and of the CLI kinds only
+    # wulff-convergence and selftest build Wulff shapes.
     from scipy.spatial import ConvexHull
 
     if np.any(offsets <= 0):

@@ -1,15 +1,21 @@
 """The command line: config validation exit codes, the moments kind, the
-written result record, and every kind run end to end on a tiny budget."""
+written result record, every kind run end to end on a tiny budget, and
+the kinds that run without importing scipy."""
 
 import ast
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
 import pytest
 import yaml
 
+import ballpoly
 from ballpoly import cli, config, results
 from ballpoly import dominance as dm
 from ballpoly.config import build_body
@@ -464,3 +470,37 @@ class TestSmoke:
                 assert metrics[1][key] == pytest.approx(value, rel=1e-12, abs=1e-12), key
             else:
                 assert metrics[1][key] == value, key
+
+
+# Kinds that call neither Nelder-Mead nor Qhull, so a run of one must not
+# import scipy, which more than doubles a cold start's time and memory.
+SCIPY_FREE = ["dominance-ball", "dominance-cube", "moments", "gorbovickis", "hull-bridge",
+              "vr-asymptotics", "vr-asymptotics/constant"]
+
+SCIPY_PROBE = textwrap.dedent("""
+    import importlib, json, pkgutil, sys
+    import ballpoly
+    from ballpoly import cli
+    for module in pkgutil.iter_modules(ballpoly.__path__):
+        importlib.import_module("ballpoly." + module.name)
+    for i, path in enumerate(sys.argv[1:]):
+        assert cli.main([path, "--out", f"out{i}"]) == 0, path
+    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+""")
+
+
+class TestColdStart:
+    def test_scipy_free_kinds_do_not_import_scipy(self, tmp_path):
+        # A fresh interpreter: this test process has scipy loaded already.
+        paths = []
+        for name in SCIPY_FREE:
+            path = tmp_path / (name.replace("/", "-") + ".yaml")
+            path.write_text(yaml.safe_dump(smoke_doc(name)))
+            paths.append(str(path))
+        src = str(Path(ballpoly.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *paths], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
