@@ -2,8 +2,9 @@
 
 Library layout:
 
-* ``geometry``   vectors, ball-polyhedra, their exact nearest-point
-  map, support function and emptiness, support and radial oracles
+* ``geometry``   vectors, ball-polyhedra (centre and radius arrays),
+  their exact nearest-point map, support function and emptiness,
+  support oracles (also Wulff boundary functions) and radial oracles
 * ``exact2d``    exact circular-arc decomposition of planar disk
   intersections (area, perimeter, support, distance)
 * ``intrinsic``  intrinsic volumes: Monte-Carlo volume and
@@ -11,8 +12,8 @@ Library layout:
 * ``densities``  closed-form sampling densities
 * ``dominance``  survival-curve dominance experiments and moment
   comparisons for random ball-polyhedra
-* ``wulff``      tangent-center star bodies, Wulff shapes,
-  ball-polyhedral approximation
+* ``wulff``      tangent-center star bodies, Wulff shapes and
+  ball-polyhedral approximation of a ``SupportBody`` f
 * ``extremal``   circumscription minima, enclosing-simplex bounds,
   large-radius volume deficits, hull mean-width bridge
 * ``cli``        configuration-driven experiment harness
@@ -38,7 +39,6 @@ from .errors import (
 )
 from .exact2d import exact_disk_intersection_2d
 from .geometry import (
-    Ball,
     BallPolyhedron,
     DirectionGrid,
     StarBody,

@@ -6,8 +6,8 @@ Exit codes: 0 success, 2 configuration error, 3 experiment failure.
 The overrides are laid over the parsed document before it is validated,
 so they pass the same checks as the file. A configuration error (an
 unreadable file, bad YAML, a key outside or against its schema table, a
-spec its builder rejects) always exits 2 with a message, never with a
-traceback.
+spec its builder rejects, an output directory that cannot be created)
+always exits 2 with a message, never with a traceback, before the run.
 Progress goes to stderr; metrics and curve files to the output
 directory (CSV curves plus a YAML summary that reloads as a config).
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -118,7 +119,7 @@ def _run_vr_asymptotics(cfg: RunConfig):
     metrics = {
         "slope": rep.slope,
         "scaled_residuals": [float(x) for x in rep.scaled],
-        "sphere_mean": p["f"].sphere_mean(),
+        "sphere_mean": p["f"].mean_width() / 2.0,
     }
     return metrics, [CurveTable("residuals", ["R", "residual", "stderr"], rows)], 0
 
@@ -240,7 +241,7 @@ def _run_selftest(cfg: RunConfig):
     g = DirectionGrid.uniform_2d(2048)
     sq = SupportBody.cube(1.0, 2, g)
     check("square mean width", abs(sq.mean_width() - 4 / math.pi) < 1e-4)
-    W = wulff.wulff_shape(wulff.SphericalFunction.from_support_body(sq))
+    W = wulff.wulff_shape(sq)
     probe = DirectionGrid.uniform_2d(256).directions
     check("Wulff of a cube support", np.max(np.abs(W.support(probe) - sq.support(probe))) < 1e-9)
     reg = exact2d.region_of(lens)
@@ -302,6 +303,7 @@ def main(argv=None) -> int:
         if isinstance(doc, dict):
             doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
         cfg = validate(doc)
+        Path(cfg.out).mkdir(parents=True, exist_ok=True)  # before the run, not after it
     except (ParseError, SchemaError, OSError) as exc:
         _log(f"configuration error: {exc}")
         return 2

@@ -17,10 +17,11 @@ to (types, domain, required); a key outside its table is rejected, and
 all violations are reported at once. Each density, body and boundary
 function spec that passes its table is then built by its builder, whose
 constructor errors become schema errors naming the spec, and the few
-rules that relate keys read the built objects' dimensions and, where
-the run builds tangent balls, the boundary function's maximum. The run
-uses those same objects (``RunConfig.built``); a Wulff kind's f is
-built on the run's grid.
+rules that relate keys read the built objects. A boundary function
+spec builds the ``SupportBody`` whose support function it is
+(``constant`` is a centred ball) on the run's grid; one rule checks that
+it, or a ``moments`` body, is positive and below R. The run uses those
+same objects (``RunConfig.built``).
 
 A previously written summary document (which echoes its config under a
 ``config`` key) loads directly, so archived runs re-run as-is.
@@ -37,7 +38,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 import yaml
 
-from .errors import BallPolyError, ParseError, SchemaError
+from .errors import BallPolyError, ParseError, RadiusTooSmall, SchemaError
 from .geometry import DEFAULT_GRID_SIZE
 
 # Default grid of each Wulff kind's f; validation builds f on the run's grid.
@@ -51,8 +52,8 @@ class RunConfig:
     params: Dict[str, Any]
     workers: int = 1
     out: str = "results"
-    # The objects validation built from ``params``, under their keys (and
-    # a Wulff kind's resolved ``grid_size``); runners read these.
+    # The objects validation built from ``params``, under their keys;
+    # runners read these.
     built: Dict[str, Any] = field(default_factory=dict, init=False)
 
     def canonical(self) -> Dict[str, Any]:
@@ -118,23 +119,21 @@ def build_body(spec: dict):
 
 
 def build_spherical_function(spec: dict, grid_size: int):
+    """f as the SupportBody whose support function it is, on ``grid_size`` angles."""
     from .geometry import DirectionGrid, SupportBody
-    from .wulff import SphericalFunction
 
     grid = DirectionGrid.uniform_2d(grid_size)
     t = spec["type"]
     if t == "constant":
-        return SphericalFunction.constant(float(spec["value"]), grid)
+        return SupportBody.ball(np.zeros(2), float(spec["value"]), grid)
     if t == "support-cube":
-        return SphericalFunction.from_support_body(
-            SupportBody.cube(float(spec.get("side", 1.0)), 2, grid))
+        return SupportBody.cube(float(spec.get("side", 1.0)), 2, grid)
     if t == "support-ball":
-        return SphericalFunction.from_support_body(
-            SupportBody.ball(np.zeros(2), float(spec.get("radius", 1.0)), grid))
+        return SupportBody.ball(np.zeros(2), float(spec.get("radius", 1.0)), grid)
     if t == "support-segment":
         length = float(spec.get("length", 1.0))
-        return SphericalFunction.from_support_body(SupportBody.segment(
-            np.array([-length / 2.0, 0.0]), np.array([length / 2.0, 0.0]), grid))
+        return SupportBody.segment(np.array([-length / 2.0, 0.0]),
+                                   np.array([length / 2.0, 0.0]), grid)
     raise SchemaError(f"unknown spherical function type {t!r}")
 
 
@@ -248,7 +247,6 @@ _CIRCUMSCRIPTION = {
     "restarts": _COUNT,
 }
 _CIRCUMSCRIPTION_JN = {**_CIRCUMSCRIPTION, "j": _J, "N": (int, _at_least(2), REQ)}
-_CIRCUMSCRIPTION_REMOVED = ("fit_samples", "final_samples")
 
 PARAMS = {
     "dominance-ball": _DOMINANCE,
@@ -361,11 +359,24 @@ def _check_spec(spec, family: str, where: str, errors: List[str],
 
 def _relations(kind: str, p: dict, built: dict) -> List[str]:
     """Rules between the keys of a params block that passed its table;
-    dimensions and boundary-function maxima are read from built objects."""
+    dimensions and the boundary function's values are read from built
+    objects."""
     from .densities import Product1D
     from .extremal import CIRCUMSCRIPTION_ESTIMATORS
+    from .wulff import _check_boundary
 
     errors = []
+    if kind == "moments" or kind in WULFF_GRID_SIZE:
+        # The run's boundary function (the body's h_K, or f on the run's
+        # grid) against the smallest R the run uses.
+        key, R_key = ("body", "R") if kind == "moments" else ("f", "R_list")
+        try:
+            _check_boundary(built[key], min(np.atleast_1d(p[R_key])))
+        except RadiusTooSmall as exc:
+            errors.append(f"params: key '{R_key}': {exc} (max over the "
+                          f"{len(built[key].grid)}-direction grid of '{key}')")
+        except ValueError as exc:
+            errors.append(f"params.{key}: {exc}")
     for key, want in (("density", p.get("n")), ("density_a", 2), ("density_b", 2)):
         if key in built and built[key].dimension != want:
             errors.append(f"params.{key}: dimension {built[key].dimension}, the run needs {want}")
@@ -378,13 +389,6 @@ def _relations(kind: str, p: dict, built: dict) -> List[str]:
         if p.get("estimator", "exact-2d") == "exact-2d" and n != 2:
             errors.append(f"params: key 'estimator' 'exact-2d' (the default) needs n = 2, "
                           f"got n={n}; use 'steiner-fit'")
-        if kind == "moments":  # the run's boundary function is h_K on the body's grid
-            h = built["body"].values
-            if np.min(h) <= 0:
-                errors.append("params.body: the body must contain the origin in its interior")
-            elif p["R"] <= np.max(h):
-                errors.append(f"params: key 'R' must exceed max h_K = {np.max(h):.6g} "
-                              f"on the body's grid, got R = {p['R']}")
     elif kind in ("minimize", "schneider", "simplex-bound"):
         n = built["body"].dimension
         expected = CIRCUMSCRIPTION_ESTIMATORS.get(n)
@@ -399,11 +403,6 @@ def _relations(kind: str, p: dict, built: dict) -> List[str]:
             hint = " (steiner-fit was removed: the objective is exact)" if est == "steiner-fit" else ""
             errors.append(f"params: key 'estimator' must be '{expected}' for a body of "
                           f"dimension {n}, or omitted, got {est!r}{hint}")
-    elif kind in WULFF_GRID_SIZE:
-        f_max = built["f"].max
-        if min(p["R_list"]) <= f_max:
-            errors.append(f"params: key 'R_list' needs every R > max f = {f_max:.6g} (f on the "
-                          f"run's {built['grid_size']}-direction grid), got R = {min(p['R_list'])}")
     elif kind == "gorbovickis":
         if ("R" in p) == ("R_list" in p):
             errors.append("params: need 'R' or 'R_list', not both")
@@ -442,11 +441,6 @@ def validate(doc: dict) -> RunConfig:
             hint = default
         before = len(errors)
         built = _check_block(params, PARAMS[kind], "params", errors, hint)
-        if kind in WULFF_GRID_SIZE:
-            built["grid_size"] = hint
-        if kind in ("minimize", "schneider", "simplex-bound"):
-            errors.extend(f"params: key '{k}' was removed: the objective is exact and "
-                          "draws no samples" for k in _CIRCUMSCRIPTION_REMOVED if k in params)
         if len(errors) == before:
             errors.extend(_relations(kind, params, built))
     if errors:

@@ -37,7 +37,7 @@ from .errors import BallPolyError, NonIntegrable, UnsupportedDimension
 from .geometry import BallPolyhedron
 from .intrinsic import EpsilonGrid, fit_intrinsic_volumes
 from .rng import TRIAL_BLOCK, stream
-from .wulff import SphericalFunction, build_A, volume_radius
+from .wulff import build_A, volume_radius
 # Unused here, but the benchmark's span tracer patches
 # ``dominance.uniform_on_sphere`` by name, so the binding must exist.
 from .rng import uniform_on_sphere  # noqa: F401
@@ -336,7 +336,7 @@ def moment_samples(K, R: float, N: int, j: int, trials: int, seed: int = 0,
     volume-matched ball (rhs), each side run by ``run_trials`` on
     ``workers`` processes. Returns the two TrialBatches, from which
     ``moment_report`` scores any number of p."""
-    A = build_A(SphericalFunction.from_support_body(K), R)
+    A = build_A(K, R)
     r = volume_radius(A)
     dens_a = UniformBody(A)
     dens_b = UniformBody(BallRegion(np.zeros(K.dimension), r))

@@ -303,13 +303,6 @@ def gorbovickis_deficit(points: np.ndarray, R: float, samples: int = 0,
     )
 
 
-def hull_support_mean(points: np.ndarray, grid: DirectionGrid) -> float:
-    """Sphere average of the support function of conv(points)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    h = np.max(grid.directions @ pts.T, axis=1)
-    return float(np.dot(grid.weights, h))
-
-
 @dataclass
 class HullBridgeReport:
     direct_mean: dict
@@ -337,7 +330,7 @@ def hull_dominance_bridge(density_a, density_b, N: int, trials: int, R: float,
     for i, (label, dens) in enumerate((("a", density_a), ("b", density_b))):
         for t in range(trials):
             pts = dens.sample(stream(seed, t, i), N)
-            out_direct[label][t] = 2.0 * hull_support_mean(pts, grid)
+            out_direct[label][t] = SupportBody.polytope(pts, grid).mean_width()
             vol, _ = exact2d.exact_disk_intersection_2d(BallPolyhedron.from_arrays(pts, R))
             coeff = (omega(n) * R**n - vol) / R ** (n - 1)
             out_deficit[label][t] = 2.0 * coeff / (n * omega(n))

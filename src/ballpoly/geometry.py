@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -59,24 +59,9 @@ def as_unit(v: np.ndarray) -> np.ndarray:
 # Ball polyhedra
 
 
-@dataclass(frozen=True)
-class Ball:
-    """Closed Euclidean ball with positive radius."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        c = _readonly(np.atleast_1d(self.center))
-        object.__setattr__(self, "center", c)
-        if not np.all(np.isfinite(c)):
-            raise ValueError("ball center must be finite")
-        if not (self.radius > 0 and np.isfinite(self.radius)):
-            raise ValueError(f"ball radius must be positive, got {self.radius}")
-
-
 class BallPolyhedron:
-    """Intersection of finitely many closed balls (possibly empty).
+    """Intersection of finitely many closed balls (possibly empty), held
+    as read-only arrays ``centers`` (N, n) and ``radii`` (N,).
 
     Emptiness is a legal state and is decided exactly by ``is_empty``:
     the cheap pairwise certificate ``certainly_empty`` catches disjoint
@@ -85,30 +70,28 @@ class BallPolyhedron:
     all read the same spheres of ``_spheres``.
     """
 
-    def __init__(self, balls: Sequence[Ball]):
-        if len(balls) == 0:
-            raise ValueError("a ball-polyhedron needs at least one ball")
-        dims = {b.center.shape[0] for b in balls}
-        if len(dims) != 1:
-            raise ValueError(f"ball centers disagree on dimension: {sorted(dims)}")
-        self.balls = tuple(balls)
-        self.dimension = dims.pop()
-        self.centers = _readonly(np.stack([b.center for b in balls]))
-        self.radii = _readonly(np.array([b.radius for b in balls]))
+    def __init__(self, centers: np.ndarray, radii: np.ndarray):
+        self.centers = c = _readonly(np.array(centers, dtype=float))
+        self.radii = r = _readonly(np.array(radii, dtype=float))
+        if c.ndim != 2 or 0 in c.shape or r.shape != c.shape[:1]:
+            raise ValueError(f"need at least one ball: centers (N, n) and radii (N,), "
+                             f"got shapes {c.shape} and {r.shape}")
+        if not (np.all(np.isfinite(c)) and np.all(r > 0) and np.all(np.isfinite(r))):
+            raise ValueError("ball centers must be finite and radii positive and finite")
+        self.dimension = c.shape[1]
 
     @classmethod
     def from_arrays(cls, centers: np.ndarray, radii) -> "BallPolyhedron":
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
-        radii = np.broadcast_to(np.asarray(radii, dtype=float), centers.shape[:1])
-        return cls([Ball(c, float(r)) for c, r in zip(centers, radii)])
+        return cls(centers, np.broadcast_to(np.asarray(radii, dtype=float), centers.shape[:1]))
 
     def __len__(self) -> int:
-        return len(self.balls)
+        return len(self.radii)
 
     @property
-    def smallest(self) -> Ball:
-        """Ball of minimal radius (its ball contains the intersection)."""
-        return self.balls[int(np.argmin(self.radii))]
+    def smallest(self) -> int:
+        """Index of a ball of minimal radius (it contains the intersection)."""
+        return int(np.argmin(self.radii))
 
     def certainly_empty(self) -> bool:
         """Fast certificate: some pair of balls is disjoint."""
@@ -359,7 +342,8 @@ class DirectionGrid:
 class SupportBody:
     """Convex body represented by an exact support-function oracle
     (balls, polytopes, segments, cubes). ``values`` caches the oracle
-    on the grid.
+    on the grid. It is also the boundary function f of ``wulff``: any
+    positive oracle serves as f.
     """
 
     def __init__(
@@ -417,8 +401,7 @@ class SupportBody:
 
     def mean_width(self) -> float:
         """w = 2 * integral of h over the sphere, on the body's grid."""
-        g = self.grid
-        return 2.0 * float(np.dot(g.weights, self.support(g.directions)))
+        return 2.0 * float(np.dot(self.grid.weights, self.values))
 
 
 # ---------------------------------------------------------------------------

@@ -88,10 +88,10 @@ class EpsilonGrid:
         bounding ball centered at the smallest ball's center."""
         r_min = float(np.min(P.radii))
         eps = np.geomspace(0.05 * r_min, 0.5 * r_min, P.dimension + 3)
-        return cls(eps, samples, P.smallest.center, r_min + eps[-1])
+        return cls(eps, samples, P.centers[P.smallest], r_min + eps[-1])
 
     def validate_covers(self, P: BallPolyhedron) -> None:
-        c, r = P.smallest.center, float(np.min(P.radii))
+        c, r = P.centers[P.smallest], float(np.min(P.radii))
         need = float(np.linalg.norm(self.bounding_center - c)) + r + float(self.eps[-1])
         if self.bounding_radius < need - 1e-12:
             raise ValueError(
@@ -114,15 +114,15 @@ def mc_volume(P: BallPolyhedron, samples: int, seed: int):
         raise ValueError("samples must be >= 1")
     if P.certainly_empty():
         return 0.0, 0.0
-    ball = P.smallest
+    c, r = P.centers[P.smallest], float(P.radii[P.smallest])
     n = P.dimension
-    v_ref = omega(n) * ball.radius**n
+    v_ref = omega(n) * r**n
     hits = 0
     done = 0
     batch_idx = 0
     while done < samples:
         m = min(MC_BATCH, samples - done)
-        pts = ball.center + ball.radius * uniform_in_ball(stream(seed, batch_idx), n, m)
+        pts = c + r * uniform_in_ball(stream(seed, batch_idx), n, m)
         hits += int(np.count_nonzero(P.contains(pts)))
         done += m
         batch_idx += 1

@@ -8,12 +8,16 @@ converges to W(f) at rate O(1/R). The tangent centers sweep out the
 star body A(f, R) with radial function rho(-theta) = R - f(theta),
 whose volume radius behaves like R - mean(f) + O(1/R). This module
 builds those objects and measures the convergence claims.
+
+f is a ``SupportBody``: its oracle evaluates f, ``values`` holds f on
+its grid, and ``mean_width() / 2`` is the sphere mean of f.
+``_check_boundary`` is the one check that f is positive and below R.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,54 +33,47 @@ from .geometry import (
 # by name, so the binding must exist.
 from .rng import stream
 
+# f is positive when min f > POSITIVE_RTOL * max f on its grid (here and
+# for the offsets of the polar-dual hull): where f
+# vanishes it reads a few ulps (a centred segment's support function
+# reads 3e-17), which passes "> 0" but leaves W(f) without interior.
+POSITIVE_RTOL = 1e-12
+
 
 class SphericalFunction:
-    """Positive continuous function on the sphere, given by an exact
-    oracle; ``values`` caches the oracle on the grid."""
+    """f is its SupportBody; the benchmark's moments-star set-up calls this."""
 
-    def __init__(self, grid: DirectionGrid,
-                 oracle: Callable[[np.ndarray], np.ndarray]):
-        self.grid = grid
-        self.oracle = oracle
-        self.values = np.asarray(oracle(grid.directions), dtype=float)
-        if np.any(self.values <= 0):
-            raise ValueError("spherical function must be positive")
-        self.min = float(np.min(self.values))
-        self.max = float(np.max(self.values))
+    @staticmethod
+    def from_support_body(K: SupportBody) -> SupportBody:
+        return K
 
-    @classmethod
-    def constant(cls, c: float, grid: DirectionGrid) -> "SphericalFunction":
-        return cls(grid, oracle=lambda d: np.full(np.atleast_2d(d).shape[0], float(c)))
 
-    @classmethod
-    def from_support_body(cls, K: SupportBody) -> "SphericalFunction":
-        return cls(K.grid, oracle=lambda d: K.support(d))
-
-    def __call__(self, dirs: np.ndarray) -> np.ndarray:
-        dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        return np.asarray(self.oracle(dirs), dtype=float)
-
-    def sphere_mean(self) -> float:
-        """Average over the sphere (the L1 norm under the uniform
-        probability measure)."""
-        return float(np.dot(self.grid.weights, self.values))
+def _check_boundary(K: SupportBody, R: float) -> None:
+    """Raise ValueError unless K is positive on its grid (the origin
+    interior to the body), and RadiusTooSmall unless R > max K."""
+    lo, hi = float(np.min(K.values)), float(np.max(K.values))
+    if not lo > POSITIVE_RTOL * hi:
+        raise ValueError(f"the body must contain the origin in its interior: min h = {lo:.6g} "
+                         f"is not above {POSITIVE_RTOL:g} * max h = {hi:.6g} on its grid")
+    if not R > hi:
+        raise RadiusTooSmall(f"need R > max h = {hi:.6g}, got R = {R}")
 
 
 # ---------------------------------------------------------------------------
 # Tangent-center star body and the defining identity
 
 
-def build_A(f: SphericalFunction, R: float) -> StarBody:
-    """Star body of tangent ball centers: rho(-theta) = R - f(theta).
+def build_A(K: SupportBody, R: float) -> StarBody:
+    """Star body of tangent ball centers: rho(-theta) = R - h_K(theta).
 
-    Requires R > max f so the radial function stays positive."""
-    if R <= f.max:
-        raise RadiusTooSmall(f"need R > max f = {f.max}, got R = {R}")
+    Requires K positive and R > max h_K so the radial function stays
+    positive."""
+    _check_boundary(K, R)
 
     def rho(dirs):
-        return R - f(-np.atleast_2d(np.asarray(dirs, dtype=float)))
+        return R - K.support(-np.atleast_2d(np.asarray(dirs, dtype=float)))
 
-    return StarBody(f.grid.dimension, f.grid, oracle=rho)
+    return StarBody(K.dimension, K.grid, oracle=rho)
 
 
 def volume_radius(S: StarBody) -> float:
@@ -101,8 +98,8 @@ def _polar_dual_vertices(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray
     # wulff-convergence and selftest build Wulff shapes.
     from scipy.spatial import ConvexHull
 
-    if np.any(offsets <= 0):
-        raise ValueError("polar-dual construction needs positive offsets")
+    if not np.min(offsets) > POSITIVE_RTOL * np.max(offsets):
+        raise ValueError("polar-dual construction needs the origin in its interior")
     dual = normals / offsets[:, None]
     hull = ConvexHull(dual)
     n = normals.shape[1]
@@ -120,23 +117,18 @@ def _polar_dual_vertices(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray
     return V
 
 
-def wulff_shape(f: SphericalFunction) -> SupportBody:
-    """Wulff shape of f on its grid: the halfspace intersection
+def wulff_shape(K: SupportBody) -> SupportBody:
+    """Wulff shape of f = h_K on its grid: the halfspace intersection
     represented by its vertices (exact support oracle)."""
-    g = f.grid
-    offsets = f(g.directions)
-    verts = _polar_dual_vertices(g.directions, offsets)
-    return SupportBody.polytope(verts, g)
+    verts = _polar_dual_vertices(K.grid.directions, K.values)
+    return SupportBody.polytope(verts, K.grid)
 
 
-def ballpoly_approx(f: SphericalFunction, R: float) -> BallPolyhedron:
+def ballpoly_approx(K: SupportBody, R: float) -> BallPolyhedron:
     """Tangent-ball approximation: one ball of radius R per direction of
-    f's grid, centered at -(R - f(theta)) * theta."""
-    if R <= f.max:
-        raise RadiusTooSmall(f"need R > max f = {f.max}, got R = {R}")
-    g = f.grid
-    offsets = f(g.directions)
-    centers = -(R - offsets)[:, None] * g.directions
+    K's grid, centered at -(R - h_K(theta)) * theta."""
+    _check_boundary(K, R)
+    centers = -(R - K.values)[:, None] * K.grid.directions
     return BallPolyhedron.from_arrays(centers, R)
 
 
@@ -149,7 +141,7 @@ class ConvergenceReport:
     probe_size: int
 
 
-def convergence_rate(f: SphericalFunction, R_list: Sequence[float],
+def convergence_rate(K: SupportBody, R_list: Sequence[float],
                      probe_size: int = 4096) -> ConvergenceReport:
     """Hausdorff distance between the tangent-ball approximation and
     the Wulff shape over ascending radii, with the fitted log-log slope
@@ -158,21 +150,20 @@ def convergence_rate(f: SphericalFunction, R_list: Sequence[float],
     2D only: the ball-polyhedron support function is evaluated exactly
     from the arc decomposition.
     """
-    g = f.grid
-    if g.dimension != 2:
+    if K.dimension != 2:
         raise UnsupportedDimension("convergence experiments are 2D only")
     R_list = np.asarray(sorted(R_list), dtype=float)
-    W = wulff_shape(f)
+    W = wulff_shape(K)
     probe = DirectionGrid.uniform_2d(probe_size).directions
     h_w = W.support(probe)
     res = []
     for R in R_list:
-        P = ballpoly_approx(f, R)
+        P = ballpoly_approx(K, R)
         h_a = exact2d.support_from_region(exact2d.region_of(P), probe)
         res.append(float(np.max(np.abs(h_w - h_a))))
     res = np.array(res)
     slope = float(np.polyfit(np.log(R_list), np.log(res), 1)[0])
-    return ConvergenceReport(R_list, res, slope, len(g), probe_size)
+    return ConvergenceReport(R_list, res, slope, len(K.grid), probe_size)
 
 
 @dataclass
@@ -183,14 +174,14 @@ class VrReport:
     slope: float
 
 
-def vr_asymptotics(f: SphericalFunction, R_list: Sequence[float]) -> VrReport:
+def vr_asymptotics(K: SupportBody, R_list: Sequence[float]) -> VrReport:
     """Residuals vr(A(f,R)) - (R - mean f) over ascending radii.
 
     The residual is nonnegative (power-mean inequality) and decays like
     1/R; ``scaled`` exposes residual * R for the boundedness check."""
     R_list = np.asarray(sorted(R_list), dtype=float)
-    l1 = f.sphere_mean()
-    res = np.array([volume_radius(build_A(f, R)) - (R - l1) for R in R_list])
+    l1 = K.mean_width() / 2.0
+    res = np.array([volume_radius(build_A(K, R)) - (R - l1) for R in R_list])
     with np.errstate(divide="ignore"):
         slope = float(np.polyfit(np.log(R_list), np.log(np.maximum(res, 1e-300)), 1)[0])
     return VrReport(R_list, res, res * R_list, slope)

@@ -3,6 +3,7 @@ written result record, every kind run end to end on a tiny budget, and
 the kinds that run without importing scipy."""
 
 import ast
+import importlib.util
 import json
 import math
 import os
@@ -153,6 +154,15 @@ BAD_CONFIGS = [
                  "params.body: the body must contain the origin", id="moments-origin-outside"),
     pytest.param(smoke_with("moments", body={"type": "cube", "side": 1.0, "n": 2}, R=0.5),
                  "key 'R'", id="moments-R-below-max-support"),
+    # A boundary function that vanishes somewhere (a centred segment's
+    # support function reads 3e-17 at its normals on the grid): the
+    # Wulff run used to exit 3 in Qhull, and the moments run ran with
+    # the origin on the body's boundary.
+    pytest.param(smoke_with("wulff-convergence", f={"type": "support-segment"}),
+                 "params.f: the body must contain the origin", id="wulff-segment-f"),
+    pytest.param(smoke_with("moments", body={"type": "segment", "a": [-0.5, 0.0],
+                                             "b": [0.5, 0.0], "grid_size": 256}),
+                 "params.body: the body must contain the origin", id="moments-segment-body"),
     # The planar deficit is exact; a sample budget used to switch it to
     # a Monte-Carlo estimate.
     pytest.param(smoke_with("gorbovickis", samples=100), "key 'samples'",
@@ -304,6 +314,14 @@ class TestValidation:
     ])
     def test_density_specs_accepted(self, density):
         config.validate(smoke_with("dominance-ball", density=density))
+
+    @pytest.mark.parametrize("out", ["file", "file/out"])
+    def test_unusable_out_exits_2_before_the_run(self, out, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        # The last --out wins over the one run_main passes.
+        assert run_main(smoke_doc("selftest"), tmp_path, "--out", str(tmp_path / out)) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "running" not in err
 
     @pytest.mark.parametrize("argv, env", [
         (["--workers", "0"], None), (["--workers", "-3"], None), ([], "abc"), ([], "0"),
@@ -504,3 +522,21 @@ class TestColdStart:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+class TestDigest:
+    def test_one_sha256_per_config_over_the_record(self, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "digest", Path(__file__).resolve().parent.parent / "tools" / "digest.py")
+        digest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digest)
+        names = ["gorbovickis", "vr-asymptotics/constant"]
+        assert digest.main(names) == 0
+        lines = [line.split("  ") for line in capsys.readouterr().out.splitlines()]
+        assert [name for _, name in lines] == names
+        assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d, _ in lines)
+        record = cli.run(config.validate(smoke_doc("gorbovickis")))
+        assert digest.digest(record) == lines[0][0]
+        # One ulp in one metric changes the digest.
+        record.metrics["volume"] = math.nextafter(record.metrics["volume"], math.inf)
+        assert digest.digest(record) != lines[0][0]

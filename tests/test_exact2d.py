@@ -294,7 +294,8 @@ class TestSupportAndDistance:
         if reg.empty:
             pytest.skip("empty draw")
         P = BallPolyhedron.from_arrays(C, R)
-        pts = P.smallest.center + P.smallest.radius * stream(1).uniform(-1, 1, (4000, 2))
+        i = P.smallest
+        pts = P.centers[i] + P.radii[i] * stream(1).uniform(-1, 1, (4000, 2))
         pts = pts[P.contains(pts)]
         dirs = stream(2).normal(size=(40, 2))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

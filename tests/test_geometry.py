@@ -6,7 +6,6 @@ import pytest
 from ballpoly import exact2d, geometry
 from ballpoly.errors import EmptyIntersection, ZeroVector
 from ballpoly.geometry import (
-    Ball,
     BallPolyhedron,
     DirectionGrid,
     StarBody,
@@ -430,12 +429,12 @@ class TestStarBody:
 class TestBallPolyhedron:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            BallPolyhedron([Ball(np.zeros(2), 1.0), Ball(np.zeros(3), 1.0)])
+            BallPolyhedron.from_arrays([[0.0, 0.0], [0.0, 0.0, 0.0]], 1.0)
 
     def test_radius_positive(self):
         with pytest.raises(ValueError):
-            Ball(np.zeros(2), -1.0)
+            BallPolyhedron.from_arrays(np.zeros((1, 2)), -1.0)
 
     def test_empty_list(self):
         with pytest.raises(ValueError):
-            BallPolyhedron([])
+            BallPolyhedron.from_arrays([], 1.0)
