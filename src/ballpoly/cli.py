@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, read_document, validate
+from .config import RunConfig, given, read_document, validate
 from .errors import BallPolyError, ParseError, SchemaError
 from .results import CurveTable, make_record, now_iso, write_results
 
@@ -31,7 +31,8 @@ def _log(msg: str):
 
 # ---------------------------------------------------------------------------
 # Kind runners: each returns (metrics, curves, failed_trials). They read
-# the objects validation built under their keys: p = {**params, **built}.
+# what validation built, p = {**params, **built}, and under "run" the
+# object the run executes; library calls get only the keys the config sets.
 
 
 def _survival_curve_table(name, test_curve, extremal_curve):
@@ -45,15 +46,7 @@ def _survival_curve_table(name, test_curve, extremal_curve):
 def _run_dominance(cfg: RunConfig, cube: bool):
     from . import dominance as dm
 
-    p = {**cfg.params, **cfg.built}
-    exp = dm.ExperimentConfig(
-        n=p["n"], N=p["N"], R=p["R"], j=p["j"], density=p["density"],
-        trials=p["trials"], seed=cfg.seed,
-        s_grid=np.asarray(p["s_grid"], float) if "s_grid" in p else None,
-        s_points=p.get("s_points", 20), alpha=p.get("alpha", 0.05),
-        estimator=p.get("estimator", "exact-2d"),
-        fit_samples=p.get("fit_samples", 20_000), workers=cfg.workers,
-    )
+    exp = cfg.built["run"]
     rep = dm.check_cube_extremizer(exp) if cube else dm.check_ball_extremizer(exp)
     v = rep.verdict
     metrics = {
@@ -73,12 +66,8 @@ def _run_dominance(cfg: RunConfig, cube: bool):
 def _run_moments(cfg: RunConfig):
     from . import dominance as dm
 
-    p = {**cfg.params, **cfg.built}
-    lhs, rhs = dm.moment_samples(
-        p["body"], R=p["R"], N=p["N"], j=p["j"], trials=p["trials"],
-        seed=cfg.seed, estimator=p.get("estimator", "exact-2d"),
-        fit_samples=p.get("fit_samples", 20_000), workers=cfg.workers,
-    )
+    p = cfg.params
+    lhs, rhs = dm.moment_samples(cfg.built["run"])
     rows = []
     all_ok = True
     for pw in p["p_list"]:
@@ -102,7 +91,7 @@ def _run_wulff_convergence(cfg: RunConfig):
     from . import wulff
 
     p = {**cfg.params, **cfg.built}
-    rep = wulff.convergence_rate(p["f"], p["R_list"], probe_size=p.get("probe_size", 4096))
+    rep = wulff.convergence_rate(p["f"], p["R_list"], **given(p, "probe_size"))
     rows = [(float(r), float(d), 0.0) for r, d in zip(rep.radii, rep.residuals)]
     metrics = {"slope": rep.slope, "grid_size": rep.grid_size,
                "probe_size": rep.probe_size,
@@ -127,10 +116,8 @@ def _run_vr_asymptotics(cfg: RunConfig):
 def _run_minimize(cfg: RunConfig):
     from . import extremal as ex
 
-    p = {**cfg.params, **cfg.built}
-    prob = ex.CircumscriptionProblem(p["body"], j=p["j"], N=p["N"])
-    res = ex.minimize_mjN(prob, restarts=p.get("restarts", 32), seed=cfg.seed,
-                          max_fev=p.get("max_fev", 400))
+    p = cfg.params
+    res = ex.minimize_mjN(cfg.built["run"], seed=cfg.seed, **given(p, "restarts", "max_fev"))
     # The objective is exact, so "stderr" (and "lhs_stderr" of schneider)
     # is 0.0; the keys stay for readers of the record, perfbench among them.
     metrics = {
@@ -146,9 +133,7 @@ def _run_minimize(cfg: RunConfig):
 def _run_schneider(cfg: RunConfig):
     from . import extremal as ex
 
-    p = {**cfg.params, **cfg.built}
-    rep = ex.schneider_check(p["body"], j=p["j"], N=p["N"],
-                             restarts=p.get("restarts", 32), seed=cfg.seed)
+    rep = ex.schneider_check(cfg.built["run"], seed=cfg.seed, **given(cfg.params, "restarts"))
     metrics = {
         "lhs": rep.lhs, "rhs": rep.rhs, "margin": rep.margin,
         "lhs_stderr": 0.0, "rhs_source": rep.rhs_source,
@@ -160,8 +145,7 @@ def _run_schneider(cfg: RunConfig):
 def _run_simplex_bound(cfg: RunConfig):
     from . import extremal as ex
 
-    p = {**cfg.params, **cfg.built}
-    rep = ex.simplex_bound_check(p["body"], restarts=p.get("restarts", 32), seed=cfg.seed)
+    rep = ex.simplex_bound_check(cfg.built["run"], seed=cfg.seed, **given(cfg.params, "restarts"))
     metrics = {
         "simplex_value": rep.simplex_value, "bound": rep.bound,
         "mean_width": rep.mean_width, "margin": rep.margin,
@@ -179,8 +163,7 @@ def _run_gorbovickis(cfg: RunConfig):
     radii = p.get("R_list", [p["R"]] if "R" in p else [])
     rows = []
     for R in radii:
-        rep = ex.gorbovickis_deficit(pts, float(R), samples=p.get("samples", 0),
-                                     seed=cfg.seed)
+        rep = ex.gorbovickis_deficit(pts, float(R), seed=cfg.seed, **given(p, "samples"))
         rows.append((float(R), rep.deficit_coefficient, rep.volume_stderr))
     metrics = {
         "deficit_coefficient": rows[-1][1],

@@ -15,13 +15,18 @@ for the top level, ``PARAMS`` for each kind's block, and ``DENSITIES``,
 ``BODIES`` and ``FUNCTIONS`` for each spec ``type``. A table maps a key
 to (types, domain, required); a key outside its table is rejected, and
 all violations are reported at once. Each density, body and boundary
-function spec that passes its table is then built by its builder, whose
-constructor errors become schema errors naming the spec, and the few
-rules that relate keys read the built objects. A boundary function
-spec builds the ``SupportBody`` whose support function it is
-(``constant`` is a centred ball) on the run's grid; one rule checks that
-it, or a ``moments`` body, is positive and below R. The run uses those
-same objects (``RunConfig.built``).
+function spec that passes its table is then built by its builder, and
+the few rules that no library constructor checks read the built objects.
+A boundary function spec builds the ``SupportBody`` whose support
+function it is (``constant`` is a centred ball) on the run's grid; one
+rule checks that it, or a ``moments`` body, is positive and below R.
+Validation then builds the object the run executes, an
+``ExperimentConfig`` or a ``CircumscriptionProblem``: its constructor is
+the one place that checks the rules between its keys and fills in the
+defaults of keys left out. Builder and constructor errors become schema
+errors. The run uses the objects validation built (``RunConfig.built``)
+and passes the library only the keys the config sets (``given``). Only
+``dominance-*`` and ``moments`` fork ``workers`` processes.
 
 A previously written summary document (which echoes its config under a
 ``config`` key) loads directly, so archived runs re-run as-is.
@@ -52,8 +57,8 @@ class RunConfig:
     params: Dict[str, Any]
     workers: int = 1
     out: str = "results"
-    # The objects validation built from ``params``, under their keys;
-    # runners read these.
+    # The objects validation built from ``params``, under their keys,
+    # and under "run" the object the run executes; runners read these.
     built: Dict[str, Any] = field(default_factory=dict, init=False)
 
     def canonical(self) -> Dict[str, Any]:
@@ -165,10 +170,6 @@ def _numbers(v) -> bool:
     return all(map(_finite, v))
 
 
-def _ascending(v) -> bool:
-    return len(v) >= 1 and _numbers(v) and all(a < b for a, b in zip(v, v[1:]))
-
-
 def _points(v) -> bool:
     """Nonempty, equal-length lists of finite numbers."""
     return len(v) >= 1 and all(
@@ -227,7 +228,7 @@ _DOMINANCE = {
     "trials": _TRIALS,
     "alpha": (_NUM, lambda v: 0 < v < 1, OPT),
     "s_points": (int, _at_least(2), OPT),
-    "s_grid": (list, _ascending, OPT),
+    "s_grid": (list, _numbers, OPT),
     "estimator": _ESTIMATOR,
     "fit_samples": _COUNT,
     "density": ("density", None, REQ),
@@ -235,12 +236,13 @@ _DOMINANCE = {
 
 _WULFF = {
     "f": ("f", None, REQ),
-    "R_list": (list, lambda v: len(v) >= 2 and _numbers(v), REQ),
+    # A slope needs two distinct radii.
+    "R_list": (list, lambda v: _numbers(v) and len(set(v)) >= 2, REQ),
     "grid_size": _COUNT,
 }
 
 # The circumscription objective is exact, so ``estimator`` only has to
-# name the one for the body's dimension; the runners never read it.
+# name the one for the body's dimension.
 _CIRCUMSCRIPTION = {
     "body": ("body", None, REQ),
     "estimator": (str, None, OPT),
@@ -358,11 +360,10 @@ def _check_spec(spec, family: str, where: str, errors: List[str],
 
 
 def _relations(kind: str, p: dict, built: dict) -> List[str]:
-    """Rules between the keys of a params block that passed its table;
-    dimensions and the boundary function's values are read from built
-    objects."""
+    """Rules between the keys of a params block that passed its table
+    and that no library constructor checks; dimensions and the boundary
+    function's values are read from built objects."""
     from .densities import Product1D
-    from .extremal import CIRCUMSCRIPTION_ESTIMATORS
     from .wulff import _check_boundary
 
     errors = []
@@ -380,30 +381,9 @@ def _relations(kind: str, p: dict, built: dict) -> List[str]:
     for key, want in (("density", p.get("n")), ("density_a", 2), ("density_b", 2)):
         if key in built and built[key].dimension != want:
             errors.append(f"params.{key}: dimension {built[key].dimension}, the run needs {want}")
-    if kind in ("dominance-ball", "dominance-cube", "moments"):
-        n = built["body"].dimension if kind == "moments" else p["n"]
-        if kind == "dominance-cube" and not isinstance(built["density"], Product1D):
-            errors.append("params.density: dominance-cube needs a product density")
-        if p["j"] > n:
-            errors.append(f"params: j must satisfy 1 <= j <= n (j={p['j']}, n={n})")
-        if p.get("estimator", "exact-2d") == "exact-2d" and n != 2:
-            errors.append(f"params: key 'estimator' 'exact-2d' (the default) needs n = 2, "
-                          f"got n={n}; use 'steiner-fit'")
-    elif kind in ("minimize", "schneider", "simplex-bound"):
-        n = built["body"].dimension
-        expected = CIRCUMSCRIPTION_ESTIMATORS.get(n)
-        if expected is None:
-            return [f"params.body: {kind} needs a body of dimension 2 or 3, got n={n}"]
-        if p.get("j", n) > n:
-            errors.append(f"params: j must satisfy 1 <= j <= n (j={p['j']}, n={n})")
-        if p.get("N", n + 1) <= n:
-            errors.append(f"params: N must exceed n (N={p['N']}, n={n})")
-        est = p.get("estimator", expected)
-        if est != expected:
-            hint = " (steiner-fit was removed: the objective is exact)" if est == "steiner-fit" else ""
-            errors.append(f"params: key 'estimator' must be '{expected}' for a body of "
-                          f"dimension {n}, or omitted, got {est!r}{hint}")
-    elif kind == "gorbovickis":
+    if kind == "dominance-cube" and not isinstance(built["density"], Product1D):
+        errors.append("params.density: dominance-cube needs a product density")
+    if kind == "gorbovickis":
         if ("R" in p) == ("R_list" in p):
             errors.append("params: need 'R' or 'R_list', not both")
         planar, samples = len(p["points"][0]) == 2, p.get("samples", 0)
@@ -413,6 +393,32 @@ def _relations(kind: str, p: dict, built: dict) -> List[str]:
             errors.append(f"params: key 'samples' must be 0 or omitted for planar 'points' "
                           f"(the planar volume is exact), got {samples}")
     return errors
+
+
+def given(p: dict, *keys: str) -> Dict[str, Any]:
+    """The entries of ``keys`` that ``p`` sets; the callee's defaults fill in the rest."""
+    return {k: p[k] for k in keys if k in p}
+
+
+def _run_object(kind: str, p: dict, seed: int, workers: int):
+    """The object a run executes, built from p = {**params, **built} by
+    the library constructor, which checks the rules between its keys and
+    fills in the defaults of keys left out; None for the other kinds."""
+    if kind in ("dominance-ball", "dominance-cube"):
+        from .dominance import ExperimentConfig
+        return ExperimentConfig(**p, seed=seed, workers=workers)
+    if kind == "moments":
+        from .dominance import moment_experiment
+        return moment_experiment(p["body"], p["R"], p["N"], p["j"], p["trials"], seed,
+                                 **given(p, "estimator", "fit_samples"), workers=workers)
+    if kind in ("minimize", "schneider"):
+        from .extremal import CircumscriptionProblem
+        return CircumscriptionProblem(p["body"], p["j"], p["N"], **given(p, "estimator"))
+    if kind == "simplex-bound":
+        from .extremal import CircumscriptionProblem
+        n = p["body"].dimension
+        return CircumscriptionProblem(p["body"], n, n + 1, **given(p, "estimator"))
+    return None
 
 
 def validate(doc: dict) -> RunConfig:
@@ -443,6 +449,11 @@ def validate(doc: dict) -> RunConfig:
         built = _check_block(params, PARAMS[kind], "params", errors, hint)
         if len(errors) == before:
             errors.extend(_relations(kind, params, built))
+    if not errors:
+        try:
+            built["run"] = _run_object(kind, {**params, **built}, doc["seed"], workers)
+        except (ValueError, BallPolyError) as exc:
+            errors.append(f"params: {exc}")
     if errors:
         raise SchemaError("; ".join(errors))
     cfg = RunConfig(kind=kind, seed=doc["seed"], params=params,
@@ -455,9 +466,9 @@ def read_document(path: str):
     """Parse a config file, or the config echo of a previously written
     summary document, without validating it."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         mark = getattr(exc, "problem_mark", None)
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ParseError(f"cannot parse {path}{loc}: {exc}") from exc

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import multiprocessing as mp
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class ExperimentConfig:
 
     n: int
     N: int
-    R: Union[float, Sequence[float]]
+    R: float
     j: int
     density: Union[Density, List[Density]]
     trials: int
@@ -73,11 +73,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not 1 <= self.j <= self.n:
-            raise ValueError(f"need 1 <= j <= n, got j={self.j}, n={self.n}")
+            raise ValueError(f"j must satisfy 1 <= j <= n (j={self.j}, n={self.n})")
         if self.trials < 100:
             raise ValueError("need at least 100 trials")
         if self.estimator == "exact-2d" and self.n != 2:
-            raise UnsupportedDimension("exact-2d estimation needs n = 2")
+            raise UnsupportedDimension(f"key 'estimator' 'exact-2d' (the default) needs n = 2, "
+                                       f"got n={self.n}; use 'steiner-fit'")
         if self.s_grid is not None:
             self.s_grid = np.asarray(self.s_grid, dtype=float)
             if self.s_grid.size == 0 or np.any(np.diff(self.s_grid) <= 0):
@@ -103,7 +104,6 @@ class TrialBatch:
 
     values: np.ndarray
     failed: int
-    j: int
 
 
 def _block_centers(cfg: ExperimentConfig, densities, b: int) -> np.ndarray:
@@ -174,7 +174,7 @@ def run_trials(cfg: ExperimentConfig, density=None) -> TrialBatch:
         chunk = TRIAL_BLOCK * max(1, m // (workers * 8 * TRIAL_BLOCK))
         bounds = [(lo, min(lo + chunk, m)) for lo in range(0, m, chunk)]
         ctx = mp.get_context("fork")
-        with ctx.Pool(workers) as pool:
+        with ctx.Pool(min(workers, len(bounds))) as pool:
             parts = pool.map(_chunk_worker, bounds)
         vals = np.concatenate([p[0] for p in parts])
         failed = [t for p in parts for t in p[1]]
@@ -183,7 +183,7 @@ def run_trials(cfg: ExperimentConfig, density=None) -> TrialBatch:
         raise RuntimeError(
             f"{n_failed} of {m} trials failed (> {MAX_FAILED_FRACTION:.1%}); aborting"
         )
-    return TrialBatch(vals[~np.isnan(vals)], n_failed, local.j)
+    return TrialBatch(vals[~np.isnan(vals)], n_failed)
 
 
 # ---------------------------------------------------------------------------
@@ -328,23 +328,22 @@ def _p_mean(values: np.ndarray, p: float):
     return est, se
 
 
-def moment_samples(K, R: float, N: int, j: int, trials: int, seed: int = 0,
-                   estimator: str = "exact-2d", fit_samples: int = 20_000,
-                   workers: int = 1):
-    """Trials of both sides of the moment comparison: centers uniform on
-    the tangent-center star body of K (lhs) versus uniform on its
-    volume-matched ball (rhs), each side run by ``run_trials`` on
-    ``workers`` processes. Returns the two TrialBatches, from which
+def moment_experiment(K, R: float, N: int, j: int, trials: int, seed: int,
+                      **options) -> ExperimentConfig:
+    """The lhs of the moment comparison: centres uniform on the tangent-centre
+    star body A(K, R). ``options`` (estimator, fit_samples, workers)
+    override the ExperimentConfig defaults."""
+    return ExperimentConfig(n=K.dimension, N=N, R=R, j=j, density=UniformBody(build_A(K, R)),
+                            trials=trials, seed=seed, **options)
+
+
+def moment_samples(cfg: ExperimentConfig):
+    """Trials of both sides of the moment comparison: a
+    ``moment_experiment`` (lhs) against centres uniform on the ball of its
+    star body's volume (rhs). Returns the two TrialBatches, from which
     ``moment_report`` scores any number of p."""
-    A = build_A(K, R)
-    r = volume_radius(A)
-    dens_a = UniformBody(A)
-    dens_b = UniformBody(BallRegion(np.zeros(K.dimension), r))
-    cfg = ExperimentConfig(
-        n=K.dimension, N=N, R=R, j=j, density=dens_a, trials=trials,
-        seed=seed, estimator=estimator, fit_samples=fit_samples, workers=workers,
-    )
-    return run_trials(cfg), run_trials(cfg, density=[dens_b] * N)
+    ball = UniformBody(BallRegion(np.zeros(cfg.n), volume_radius(cfg.density.region)))
+    return run_trials(cfg), run_trials(cfg, density=[ball] * cfg.N)
 
 
 def moment_report(lhs_vals: np.ndarray, rhs_vals: np.ndarray, p: float) -> MomentReport:
@@ -371,5 +370,5 @@ def moment_compare(K, R: float, N: int, j: int, p: float, trials: int,
                    seed: int = 0) -> MomentReport:
     """p-th moment comparison for one p with the planar exact
     estimator: ``moment_samples`` scored by ``moment_report``."""
-    lhs, rhs = moment_samples(K, R, N, j, trials, seed)
+    lhs, rhs = moment_samples(moment_experiment(K, R, N, j, trials, seed))
     return moment_report(lhs.values, rhs.values, p)

@@ -63,16 +63,19 @@ class CircumscriptionProblem:
 
     def __post_init__(self):
         n = self.K.dimension
-        if not 1 <= self.j <= n:
-            raise ValueError(f"need 1 <= j <= n, got j={self.j}")
-        if self.N <= n:
-            raise ValueError(f"need N > n, got N={self.N}, n={n}")
         expected = CIRCUMSCRIPTION_ESTIMATORS.get(n)
         if expected is None:
-            raise UnsupportedDimension(f"circumscription needs n = 2 or 3, got n={n}")
-        if self.estimator not in ("", expected):
             raise UnsupportedDimension(
-                f"estimator {self.estimator!r} does not fit n={n}; use {expected!r}")
+                f"circumscription needs a body of dimension 2 or 3, got n={n}")
+        if not 1 <= self.j <= n:
+            raise ValueError(f"j must satisfy 1 <= j <= n (j={self.j}, n={n})")
+        if self.N <= n:
+            raise ValueError(f"N must exceed n (N={self.N}, n={n})")
+        if self.estimator not in ("", expected):
+            removed = " (steiner-fit was removed: the objective is exact)"
+            raise UnsupportedDimension(
+                f"key 'estimator' must be '{expected}' for a body of dimension {n}, or omitted, "
+                f"got {self.estimator!r}{removed if self.estimator == 'steiner-fit' else ''}")
         self.penalty_bound = 40.0 * max(1.0, float(np.max(self.K.values)))
 
 
@@ -215,19 +218,19 @@ class SchneiderReport:
     rhs_source: str
 
 
-def schneider_check(K: SupportBody, j: int, N: int, restarts: int = 32,
+def schneider_check(prob: CircumscriptionProblem, restarts: int = 32,
                     seed: int = 0) -> SchneiderReport:
-    """Compare the circumscription minimum of K against that of the
-    ball with the same mean width (the ball should dominate)."""
-    n = K.dimension
-    lhs_res = minimize_mjN(CircumscriptionProblem(K, j, N), restarts, seed)
-    w = K.mean_width()
-    if j == n and N == n + 1:
+    """Compare the circumscription minimum of prob's body against that
+    of the ball with the same mean width (the ball should dominate)."""
+    n = prob.K.dimension
+    lhs_res = minimize_mjN(prob, restarts, seed)
+    w = prob.K.mean_width()
+    if prob.j == n and prob.N == n + 1:
         rhs = simplex_circumscription_minimum(n) * (w / 2.0) ** n
         source = "closed-form regular simplex, scaled by homogeneity"
     else:
-        ball = SupportBody.ball(np.zeros(n), w / 2.0, K.grid)
-        rhs = minimize_mjN(CircumscriptionProblem(ball, j, N), restarts, seed + 1).value
+        ball = SupportBody.ball(np.zeros(n), w / 2.0, prob.K.grid)
+        rhs = minimize_mjN(CircumscriptionProblem(ball, prob.j, prob.N), restarts, seed + 1).value
         source = "optimized ball instance"
     return SchneiderReport(lhs_res.value, float(rhs), float(rhs - lhs_res.value), source)
 
@@ -241,14 +244,15 @@ class SimplexBoundReport:
     note: str
 
 
-def simplex_bound_check(K: SupportBody, restarts: int = 32,
+def simplex_bound_check(prob: CircumscriptionProblem, restarts: int = 32,
                         seed: int = 0) -> SimplexBoundReport:
-    """Minimal circumscribed-simplex volume against the mean-width
-    bound m(B) * (w(K)/2)^n; the absolute-constant refinement via the
-    reverse mean-width inequality is reported as not checkable."""
-    n = K.dimension
-    res = minimize_mjN(CircumscriptionProblem(K, n, n + 1), restarts, seed)
-    w = K.mean_width()
+    """Minimal circumscribed-simplex volume of prob (j = n, N = n + 1)
+    against the mean-width bound m(B) * (w(K)/2)^n; the absolute-constant
+    refinement via the reverse mean-width inequality is reported as not
+    checkable."""
+    n = prob.K.dimension
+    res = minimize_mjN(prob, restarts, seed)
+    w = prob.K.mean_width()
     bound = simplex_circumscription_minimum(n) * (w / 2.0) ** n
     return SimplexBoundReport(
         res.value, float(bound), float(w), float(bound - res.value),

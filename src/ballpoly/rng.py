@@ -11,7 +11,9 @@ draws the centres of all the block's trials in one sampler call from
 the stream ``(seed, b, i)``, and trial t takes row ``t % TRIAL_BLOCK``
 of block ``t // TRIAL_BLOCK``. A full block is always drawn, the last
 one too, so trial t sees the same centres whatever the trial count,
-worker count or chunking. Version 1 keyed one stream per centre,
+worker count or chunking. ``hull-bridge`` is not blocked: it draws the
+N points of trial t under density a or b from ``stream(seed, t, side)``,
+side 0 or 1. Version 1 keyed one stream per centre,
 ``(seed, t, i)``; result records carry ``RNG_CONTRACT`` because a new
 contract changes every sampled result for the same seed.
 """

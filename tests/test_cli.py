@@ -3,7 +3,9 @@ written result record, every kind run end to end on a tiny budget, and
 the kinds that run without importing scipy."""
 
 import ast
+import importlib
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -167,6 +169,11 @@ BAD_CONFIGS = [
     # a Monte-Carlo estimate.
     pytest.param(smoke_with("gorbovickis", samples=100), "key 'samples'",
                  id="planar-gorbovickis-samples"),
+    # Repeated radii: the slope used to come from a rank-deficient fit.
+    pytest.param(smoke_with("wulff-convergence", R_list=[5.0, 5.0]), "key 'R_list'",
+                 id="wulff-R-list-repeated"),
+    pytest.param(smoke_with("vr-asymptotics", R_list=[5.0, 5.0]), "key 'R_list'",
+                 id="vr-R-list-repeated"),
 ]
 
 
@@ -332,6 +339,12 @@ class TestValidation:
         assert run_main({"kind": "selftest", "seed": 0}, tmp_path, *argv) == 2
         assert "workers" in capsys.readouterr().err
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.write_bytes(b"\xff\xfekind: selftest\n")
+        assert cli.main([str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"cannot parse {path}" in capsys.readouterr().err
+
     def test_overrides_are_validated_with_the_document(self, tmp_path, capsys):
         doc = smoke_doc("minimize")
         assert run_main(doc, tmp_path, "--kind", "simplex-bound") == 2
@@ -341,30 +354,53 @@ class TestValidation:
 
 
 def _keys_read(fn) -> set:
-    """Constant keys of ``p`` read in a function: p[k], p.get(k, ...), k in p."""
+    """Constant keys of ``p`` read in a function: p[k], p.get(k, ...),
+    k in p, the keys a ``given(..., k, ...)`` call names, and for a call
+    that splats ``**p``, each parameter of the callee it does not pass
+    by name."""
     def is_p(node):
         return isinstance(node, ast.Name) and node.id == "p"
 
+    imports = {alias.asname or alias.name: node.module for node in ast.walk(fn)
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
     keys = set()
     for node in ast.walk(fn):
         if isinstance(node, ast.Subscript) and is_p(node.value):
             keys.add(node.slice.value)
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and node.func.attr == "get" and is_p(node.func.value)):
-            keys.add(node.args[0].value)
         elif isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In) \
                 and is_p(node.comparators[0]):
             keys.add(node.left.value)
+        elif isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "get" \
+                    and is_p(node.func.value):
+                keys.add(node.args[0].value)
+            elif getattr(node.func, "id", None) == "given":
+                keys.update(arg.value for arg in node.args[1:])
+            elif any(k.arg is None and is_p(k.value) for k in node.keywords):
+                module = imports[node.func.id]
+                callee = getattr(importlib.import_module(f"ballpoly.{module}"), node.func.id)
+                keys.update(set(inspect.signature(callee).parameters)
+                            - {k.arg for k in node.keywords})
     return keys
 
 
+def _branches(fn) -> dict:
+    """kind -> the top-level ``if kind == ...`` or ``if kind in (...)``
+    statement of ``fn`` that runs for it."""
+    branches = {}
+    for node in fn.body:
+        if isinstance(node, ast.If):
+            test = node.test.comparators[0]
+            kinds = [e.value for e in test.elts] if isinstance(test, ast.Tuple) else [test.value]
+            branches.update(dict.fromkeys(kinds, node))
+    return branches
+
+
 class TestSchemaTables:
-    # Declared keys no runner reads: the circumscription estimator is only
-    # checked against the body's dimension, and a Wulff kind's grid_size
-    # is consumed by validation, which builds f on that grid.
-    UNREAD = {"minimize": {"estimator"}, "schneider": {"estimator"},
-              "simplex-bound": {"estimator"},
-              "wulff-convergence": {"grid_size"}, "vr-asymptotics": {"grid_size"}}
+    # Declared keys that neither a runner nor the construction of the
+    # run's object in validation reads: a Wulff kind's grid_size is
+    # consumed by validation, which builds f on that grid.
+    UNREAD = {"wulff-convergence": {"grid_size"}, "vr-asymptotics": {"grid_size"}}
 
     def test_runners_read_exactly_the_declared_keys(self):
         tree = ast.parse(Path(cli.__file__).read_text())
@@ -375,9 +411,14 @@ class TestSchemaTables:
         for key, value in zip(table.keys, table.values):
             call = value.body if isinstance(value, ast.Lambda) else value
             runners[key.value] = functions[getattr(call, "func", call).id]
+        (run_object,) = [node for node in ast.parse(Path(config.__file__).read_text()).body
+                         if isinstance(node, ast.FunctionDef) and node.name == "_run_object"]
+        built = _branches(run_object)
         assert set(runners) == set(config.PARAMS) == set(config.KINDS)
+        assert set(built) <= set(runners)
         for kind, fn in runners.items():
-            read, declared = _keys_read(fn), set(config.PARAMS[kind])
+            read = _keys_read(fn) | (_keys_read(built[kind]) if kind in built else set())
+            declared = set(config.PARAMS[kind])
             assert read <= declared, f"{kind}: {fn.name} reads undeclared {read - declared}"
             assert declared - read == self.UNREAD.get(kind, set()), f"{kind}: unread keys"
 

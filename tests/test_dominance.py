@@ -80,6 +80,33 @@ class TestRunTrials:
         short = dm.run_trials(dm.ExperimentConfig(trials=300, **kw)).values
         assert np.array_equal(one[:300], short)
 
+    def test_pool_no_larger_than_its_chunks(self, monkeypatch):
+        # 300 trials make two chunks, so 64 workers need a pool of two.
+        # The fake context maps serially and starts no process.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        class SerialContext:
+            Pool = SerialPool
+
+        monkeypatch.setattr(dm.mp, "get_context", lambda method: SerialContext)
+        kw = dict(n=2, N=3, R=3.0, j=2, density=unit_area_square(), trials=300, seed=29)
+        pooled = dm.run_trials(dm.ExperimentConfig(workers=64, **kw)).values
+        assert sizes == [2]
+        assert np.array_equal(pooled, dm.run_trials(dm.ExperimentConfig(**kw)).values)
+
     def test_estimator_bug_propagates(self, monkeypatch):
         def broken(centers, radii):
             raise ValueError("a bug, not a failed trial")

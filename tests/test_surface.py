@@ -102,9 +102,14 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ballpoly"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+def _is_dataclass(cls) -> bool:
+    return any(ast.unparse(d).split("(")[0] == "dataclass" for d in cls.decorator_list)
+
+
 def _public_definitions(tree):
     """(name, owner class or None, node) for each public top-level
-    function and class and each public method of a public class."""
+    function and class, each public method of a public class and each
+    field of a public dataclass."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name, None, node
@@ -112,18 +117,21 @@ def _public_definitions(tree):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         yield item.name, node.name, item
+                    elif (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                          and _is_dataclass(node)):
+                        yield item.target.id, node.name, item
 
 
 def _references(tree, classes, strings):
     """(name, qualifier, line) for each use of a name in code. A bare
     name can only reach a top-level definition (qualifier ""); an
     attribute is qualified by the class it is read from when that is a
-    library class. With ``strings``, a string constant, which is how the
-    benchmark names what it patches, reaches any definition (qualifier
-    None); the library itself names nothing by string, and its strings
-    (config keys, messages) would hide dead names. Comments and
-    docstrings are not code, and import statements bind names without
-    using them."""
+    library class; a constructor keyword is not a use of its field. With
+    ``strings``, a string constant, which is how the benchmark names
+    what it patches, reaches any definition (qualifier None); the
+    library itself names nothing by string, and its strings (config
+    keys, messages) would hide dead names. Comments and docstrings are
+    not code, and import statements bind names without using them."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, "", node.lineno
@@ -166,6 +174,9 @@ def test_guard_finds_names_only_tests_reach(tmp_path):
     readers.mkdir()
     (package / "__init__.py").write_text("from .mod import Body, helper\n")
     (package / "mod.py").write_text(textwrap.dedent('''
+        from dataclasses import dataclass
+
+
         def helper(x):
             return helper(x - 1) if x else 0
 
@@ -191,11 +202,19 @@ def test_guard_finds_names_only_tests_reach(tmp_path):
                 return 3
 
 
+        @dataclass
+        class Report:
+            value: float
+            spare: int
+
+
         def run():
-            return Body().size() + Other.ball(None)
+            return Body().size() + Other.ball(None) + Report(1.0, spare=2).value
     '''))
     (readers / "bench.py").write_text(
         "import mod\n\nTARGETS = [(mod, \"patched\")]\nmod.run()\n")
     # helper calls only itself and is re-exported; Body.ball loses to the
-    # qualified Other.ball; lonely appears in a comment and inside a string.
-    assert unreferenced_names(package, readers) == ["helper", "Body.ball", "Body.lonely"]
+    # qualified Other.ball; lonely appears in a comment and inside a
+    # string; Report.spare is only passed to the constructor.
+    assert unreferenced_names(package, readers) == ["helper", "Body.ball", "Body.lonely",
+                                                    "Report.spare"]
