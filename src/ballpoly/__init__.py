@@ -16,6 +16,7 @@ Library layout:
   ball-polyhedral approximation of a ``SupportBody`` f
 * ``extremal``   circumscription minima, enclosing-simplex bounds,
   large-radius volume deficits, hull mean-width bridge
+* ``neldermead`` the circumscription search's Nelder-Mead, in plain floats
 * ``cli``        configuration-driven experiment harness
 """
 

@@ -184,8 +184,11 @@ def _is_moment_order(v) -> bool:
 
 _COUNT = (int, _at_least(1), OPT)
 _ESTIMATOR = (str, lambda v: v in ("exact-2d", "steiner-fit"), OPT)
-_J = (int, _at_least(1), REQ)
-_TRIALS = (int, _at_least(100), REQ)
+# j and the trial count of the runs that build an ExperimentConfig or a
+# CircumscriptionProblem are checked by that constructor (1 <= j <= n,
+# trials >= 100), so the tables check only their types.
+_J = (int, None, REQ)
+_TRIALS = (int, None, REQ)
 
 DENSITIES = {
     "uniform-box": {"side": (_NUM, _finite, OPT), "lo": (list, _numbers, OPT),
@@ -276,7 +279,7 @@ PARAMS = {
     },
     "hull-bridge": {
         "N": (int, _at_least(2), REQ),
-        "trials": _TRIALS,
+        "trials": (int, _at_least(100), REQ),
         "R": (_NUM, _positive, REQ),
         "density_a": ("density", None, REQ),
         "density_b": ("density", None, REQ),

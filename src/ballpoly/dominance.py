@@ -75,7 +75,7 @@ class ExperimentConfig:
         if not 1 <= self.j <= self.n:
             raise ValueError(f"j must satisfy 1 <= j <= n (j={self.j}, n={self.n})")
         if self.trials < 100:
-            raise ValueError("need at least 100 trials")
+            raise ValueError(f"trials must be at least 100 (trials={self.trials})")
         if self.estimator == "exact-2d" and self.n != 2:
             raise UnsupportedDimension(f"key 'estimator' 'exact-2d' (the default) needs n = 2, "
                                        f"got n={self.n}; use 'steiner-fit'")

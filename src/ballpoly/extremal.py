@@ -5,7 +5,9 @@ body K, minimize V_j of their intersection. Offsets are pinned at the
 support values h_K(theta_i) (touching halfspaces: shrinking any
 containing configuration onto K never increases V_j), so the search
 runs over direction tuples on a product of spheres with a multi-start
-simplex-reflection method in tangent charts.
+Nelder-Mead in tangent charts. The simplex steps are plain floats
+(``neldermead``, which replays scipy's Nelder-Mead bit for bit), so a
+search imports no scipy; only the 3-D objective's Qhull does.
 
 The deficit side: for fixed points, the volume of the intersection of
 balls B(x_i, R) behaves for large R like
@@ -29,6 +31,7 @@ from . import exact2d, polytope
 from .errors import UnboundedConfiguration, UnsupportedDimension
 from .geometry import BallPolyhedron, DirectionGrid, SupportBody
 from .intrinsic import mc_volume, omega
+from .neldermead import _nelder_mead
 from .rng import stream, uniform_on_sphere
 
 # Unused here, but the benchmark's span tracer patches both names in
@@ -167,16 +170,11 @@ def minimize_mjN(prob: CircumscriptionProblem, restarts: int = 32,
     halfspace configurations.
 
     Each restart draws random directions and optimizes in a tangent
-    chart with Nelder-Mead; the best restart (value, then index) wins.
-    The reported configuration always contains K by construction
-    (offsets are the support values); the feasibility margin is
-    re-checked on the body's grid.
+    chart with Nelder-Mead (the adaptive coefficients for n = 3); the
+    best restart (value, then index) wins. The reported configuration
+    always contains K by construction (offsets are the support values);
+    the feasibility margin is re-checked on the body's grid.
     """
-    # Deferred: importing scipy.optimize more than doubles a cold
-    # start's time and resident memory, and only the circumscription
-    # kinds search.
-    from scipy.optimize import minimize
-
     obj = _Objective(prob)
     n, N = prob.K.dimension, prob.N
     dim = N * (n - 1)
@@ -184,21 +182,15 @@ def minimize_mjN(prob: CircumscriptionProblem, restarts: int = 32,
     trace = np.full(restarts, np.inf)
     evaluations = 0
     step = 0.45
-    x0 = np.zeros(dim)
-    init = np.vstack([x0] + [x0 + step * np.eye(dim)[k] for k in range(dim)])
+    init = [[0.0] * dim] + [[step if i == k else 0.0 for i in range(dim)] for k in range(dim)]
     for r in range(restarts):
         chart = _chart(uniform_on_sphere(stream(seed, r), n, N))
-        res = minimize(
-            lambda v: obj(chart(v)), x0, method="Nelder-Mead",
-            options={
-                "maxfev": max_fev, "xatol": 1e-7, "fatol": 1e-7,
-                "initial_simplex": init, "adaptive": n > 2,
-            },
-        )
-        trace[r] = res.fun
-        evaluations += res.nfev
-        if res.fun < best[0]:
-            best = (res.fun, chart(res.x), r)
+        x, fun, nfev = _nelder_mead(lambda v: obj(chart(np.array(v))), init, max_fev,
+                                    xatol=1e-7, fatol=1e-7, adaptive=n > 2)
+        trace[r] = fun
+        evaluations += nfev
+        if fun < best[0]:
+            best = (fun, chart(np.array(x)), r)
     value, thetas, best_r = best
     # Feasibility: the configuration's support dominates the body's.
     verts = obj.vertices(thetas)

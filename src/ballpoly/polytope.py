@@ -10,12 +10,13 @@ not built here: ``wulff.wulff_shape`` takes them from a polar-dual
 convex hull.)
 
 Importing this module does not import scipy: the two Qhull calls import
-``scipy.spatial`` when they run, and ``extremal.minimize_mjN`` imports
-``scipy.optimize`` the same way. So of the CLI kinds only ``minimize``,
-``schneider`` and ``simplex-bound`` (Nelder-Mead, and Qhull in 3D),
+``scipy.spatial`` when they run, and the circumscription search
+(``extremal.minimize_mjN``) is plain Python. So of the CLI kinds only
+3-D ``minimize``, ``schneider`` and ``simplex-bound`` (Qhull),
 ``wulff-convergence`` (the Wulff hull) and ``selftest`` load scipy;
-``dominance-ball``, ``dominance-cube``, ``moments``, ``gorbovickis``,
-``hull-bridge`` and ``vr-asymptotics`` run without it.
+planar circumscription, ``dominance-ball``, ``dominance-cube``,
+``moments``, ``gorbovickis``, ``hull-bridge`` and ``vr-asymptotics`` run
+without it.
 """
 
 from __future__ import annotations

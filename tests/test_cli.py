@@ -128,6 +128,13 @@ BAD_CONFIGS = [
     pytest.param(smoke_with("moments", body={"type": "cube", "side": 1.0, "n": 4}),
                  "'estimator' 'exact-2d'", id="exact-2d-4d-body"),
     pytest.param(smoke_with("moments", j=3), "j must satisfy", id="moments-j-above-n"),
+    # The lower bounds on j and trials: the run's constructor checks them,
+    # except for hull-bridge, which has none and keeps its table bound.
+    *[pytest.param(smoke_with(kind, j=0), "j must satisfy", id=f"{kind}-j-0")
+      for kind in ("dominance-ball", "moments", "minimize", "schneider")],
+    *[pytest.param(smoke_with(kind, trials=99), "trials must be at least 100", id=f"{kind}-trials-99")
+      for kind in ("dominance-ball", "moments")],
+    pytest.param(smoke_with("hull-bridge", trials=99), "key 'trials'", id="hull-bridge-trials-99"),
     pytest.param(smoke_with("dominance-cube", density={"type": "uniform-box", "side": 1.0}),
                  "product density", id="cube-needs-product"),
     pytest.param(smoke_with("hull-bridge", density_a={"type": "uniform-ball", "radius": 0.5, "n": 3}),
@@ -531,10 +538,12 @@ class TestSmoke:
                 assert metrics[1][key] == value, key
 
 
-# Kinds that call neither Nelder-Mead nor Qhull, so a run of one must not
-# import scipy, which more than doubles a cold start's time and memory.
+# Kinds that call no Qhull, so a run of one must not import scipy, which
+# more than doubles a cold start's time and memory. The circumscription
+# search is plain floats, so the planar circumscription kinds qualify.
 SCIPY_FREE = ["dominance-ball", "dominance-cube", "moments", "gorbovickis", "hull-bridge",
-              "vr-asymptotics", "vr-asymptotics/constant"]
+              "vr-asymptotics", "vr-asymptotics/constant", "minimize", "schneider",
+              "simplex-bound"]
 
 SCIPY_PROBE = textwrap.dedent("""
     import importlib, json, pkgutil, sys
@@ -548,21 +557,31 @@ SCIPY_PROBE = textwrap.dedent("""
 """)
 
 
+def scipy_modules_after(names, tmp_path) -> list:
+    """The scipy modules loaded by a fresh interpreter (this test process
+    has scipy loaded already) after it runs the smoke configs ``names``."""
+    paths = []
+    for name in names:
+        path = tmp_path / (name.replace("/", "-") + ".yaml")
+        path.write_text(yaml.safe_dump(smoke_doc(name)))
+        paths.append(str(path))
+    src = str(Path(ballpoly.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *paths], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestColdStart:
     def test_scipy_free_kinds_do_not_import_scipy(self, tmp_path):
-        # A fresh interpreter: this test process has scipy loaded already.
-        paths = []
-        for name in SCIPY_FREE:
-            path = tmp_path / (name.replace("/", "-") + ".yaml")
-            path.write_text(yaml.safe_dump(smoke_doc(name)))
-            paths.append(str(path))
-        src = str(Path(ballpoly.__file__).resolve().parent.parent)
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *paths], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == []
+        assert scipy_modules_after(SCIPY_FREE, tmp_path) == []
+
+    def test_3d_circumscription_loads_qhull_only(self, tmp_path):
+        modules = scipy_modules_after(["minimize/exact-hull-3d"], tmp_path)
+        assert "scipy.spatial" in modules
+        assert not [m for m in modules if m.startswith("scipy.optimize")]
 
 
 class TestDigest:

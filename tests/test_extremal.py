@@ -1,18 +1,20 @@
 """Exact circumscription objective: hull intrinsic volumes, the planar
 clipper against Qhull, and the touching-halfspace V_j against closed
-forms."""
+forms; the plain-float Nelder-Mead against scipy's."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from ballpoly import extremal as ex
 from ballpoly.config import build_body
 from ballpoly.errors import UnsupportedDimension
 from ballpoly.geometry import DirectionGrid, SupportBody
+from ballpoly.neldermead import _nelder_mead
 from ballpoly.polytope import (CLIP_EPS, clip_polygon, hull_intrinsic_volumes,
                                polygon_area_perimeter)
 from ballpoly.rng import stream, uniform_on_sphere
@@ -158,6 +160,48 @@ class TestObjective:
         K = SupportBody.cube(1.0, 4, DirectionGrid.for_dimension(4, 256))
         with pytest.raises(UnsupportedDimension):
             ex.CircumscriptionProblem(K, j=4, N=5)
+
+
+def wavy(x):
+    """Smooth, with a distinct value at every point the searches visit."""
+    x = [float(c) for c in x]
+    return sum(c * c for c in x) + 0.3 * sum(math.sin(3.0 * c + k) for k, c in enumerate(x))
+
+
+def rosenbrock(x):
+    x = [float(c) for c in x]
+    return sum(100.0 * (b - a * a) * (b - a * a) + (1.0 - a) * (1.0 - a) for a, b in zip(x, x[1:]))
+
+
+def start_simplex(dim):
+    rng = np.random.default_rng(dim)
+    return rng.normal(size=dim) + 0.5 * np.vstack([np.zeros(dim), np.eye(dim)])
+
+
+class TestNelderMead:
+    # Each search runs to convergence with maxfev 2000. The wavy searches
+    # end in shrinks: evaluations 284-287 (4 variables, fixed
+    # coefficients) and 709-714 and 724-729 (6 variables, adaptive), so
+    # the budgets 285, 286, 711 and 726 run out mid-shrink, where the
+    # moved vertex keeps its old value. Budgets 0 and 3 run out before
+    # the simplex is evaluated, leaving tied infinite values to sort.
+    @pytest.mark.parametrize("f, dim, adaptive, maxfev", [
+        *[(wavy, 4, False, m) for m in (0, 3, 100, 280, 284, 285, 286, 287, 2000)],
+        *[(wavy, 6, True, m) for m in (5, 708, 711, 723, 726, 2000)],
+        (wavy, 6, False, 2000),
+        (rosenbrock, 4, False, 2000),
+        (rosenbrock, 4, True, 2000),
+        (rosenbrock, 6, True, 2000),
+    ])
+    def test_replays_scipy(self, f, dim, adaptive, maxfev):
+        simplex = start_simplex(dim)
+        want = minimize(f, simplex[0], method="Nelder-Mead", options={
+            "initial_simplex": simplex, "maxfev": maxfev, "xatol": 1e-8, "fatol": 1e-8,
+            "adaptive": adaptive})
+        x, fun, nfev = _nelder_mead(f, simplex.tolist(), maxfev, 1e-8, 1e-8, adaptive)
+        assert x == want.x.tolist()
+        assert fun == want.fun
+        assert nfev == want.nfev
 
 
 class TestMinimize:
