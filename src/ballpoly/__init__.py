@@ -14,7 +14,7 @@ Library layout:
   comparisons for random ball-polyhedra
 * ``wulff``      tangent-center star bodies, Wulff shapes and
   ball-polyhedral approximation of a ``SupportBody`` f
-* ``extremal``   circumscription minima, enclosing-simplex bounds,
+* ``extremal``   circumscription minima against the ball's bound,
   large-radius volume deficits, hull mean-width bridge
 * ``neldermead`` the circumscription search's Nelder-Mead, in plain floats
 * ``cli``        configuration-driven experiment harness

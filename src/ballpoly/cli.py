@@ -142,25 +142,13 @@ def _run_schneider(cfg: RunConfig):
     return metrics, [], 0
 
 
-def _run_simplex_bound(cfg: RunConfig):
-    from . import extremal as ex
-
-    rep = ex.simplex_bound_check(cfg.built["run"], seed=cfg.seed, **given(cfg.params, "restarts"))
-    metrics = {
-        "simplex_value": rep.simplex_value, "bound": rep.bound,
-        "mean_width": rep.mean_width, "margin": rep.margin,
-        "stderr": 0.0, "note": rep.note,
-        "consistent": bool(rep.margin >= 0.0),
-    }
-    return metrics, [], 0
-
-
 def _run_gorbovickis(cfg: RunConfig):
     from . import extremal as ex
 
     p = cfg.params
     pts = np.asarray(p["points"], dtype=float)
-    radii = p.get("R_list", [p["R"]] if "R" in p else [])
+    # Ascending, so the metrics are those of the largest R in any order.
+    radii = sorted(p.get("R_list", [p["R"]] if "R" in p else []))
     rows = []
     for R in radii:
         rep = ex.gorbovickis_deficit(pts, float(R), seed=cfg.seed, **given(p, "samples"))
@@ -177,12 +165,11 @@ def _run_gorbovickis(cfg: RunConfig):
 
 def _run_hull_bridge(cfg: RunConfig):
     from . import extremal as ex
-    from .geometry import DirectionGrid
 
     p = {**cfg.params, **cfg.built}
     rep = ex.hull_dominance_bridge(
         p["density_a"], p["density_b"], N=p["N"], trials=p["trials"], R=p["R"], seed=cfg.seed,
-        grid=DirectionGrid.uniform_2d(p.get("grid_size", 512)),
+        **given(p, "grid_size"),
     )
     metrics = {
         "direct_mean": rep.direct_mean, "deficit_mean": rep.deficit_mean,
@@ -251,7 +238,6 @@ _RUNNERS = {
     "vr-asymptotics": _run_vr_asymptotics,
     "minimize": _run_minimize,
     "schneider": _run_schneider,
-    "simplex-bound": _run_simplex_bound,
     "gorbovickis": _run_gorbovickis,
     "hull-bridge": _run_hull_bridge,
     "selftest": _run_selftest,

@@ -3,8 +3,8 @@
 Top level:
 
     kind: dominance-ball | dominance-cube | moments | wulff-convergence
-          | vr-asymptotics | minimize | schneider | simplex-bound
-          | gorbovickis | hull-bridge | selftest
+          | vr-asymptotics | minimize | schneider | gorbovickis
+          | hull-bridge | selftest
     seed: 42            # mandatory; reproducibility is not optional
     workers: 4          # optional, default from BALLPOLY_WORKERS or 1
     out: results        # optional output directory
@@ -183,10 +183,11 @@ def _is_moment_order(v) -> bool:
 
 
 _COUNT = (int, _at_least(1), OPT)
-_ESTIMATOR = (str, lambda v: v in ("exact-2d", "steiner-fit"), OPT)
-# j and the trial count of the runs that build an ExperimentConfig or a
-# CircumscriptionProblem are checked by that constructor (1 <= j <= n,
+# The estimator, j and the trial count of the runs that build an
+# ExperimentConfig or a CircumscriptionProblem are checked by that
+# constructor (the estimator names one it knows, 1 <= j <= n,
 # trials >= 100), so the tables check only their types.
+_ESTIMATOR = (str, None, OPT)
 _J = (int, None, REQ)
 _TRIALS = (int, None, REQ)
 
@@ -248,10 +249,11 @@ _WULFF = {
 # name the one for the body's dimension.
 _CIRCUMSCRIPTION = {
     "body": ("body", None, REQ),
-    "estimator": (str, None, OPT),
+    "j": _J,
+    "N": (int, _at_least(2), REQ),
+    "estimator": _ESTIMATOR,
     "restarts": _COUNT,
 }
-_CIRCUMSCRIPTION_JN = {**_CIRCUMSCRIPTION, "j": _J, "N": (int, _at_least(2), REQ)}
 
 PARAMS = {
     "dominance-ball": _DOMINANCE,
@@ -268,9 +270,8 @@ PARAMS = {
     },
     "wulff-convergence": {**_WULFF, "probe_size": _COUNT},
     "vr-asymptotics": _WULFF,
-    "minimize": {**_CIRCUMSCRIPTION_JN, "max_fev": _COUNT},
-    "schneider": _CIRCUMSCRIPTION_JN,
-    "simplex-bound": _CIRCUMSCRIPTION,
+    "minimize": {**_CIRCUMSCRIPTION, "max_fev": _COUNT},
+    "schneider": _CIRCUMSCRIPTION,
     "gorbovickis": {
         "points": (list, _points, REQ),
         "R": (_NUM, _positive, OPT),
@@ -417,10 +418,6 @@ def _run_object(kind: str, p: dict, seed: int, workers: int):
     if kind in ("minimize", "schneider"):
         from .extremal import CircumscriptionProblem
         return CircumscriptionProblem(p["body"], p["j"], p["N"], **given(p, "estimator"))
-    if kind == "simplex-bound":
-        from .extremal import CircumscriptionProblem
-        n = p["body"].dimension
-        return CircumscriptionProblem(p["body"], n, n + 1, **given(p, "estimator"))
     return None
 
 

@@ -76,6 +76,9 @@ class ExperimentConfig:
             raise ValueError(f"j must satisfy 1 <= j <= n (j={self.j}, n={self.n})")
         if self.trials < 100:
             raise ValueError(f"trials must be at least 100 (trials={self.trials})")
+        if self.estimator not in ("exact-2d", "steiner-fit"):
+            raise ValueError(f"key 'estimator' must be 'exact-2d' or 'steiner-fit', "
+                             f"got {self.estimator!r}")
         if self.estimator == "exact-2d" and self.n != 2:
             raise UnsupportedDimension(f"key 'estimator' 'exact-2d' (the default) needs n = 2, "
                                        f"got n={self.n}; use 'steiner-fit'")

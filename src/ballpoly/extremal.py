@@ -213,7 +213,10 @@ class SchneiderReport:
 def schneider_check(prob: CircumscriptionProblem, restarts: int = 32,
                     seed: int = 0) -> SchneiderReport:
     """Compare the circumscription minimum of prob's body against that
-    of the ball with the same mean width (the ball should dominate)."""
+    of the ball with the same mean width w (the ball should dominate).
+    At j = n, N = n + 1 the ball's minimum is the closed form
+    m(B) * (w/2)^n of the regular simplex: the circumscribed-simplex
+    bound."""
     n = prob.K.dimension
     lhs_res = minimize_mjN(prob, restarts, seed)
     w = prob.K.mean_width()
@@ -225,31 +228,6 @@ def schneider_check(prob: CircumscriptionProblem, restarts: int = 32,
         rhs = minimize_mjN(CircumscriptionProblem(ball, prob.j, prob.N), restarts, seed + 1).value
         source = "optimized ball instance"
     return SchneiderReport(lhs_res.value, float(rhs), float(rhs - lhs_res.value), source)
-
-
-@dataclass
-class SimplexBoundReport:
-    simplex_value: float
-    bound: float
-    mean_width: float
-    margin: float
-    note: str
-
-
-def simplex_bound_check(prob: CircumscriptionProblem, restarts: int = 32,
-                        seed: int = 0) -> SimplexBoundReport:
-    """Minimal circumscribed-simplex volume of prob (j = n, N = n + 1)
-    against the mean-width bound m(B) * (w(K)/2)^n; the absolute-constant
-    refinement via the reverse mean-width inequality is reported as not
-    checkable."""
-    n = prob.K.dimension
-    res = minimize_mjN(prob, restarts, seed)
-    w = prob.K.mean_width()
-    bound = simplex_circumscription_minimum(n) * (w / 2.0) ** n
-    return SimplexBoundReport(
-        res.value, float(bound), float(w), float(bound - res.value),
-        note="log-factor refinement needs a non-constructive absolute constant; not checked",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +289,12 @@ class HullBridgeReport:
 
 
 def hull_dominance_bridge(density_a, density_b, N: int, trials: int, R: float,
-                          seed: int = 0, *, grid: DirectionGrid) -> HullBridgeReport:
+                          seed: int = 0, grid_size: int = 512) -> HullBridgeReport:
     """Expected hull mean width under two sampling densities, estimated
     two ways per trial: directly from the hull support function on
-    ``grid``, and from the ball-volume deficit at radius R (planar,
-    exact oracle). The report's dicts are keyed "a" and "b".
+    ``grid_size`` uniform directions, and from the ball-volume deficit
+    at radius R (planar, exact oracle). The report's dicts are keyed
+    "a" and "b".
 
     The dominance margin is E_a[w] - E_b[w] (direct estimates) with its
     combined standard error; ``agreement`` reports the relative gap
@@ -323,6 +302,7 @@ def hull_dominance_bridge(density_a, density_b, N: int, trials: int, R: float,
     out_direct = {"a": np.empty(trials), "b": np.empty(trials)}
     out_deficit = {"a": np.empty(trials), "b": np.empty(trials)}
     n = 2
+    grid = DirectionGrid.uniform_2d(grid_size)
     for i, (label, dens) in enumerate((("a", density_a), ("b", density_b))):
         for t in range(trials):
             pts = dens.sample(stream(seed, t, i), N)

@@ -12,11 +12,10 @@ convex hull.)
 Importing this module does not import scipy: the two Qhull calls import
 ``scipy.spatial`` when they run, and the circumscription search
 (``extremal.minimize_mjN``) is plain Python. So of the CLI kinds only
-3-D ``minimize``, ``schneider`` and ``simplex-bound`` (Qhull),
-``wulff-convergence`` (the Wulff hull) and ``selftest`` load scipy;
-planar circumscription, ``dominance-ball``, ``dominance-cube``,
-``moments``, ``gorbovickis``, ``hull-bridge`` and ``vr-asymptotics`` run
-without it.
+3-D ``minimize`` and ``schneider`` (Qhull), ``wulff-convergence`` (the
+Wulff hull) and ``selftest`` load scipy; planar circumscription,
+``dominance-ball``, ``dominance-cube``, ``moments``, ``gorbovickis``,
+``hull-bridge`` and ``vr-asymptotics`` run without it.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ import yaml
 import ballpoly
 from ballpoly import cli, config, results
 from ballpoly import dominance as dm
+from ballpoly import extremal as ex
 from ballpoly.config import build_body
 from ballpoly.rng import RNG_CONTRACT
 
@@ -44,8 +45,9 @@ SQUARE = {"type": "cube", "side": 1.0, "n": 2, "grid_size": 256}
 CUBE_3D = {"type": "cube", "side": 1.0, "n": 3, "grid_size": 512}
 UNIT_BOX = {"type": "box1d-step", "breaks": [-0.5, 0.5], "heights": [1.0]}
 
-# One tiny config per kind, plus the 3-D circumscription kinds and a
-# constant boundary function, each run through ``cli.main``.
+# One tiny config per kind, plus the 3-D circumscription kinds, the
+# simplex case of ``schneider`` and a constant boundary function, each
+# run through ``cli.main``.
 SMOKE = {
     "dominance-ball": {"n": 2, "N": 3, "R": 3.0, "j": 2, "trials": 100,
                        "density": {"type": "uniform-box", "side": 1.0}},
@@ -59,7 +61,6 @@ SMOKE = {
                        "grid_size": 256},
     "minimize": {"body": SQUARE, "j": 2, "N": 3, "restarts": 2, "max_fev": 40},
     "schneider": {"body": SQUARE, "j": 2, "N": 4, "restarts": 1},
-    "simplex-bound": {"body": SQUARE, "restarts": 1},
     "gorbovickis": {"points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], "R_list": [10.0, 20.0]},
     "hull-bridge": {"N": 3, "trials": 100, "R": 10.0, "grid_size": 64,
                     "density_a": {"type": "uniform-box", "side": 1.0},
@@ -69,7 +70,9 @@ SMOKE = {
                                "restarts": 1, "max_fev": 40},
     "minimize/3d-j2": {"body": CUBE_3D, "j": 2, "N": 4, "restarts": 1, "max_fev": 40},
     "schneider/3d": {"body": CUBE_3D, "j": 3, "N": 4, "restarts": 1},
-    "simplex-bound/3d": {"body": CUBE_3D, "restarts": 1},
+    # j = n, N = n + 1: the minimal circumscribed simplex against its
+    # closed-form bound.
+    "schneider/simplex": {"body": SQUARE, "j": 2, "N": 3, "restarts": 1},
     "vr-asymptotics/constant": {"f": {"type": "constant", "value": 1.0},
                                 "R_list": [5.0, 10.0], "grid_size": 256},
 }
@@ -248,7 +251,10 @@ class TestValidation:
          "final_samples"),
         ("minimize", {"body": CUBE_3D, "j": 3, "N": 4, "estimator": "exact-2d"},
          "'estimator' must be 'exact-hull-3d'"),
-        ("simplex-bound", {"body": SQUARE, "estimator": "exact-hull-3d"},
+        # The simplex case of schneider (j = n, N = n + 1) names j and N
+        # and passes the same checks as any other; these three cases keep
+        # the positions, and so the ids, of the other cases.
+        ("schneider", {"body": SQUARE, "j": 2, "N": 3, "estimator": "exact-hull-3d"},
          "'estimator' must be 'exact-2d'"),
         ("minimize", {"body": {"type": "cube", "side": 1.0, "n": 4}, "j": 2, "N": 5},
          "dimension"),
@@ -260,10 +266,10 @@ class TestValidation:
         ("minimize", {"body": SQUARE, "j": 2, "N": 4, "max_fev": 0}, "max_fev"),
         ("minimize", {"body": SQUARE, "j": 2, "N": 4, "max_fev": True}, "max_fev"),
         ("schneider", {"body": SQUARE, "j": 2, "N": 4, "max_fev": 40}, "max_fev"),
-        ("simplex-bound", {"body": SQUARE, "max_fev": 40}, "max_fev"),
+        ("schneider", {"body": SQUARE, "N": 3}, "missing required key 'j'"),
         ("minimize", {"body": SQUARE, "j": 2, "N": 4, "grid_size": 256}, "grid_size"),
         ("schneider", {"body": SQUARE, "j": 2, "N": 4, "grid_size": 256}, "grid_size"),
-        ("simplex-bound", {"body": SQUARE, "grid_size": 256}, "grid_size"),
+        ("schneider", {"body": SQUARE, "j": 2}, "missing required key 'N'"),
         ("minimize", {"body": SQUARE, "j": 2, "N": 4, "restarts": True}, "'restarts' must be int"),
         ("minimize", {"body": SQUARE, "j": 2, "N": True}, "'N' must be int"),
         ("schneider", {"body": SQUARE, "j": True, "N": 4}, "'j' must be int"),
@@ -354,7 +360,7 @@ class TestValidation:
 
     def test_overrides_are_validated_with_the_document(self, tmp_path, capsys):
         doc = smoke_doc("minimize")
-        assert run_main(doc, tmp_path, "--kind", "simplex-bound") == 2
+        assert run_main(doc, tmp_path, "--kind", "gorbovickis") == 2
         assert "unknown key 'j'" in capsys.readouterr().err
         assert run_main(doc, tmp_path, "--kind", "schneider", "--seed", "-2") == 2
         assert "key 'seed'" in capsys.readouterr().err
@@ -537,13 +543,33 @@ class TestSmoke:
             else:
                 assert metrics[1][key] == value, key
 
+    def test_gorbovickis_reports_the_largest_radius_in_any_order(self):
+        records = [cli.run(config.validate(gorbovickis_doc(R_list)))
+                   for R_list in ([10.0, 20.0, 15.0], [20.0, 15.0, 10.0])]
+        assert records[1].metrics == records[0].metrics
+        assert records[1].curves[0].rows == records[0].curves[0].rows
+        assert [row[0] for row in records[0].curves[0].rows] == [10.0, 15.0, 20.0]
+        largest = cli.run(config.validate(gorbovickis_doc([20.0])))
+        assert records[0].metrics == largest.metrics
+
+    def test_schneider_simplex_is_the_closed_form_bound(self):
+        # The smallest triangle around a unit square has area 2; the
+        # ball of the square's mean width w needs m(B) * (w/2)^2.
+        cfg = config.validate(smoke_doc("schneider/simplex"))
+        metrics = cli.run(cfg).metrics
+        w = cfg.built["body"].mean_width()
+        assert metrics["lhs"] == pytest.approx(2.0, abs=1e-9)
+        assert metrics["rhs"] == ex.simplex_circumscription_minimum(2) * (w / 2.0) ** 2
+        assert metrics["rhs_source"].startswith("closed-form regular simplex")
+        assert metrics["margin"] == metrics["rhs"] - metrics["lhs"]
+
 
 # Kinds that call no Qhull, so a run of one must not import scipy, which
 # more than doubles a cold start's time and memory. The circumscription
 # search is plain floats, so the planar circumscription kinds qualify.
 SCIPY_FREE = ["dominance-ball", "dominance-cube", "moments", "gorbovickis", "hull-bridge",
               "vr-asymptotics", "vr-asymptotics/constant", "minimize", "schneider",
-              "simplex-bound"]
+              "schneider/simplex"]
 
 SCIPY_PROBE = textwrap.dedent("""
     import importlib, json, pkgutil, sys
@@ -584,12 +610,17 @@ class TestColdStart:
         assert not [m for m in modules if m.startswith("scipy.optimize")]
 
 
+def digest_tool():
+    spec = importlib.util.spec_from_file_location(
+        "digest", Path(__file__).resolve().parent.parent / "tools" / "digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    return digest
+
+
 class TestDigest:
     def test_one_sha256_per_config_over_the_record(self, capsys):
-        spec = importlib.util.spec_from_file_location(
-            "digest", Path(__file__).resolve().parent.parent / "tools" / "digest.py")
-        digest = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(digest)
+        digest = digest_tool()
         names = ["gorbovickis", "vr-asymptotics/constant"]
         assert digest.main(names) == 0
         lines = [line.split("  ") for line in capsys.readouterr().out.splitlines()]
@@ -600,3 +631,11 @@ class TestDigest:
         # One ulp in one metric changes the digest.
         record.metrics["volume"] = math.nextafter(record.metrics["volume"], math.inf)
         assert digest.digest(record) != lines[0][0]
+
+    def test_unknown_name_exits_2_listing_the_known_names(self, capsys):
+        digest = digest_tool()
+        assert digest.main(["gorbovickis", "no-such-config"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "unknown config no-such-config" in out.err
+        assert all(name in out.err for name in SMOKE)

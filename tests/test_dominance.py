@@ -107,6 +107,12 @@ class TestRunTrials:
         assert sizes == [2]
         assert np.array_equal(pooled, dm.run_trials(dm.ExperimentConfig(**kw)).values)
 
+    def test_unknown_estimator_is_rejected(self):
+        # Anything but 'exact-2d' used to run the trials through the fit.
+        with pytest.raises(ValueError, match="key 'estimator'.*'exact2d'"):
+            dm.ExperimentConfig(n=2, N=3, R=3.0, j=2, density=unit_area_square(),
+                                trials=100, seed=1, estimator="exact2d")
+
     def test_estimator_bug_propagates(self, monkeypatch):
         def broken(centers, radii):
             raise ValueError("a bug, not a failed trial")

@@ -3,15 +3,18 @@
 Usage: python3 tools/digest.py [NAME ...]   (default: every config)
 
 Runs each named config of ``tests/test_cli.py::SMOKE`` in process (no
-files are written) and prints ``<sha256>  <name>``. The digest covers
-the record's metrics, every curve's name, header and rows, and the
-config hash; timestamps are left out. Run it before and after a change
-that must not move any result: identical lines mean identical outputs.
+files are written) and prints ``<sha256>  <name>``; a name outside
+``SMOKE`` exits 2, listing the known names, before any config runs.
+The digest covers the record's metrics, every curve's name, header and
+rows, and the config hash; timestamps are left out. Run it before and
+after a change that must not move any result: identical lines mean
+identical outputs.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
@@ -23,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SMOKE_MODULE = ROOT / "tests" / "test_cli.py"
 
 
+@functools.lru_cache(maxsize=None)
 def _smoke_module():
     if str(ROOT / "src") not in sys.path:
         sys.path.insert(0, str(ROOT / "src"))
@@ -65,6 +69,12 @@ def digests(names=None):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    known = _smoke_module().SMOKE
+    unknown = [name for name in argv if name not in known]
+    if unknown:
+        print(f"digest: unknown config {', '.join(unknown)}; known: {', '.join(sorted(known))}",
+              file=sys.stderr)
+        return 2
     for name, d in digests(argv):
         print(f"{d}  {name}")
     return 0
