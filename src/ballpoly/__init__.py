@@ -38,7 +38,6 @@ from .errors import (
     UnsupportedTag,
     ZeroVector,
 )
-from .exact2d import exact_disk_intersection_2d
 from .geometry import (
     BallPolyhedron,
     DirectionGrid,

@@ -198,10 +198,9 @@ def _run_selftest(cfg: RunConfig):
         checks.append((name, bool(ok)))
         _log(f"  {'ok' if ok else 'FAIL'}  {name}")
 
-    lens = BallPolyhedron.from_arrays([[0.5, 0.0], [-0.5, 0.0]], 1.0)
-    area, perim = exact2d.exact_disk_intersection_2d(lens)
-    check("lens area", abs(area - (2 * math.pi / 3 - math.sqrt(3) / 2)) < 1e-12)
-    check("lens perimeter", abs(perim - 4 * math.pi / 3) < 1e-12)
+    reg = exact2d.disk_region(np.array([[0.5, 0.0], [-0.5, 0.0]]), np.ones(2))
+    check("lens area", abs(reg.area - (2 * math.pi / 3 - math.sqrt(3) / 2)) < 1e-12)
+    check("lens perimeter", abs(reg.perimeter - 4 * math.pi / 3) < 1e-12)
     proj, ok = project_points_onto_ballpoly(
         BallPolyhedron.from_arrays([[2.0, 0.0]], 1.0), np.array([[0.0, 0.0]]))
     check("single-ball projection", ok[0] and np.allclose(proj[0], [1.0, 0.0], atol=1e-12))
@@ -214,7 +213,6 @@ def _run_selftest(cfg: RunConfig):
     W = wulff.wulff_shape(sq)
     probe = DirectionGrid.uniform_2d(256).directions
     check("Wulff of a cube support", np.max(np.abs(W.support(probe) - sq.support(probe))) < 1e-9)
-    reg = exact2d.region_of(lens)
     check("lens support (exact arcs)",
           abs(exact2d.support_from_region(reg, np.array([[0.0, 1.0]]))[0]
               - math.sqrt(3) / 2) < 1e-12)

@@ -268,7 +268,8 @@ PARAMS = {
         "estimator": _ESTIMATOR,
         "fit_samples": _COUNT,
     },
-    "wulff-convergence": {**_WULFF, "probe_size": _COUNT},
+    # W(f) is unbounded on fewer than three directions.
+    "wulff-convergence": {**_WULFF, "grid_size": (int, _at_least(3), OPT), "probe_size": _COUNT},
     "vr-asymptotics": _WULFF,
     "minimize": {**_CIRCUMSCRIPTION, "max_fev": _COUNT},
     "schneider": _CIRCUMSCRIPTION,

@@ -19,8 +19,8 @@ class EmptyIntersection(BallPolyError):
 
 
 class DegenerateTangency(BallPolyError):
-    """Two circles are tangent within tolerance; the arc decomposition
-    is ill-defined even after a perturbation retry."""
+    """Two circles are tangent within tolerance. Nothing raises it; the
+    benchmark's tracer (``perfbench/spans.py``) imports it."""
 
 
 class IllConditioned(BallPolyError):

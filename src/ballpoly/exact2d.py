@@ -10,10 +10,10 @@ gives the region's support function and point-to-region distance. It
 is the independent oracle against which the Monte-Carlo estimators are
 checked, and the fast path for planar experiments.
 
-Two circles tangent within ``TANGENCY_RTOL`` of the largest radius make
-the decomposition ill-defined: ``disk_region`` raises
-``DegenerateTangency`` for such a pair, and
-``exact_disk_intersection_2d`` perturbs the radii and retries once.
+Two circles that do not cross are the same disk (centres and radii
+agree within ``TANGENCY_RTOL`` of the largest radius), disjoint or
+touching disks (an empty region: touching disks meet in one point), or
+one disk nested in the other. Tangency needs no special case.
 """
 
 from __future__ import annotations
@@ -23,14 +23,13 @@ from math import acos, atan2, cos, hypot, pi, sin
 
 import numpy as np
 
-from .errors import DegenerateTangency, EmptyIntersection
-from .geometry import BallPolyhedron
+from .errors import EmptyIntersection
 
 TWO_PI = 2.0 * pi
 
-# Tangency window (relative to the largest radius) in which the arc
-# decomposition becomes ill-defined. Two disks whose centres and radii
-# agree within it are one disk.
+# Window relative to the largest radius: disks whose centres and radii
+# agree within it are one disk, and circles whose centre distance
+# exceeds the radius difference by no more than it are nested.
 TANGENCY_RTOL = 1e-12
 
 
@@ -93,22 +92,15 @@ def _clip(pieces, a, b):
     return out
 
 
-def _uncut(i, j, d, ri, rj, tang, first):
+def _uncut(d, ri, rj, tang, first):
     """What disks i and j at distance d leave of each other's circles
     when the circles do not cross, as (for circle i, for circle j); None
-    when the disks are disjoint. ``first``: circle i is visited before
-    circle j, so it keeps a disk given twice."""
+    when the disks are disjoint or touch. ``first``: circle i is visited
+    before circle j, so it keeps a disk given twice."""
     if d <= tang and abs(ri - rj) <= tang:
         return (_WHOLE, _NOTHING) if first else (_NOTHING, _WHOLE)
-    if d > tang:
-        sep = d - (ri + rj)
-        nest = abs(ri - rj) - d
-        if abs(sep) <= tang or abs(nest) <= tang:
-            raise DegenerateTangency(
-                f"circles {i} and {j} tangent within {TANGENCY_RTOL:g} relative"
-            )
-        if sep > 0:
-            return None
+    if d >= ri + rj:
+        return None
     # One disk lies inside the other.
     return (_WHOLE, _NOTHING) if ri < rj else (_NOTHING, _WHOLE)
 
@@ -122,23 +114,23 @@ def disk_region(centers: np.ndarray, radii: np.ndarray) -> DiskRegion:
     or all of the circle (disk i inside disk j), or none of it (disk j
     inside disk i). What remains of circle i is the intersection of
     those arcs, and circle i stops being compared once nothing
-    remains. Two disjoint disks make the region empty at once, and a
-    circle nothing cuts is the region's whole boundary. A disk whose
-    centre and radius equal another's within the tangency window is
-    the same disk and contributes once. Area and perimeter follow from
-    Green's theorem on the counterclockwise arcs.
+    remains. Two disjoint or touching disks (d >= r_i + r_j) make the
+    region empty at once, and a circle nothing cuts is the region's
+    whole boundary. Within the TANGENCY_RTOL window a repeated disk
+    contributes once and a pair with d near |r_i - r_j| is nested. Area
+    and perimeter follow from Green's theorem on the counterclockwise arcs.
 
     Circles are visited tight-first, by r_i - |c_i - centroid|, so the
     circles that bound the region are found early and cut the others
     away after few comparisons. Each pair is compared once: the result
     for the circle visited later is kept for its turn.
 
-    Raises DegenerateTangency when two compared circles are tangent
-    within TANGENCY_RTOL (relative to the largest radius); callers may
-    perturb and retry.
+    Raises ValueError when the centres are not planar.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     radii = np.asarray(radii, dtype=float)
+    if centers.shape[1] != 2:
+        raise ValueError(f"exact arc decomposition is 2D only, got centres {centers.shape}")
     xs, ys, rs = centers[:, 0].tolist(), centers[:, 1].tolist(), radii.tolist()
     n = len(rs)
     tang = TANGENCY_RTOL * max(rs)
@@ -172,7 +164,7 @@ def disk_region(centers: np.ndarray, radii: np.ndarray) -> DiskRegion:
             dx, dy = xs[j] - xi, ys[j] - yi
             d = hypot(dx, dy)
             later = rank[j] > rank[i]
-            if (ri - rj if ri > rj else rj - ri) + tang < d < ri + rj - tang:
+            if (ri - rj if ri > rj else rj - ri) + tang < d < ri + rj:
                 # The circles cross: each keeps one arc of the other.
                 # r_i^2 - r_j^2 is formed first, as a product: adding d^2
                 # to r_i^2 first would round d^2 away when d << r, as for
@@ -190,7 +182,7 @@ def disk_region(centers: np.ndarray, radii: np.ndarray) -> DiskRegion:
                 if not pieces:
                     break
                 continue
-            pair = _uncut(i, j, d, ri, rj, tang, later)
+            pair = _uncut(d, ri, rj, tang, later)
             if pair is None:
                 return DiskRegion(centers, radii, True, 0.0, 0.0)
             cut_i, cut_j = pair
@@ -223,28 +215,6 @@ def disk_region(centers: np.ndarray, radii: np.ndarray) -> DiskRegion:
             perimeter += r * da
             arcs.append((cx, cy, r, a0 % TWO_PI, da))
     return DiskRegion(centers, radii, False, max(area, 0.0), perimeter, arcs=np.array(arcs))
-
-
-def region_of(P: BallPolyhedron) -> DiskRegion:
-    """Arc decomposition of a 2D ball-polyhedron."""
-    if P.dimension != 2:
-        raise ValueError("exact arc decomposition is 2D only")
-    return disk_region(P.centers, P.radii)
-
-
-def exact_disk_intersection_2d(P: BallPolyhedron):
-    """(area, perimeter) of a planar ball-polyhedron, exactly.
-
-    On a tangency the radii are nudged by 1e-10 (relative, staggered
-    per ball so both external and internal tangencies break) and the
-    decomposition retried once before the error propagates.
-    """
-    try:
-        reg = region_of(P)
-    except DegenerateTangency:
-        bump = 1.0 + 1e-10 * (1.0 + np.arange(len(P)))
-        reg = disk_region(P.centers, P.radii * bump)
-    return reg.area, reg.perimeter
 
 
 def support_from_region(region: DiskRegion, dirs: np.ndarray) -> np.ndarray:

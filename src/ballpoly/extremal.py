@@ -266,7 +266,7 @@ def gorbovickis_deficit(points: np.ndarray, R: float, samples: int = 0,
         warnings.warn(warning)
     P = BallPolyhedron.from_arrays(pts, R)
     if n == 2:
-        vol, se = exact2d.exact_disk_intersection_2d(P)[0], 0.0
+        vol, se = exact2d.disk_region(P.centers, P.radii).area, 0.0
     else:
         vol, se = mc_volume(P, samples, seed)
     deficit = omega(n) * R**n - vol
@@ -299,6 +299,8 @@ def hull_dominance_bridge(density_a, density_b, N: int, trials: int, R: float,
     The dominance margin is E_a[w] - E_b[w] (direct estimates) with its
     combined standard error; ``agreement`` reports the relative gap
     between the two estimators under each density."""
+    if not 0 < R < math.inf:
+        raise ValueError(f"R must be positive and finite, got {R}")
     out_direct = {"a": np.empty(trials), "b": np.empty(trials)}
     out_deficit = {"a": np.empty(trials), "b": np.empty(trials)}
     n = 2
@@ -307,7 +309,7 @@ def hull_dominance_bridge(density_a, density_b, N: int, trials: int, R: float,
         for t in range(trials):
             pts = dens.sample(stream(seed, t, i), N)
             out_direct[label][t] = SupportBody.polytope(pts, grid).mean_width()
-            vol, _ = exact2d.exact_disk_intersection_2d(BallPolyhedron.from_arrays(pts, R))
+            vol = exact2d.disk_region(pts, np.full(N, R)).area
             coeff = (omega(n) * R**n - vol) / R ** (n - 1)
             out_deficit[label][t] = 2.0 * coeff / (n * omega(n))
     dm = {k: float(np.mean(v)) for k, v in out_direct.items()}

@@ -321,14 +321,16 @@ class DirectionGrid:
 
     @classmethod
     def for_dimension(cls, n: int, size: int = DEFAULT_GRID_SIZE) -> "DirectionGrid":
-        """Default grid: uniform angles (2D), Fibonacci (3D), or a
-        symmetrized random set drawn from stream (0, n, size) for n >= 4."""
+        """Default grid: uniform angles (2D), Fibonacci (3D), or for n >= 4
+        a symmetrized random set drawn from stream (0, n, size >= 2)."""
         if n == 1:
             return cls(np.array([[1.0], [-1.0]]), np.array([0.5, 0.5]))
         if n == 2:
             return cls.uniform_2d(size)
         if n == 3:
             return cls.fibonacci_3d(size)
+        if size < 2:
+            raise ValueError(f"grid_size {size} < 2 draws no direction in dimension {n}")
         from .rng import stream, uniform_on_sphere
 
         half = uniform_on_sphere(stream(0, n, size), n, size // 2)

@@ -134,7 +134,7 @@ def _distances_for_expansion(P: BallPolyhedron, pts: np.ndarray) -> np.ndarray:
     """Distance from sample points to the body: exact arcs in the
     plane, the exact nearest-point map otherwise."""
     if P.dimension == 2:
-        return exact2d.distance_from_region(exact2d.region_of(P), pts)
+        return exact2d.distance_from_region(exact2d.disk_region(P.centers, P.radii), pts)
     return distances_to_ballpoly(P, pts)[0]
 
 

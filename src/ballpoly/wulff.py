@@ -159,7 +159,7 @@ def convergence_rate(K: SupportBody, R_list: Sequence[float],
     res = []
     for R in R_list:
         P = ballpoly_approx(K, R)
-        h_a = exact2d.support_from_region(exact2d.region_of(P), probe)
+        h_a = exact2d.support_from_region(exact2d.disk_region(P.centers, P.radii), probe)
         res.append(float(np.max(np.abs(h_w - h_a))))
     res = np.array(res)
     slope = float(np.polyfit(np.log(R_list), np.log(res), 1)[0])

@@ -105,6 +105,13 @@ BAD_CONFIGS = [
     pytest.param(smoke_with("wulff-convergence", grid_size="x"), "grid_size",
                  id="grid-size-string"),
     pytest.param(smoke_with("hull-bridge", grid_size=0), "grid_size", id="grid-size-zero"),
+    # These used to fail mid-run: a ZeroDivisionError (exit 1) drawing
+    # size // 2 = 0 directions in 4-D, and Qhull (exit 3) on an unbounded
+    # Wulff shape.
+    pytest.param(smoke_with("minimize", body={"type": "cube", "side": 1, "n": 4, "grid_size": 1}),
+                 "grid_size", id="4d-body-grid-size-1"),
+    *[pytest.param(smoke_with("wulff-convergence", grid_size=g), "key 'grid_size'",
+                   id=f"wulff-grid-size-{g}") for g in (1, 2)],
     pytest.param(smoke_with("moments", body={**SQUARE, "grid_size": True}), "grid_size",
                  id="body-grid-size-bool"),
     pytest.param(smoke_with("dominance-ball", s_grid=[3, 1]), "s_grid", id="s-grid-descending"),
@@ -187,26 +194,42 @@ BAD_CONFIGS = [
 ]
 
 
+def numbered(number, kind, params, key):
+    """A ``test_bad_circumscription_exits_2`` case whose id carries a
+    fixed number, so that deleting a case renames no other."""
+    return pytest.param(kind, params, key, id=f"{kind}-params{number}-{key}")
+
+
 class TestValidation:
-    @pytest.mark.parametrize("p_list", [[], [0], ["abc"], [1.0, float("inf")],
-                                        [float("nan")], [True]])
+    @pytest.mark.parametrize("p_list", [
+        pytest.param([], id="p_list0"),
+        pytest.param([0], id="p_list1"),
+        pytest.param(["abc"], id="p_list2"),
+        pytest.param([1.0, float("inf")], id="p_list3"),
+        pytest.param([float("nan")], id="p_list4"),
+        pytest.param([True], id="p_list5"),
+    ])
     def test_bad_p_list_exits_2(self, p_list, tmp_path, capsys):
         assert run_main(moments_doc(p_list), tmp_path) == 2
         assert "p_list" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("R_list", [[], [-1.0], [10.0, "x"]])
+    @pytest.mark.parametrize("R_list", [
+        pytest.param([], id="R_list0"),
+        pytest.param([-1.0], id="R_list1"),
+        pytest.param([10.0, "x"], id="R_list2"),
+    ])
     def test_bad_R_list_exits_2(self, R_list, tmp_path, capsys):
         assert run_main(gorbovickis_doc(R_list), tmp_path) == 2
         assert "R_list" in capsys.readouterr().err
 
     @pytest.mark.parametrize("params", [
-        {"points": [[0, 0], [1]]},
-        {"points": [[0, 0], [1, "x"]]},
-        {"points": [[]]},
-        {"points": [1.0, 2.0]},
-        {"points": [[0.0, 0.0], [1.0, float("nan")]]},
-        {"points": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]},
-        {"points": [[0.0, 0.0], [True, 0.0]]},
+        pytest.param({"points": [[0, 0], [1]]}, id="params0"),
+        pytest.param({"points": [[0, 0], [1, "x"]]}, id="params1"),
+        pytest.param({"points": [[]]}, id="params2"),
+        pytest.param({"points": [1.0, 2.0]}, id="params3"),
+        pytest.param({"points": [[0.0, 0.0], [1.0, float("nan")]]}, id="params4"),
+        pytest.param({"points": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]}, id="params5"),
+        pytest.param({"points": [[0.0, 0.0], [True, 0.0]]}, id="params6"),
     ])
     def test_bad_points_exits_2(self, params, tmp_path, capsys):
         doc = {"kind": "gorbovickis", "seed": 1, "params": {**params, "R": 10.0}}
@@ -242,37 +265,39 @@ class TestValidation:
         config.validate(doc)
 
     @pytest.mark.parametrize("kind, params, key", [
-        ("minimize", {"body": CUBE_3D, "j": 2, "N": 4, "estimator": "steiner-fit"},
-         "'estimator' must be 'exact-hull-3d'"),
-        ("minimize", {"body": SQUARE, "j": 2, "N": 4, "estimator": "steiner-fit"},
-         "'estimator' must be 'exact-2d'"),
-        ("minimize", {"body": CUBE_3D, "j": 2, "N": 4, "fit_samples": 2000}, "fit_samples"),
-        ("schneider", {"body": SQUARE, "j": 2, "N": 4, "final_samples": 4000},
-         "final_samples"),
-        ("minimize", {"body": CUBE_3D, "j": 3, "N": 4, "estimator": "exact-2d"},
-         "'estimator' must be 'exact-hull-3d'"),
+        numbered(0, "minimize", {"body": CUBE_3D, "j": 2, "N": 4, "estimator": "steiner-fit"},
+                 "'estimator' must be 'exact-hull-3d'"),
+        numbered(1, "minimize", {"body": SQUARE, "j": 2, "N": 4, "estimator": "steiner-fit"},
+                 "'estimator' must be 'exact-2d'"),
+        numbered(2, "minimize", {"body": CUBE_3D, "j": 2, "N": 4, "fit_samples": 2000},
+                 "fit_samples"),
+        numbered(3, "schneider", {"body": SQUARE, "j": 2, "N": 4, "final_samples": 4000},
+                 "final_samples"),
+        numbered(4, "minimize", {"body": CUBE_3D, "j": 3, "N": 4, "estimator": "exact-2d"},
+                 "'estimator' must be 'exact-hull-3d'"),
         # The simplex case of schneider (j = n, N = n + 1) names j and N
-        # and passes the same checks as any other; these three cases keep
-        # the positions, and so the ids, of the other cases.
-        ("schneider", {"body": SQUARE, "j": 2, "N": 3, "estimator": "exact-hull-3d"},
-         "'estimator' must be 'exact-2d'"),
-        ("minimize", {"body": {"type": "cube", "side": 1.0, "n": 4}, "j": 2, "N": 5},
-         "dimension"),
-        ("minimize", {"body": {"type": "cube", "side": 1.0, "n": "3"}, "j": 2, "N": 4},
-         "key 'n'"),
-        ("minimize", {"body": SQUARE, "j": 3, "N": 4}, "j must satisfy"),
-        ("minimize", {"body": CUBE_3D, "j": 2, "N": 3}, "N must exceed"),
-        ("minimize", {"body": SQUARE, "j": 2, "N": 4, "max_fev": "x"}, "max_fev"),
-        ("minimize", {"body": SQUARE, "j": 2, "N": 4, "max_fev": 0}, "max_fev"),
-        ("minimize", {"body": SQUARE, "j": 2, "N": 4, "max_fev": True}, "max_fev"),
-        ("schneider", {"body": SQUARE, "j": 2, "N": 4, "max_fev": 40}, "max_fev"),
-        ("schneider", {"body": SQUARE, "N": 3}, "missing required key 'j'"),
-        ("minimize", {"body": SQUARE, "j": 2, "N": 4, "grid_size": 256}, "grid_size"),
-        ("schneider", {"body": SQUARE, "j": 2, "N": 4, "grid_size": 256}, "grid_size"),
-        ("schneider", {"body": SQUARE, "j": 2}, "missing required key 'N'"),
-        ("minimize", {"body": SQUARE, "j": 2, "N": 4, "restarts": True}, "'restarts' must be int"),
-        ("minimize", {"body": SQUARE, "j": 2, "N": True}, "'N' must be int"),
-        ("schneider", {"body": SQUARE, "j": True, "N": 4}, "'j' must be int"),
+        # and passes the same checks as any other.
+        numbered(5, "schneider", {"body": SQUARE, "j": 2, "N": 3, "estimator": "exact-hull-3d"},
+                 "'estimator' must be 'exact-2d'"),
+        numbered(6, "minimize", {"body": {"type": "cube", "side": 1.0, "n": 4}, "j": 2, "N": 5},
+                 "dimension"),
+        numbered(7, "minimize", {"body": {"type": "cube", "side": 1.0, "n": "3"}, "j": 2, "N": 4},
+                 "key 'n'"),
+        numbered(8, "minimize", {"body": SQUARE, "j": 3, "N": 4}, "j must satisfy"),
+        numbered(9, "minimize", {"body": CUBE_3D, "j": 2, "N": 3}, "N must exceed"),
+        numbered(10, "minimize", {"body": SQUARE, "j": 2, "N": 4, "max_fev": "x"}, "max_fev"),
+        numbered(11, "minimize", {"body": SQUARE, "j": 2, "N": 4, "max_fev": 0}, "max_fev"),
+        numbered(12, "minimize", {"body": SQUARE, "j": 2, "N": 4, "max_fev": True}, "max_fev"),
+        numbered(13, "schneider", {"body": SQUARE, "j": 2, "N": 4, "max_fev": 40}, "max_fev"),
+        numbered(14, "schneider", {"body": SQUARE, "N": 3}, "missing required key 'j'"),
+        numbered(15, "minimize", {"body": SQUARE, "j": 2, "N": 4, "grid_size": 256}, "grid_size"),
+        numbered(16, "schneider", {"body": SQUARE, "j": 2, "N": 4, "grid_size": 256},
+                 "grid_size"),
+        numbered(17, "schneider", {"body": SQUARE, "j": 2}, "missing required key 'N'"),
+        numbered(18, "minimize", {"body": SQUARE, "j": 2, "N": 4, "restarts": True},
+                 "'restarts' must be int"),
+        numbered(19, "minimize", {"body": SQUARE, "j": 2, "N": True}, "'N' must be int"),
+        numbered(20, "schneider", {"body": SQUARE, "j": True, "N": 4}, "'j' must be int"),
     ])
     def test_bad_circumscription_exits_2(self, kind, params, key, tmp_path, capsys):
         assert run_main({"kind": kind, "seed": 1, "params": params}, tmp_path) == 2

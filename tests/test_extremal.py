@@ -244,3 +244,16 @@ class TestGorbovickis:
     def test_sample_budget_follows_dimension(self, points, samples):
         with pytest.raises(ValueError, match="samples|sample budget"):
             ex.gorbovickis_deficit(np.array(points), 10.0, samples=samples)
+
+    def test_touching_disks_have_zero_volume(self):
+        # Points 2R apart: the two disks meet in one point.
+        with pytest.warns(UserWarning, match="asymptotics unreliable"):
+            rep = ex.gorbovickis_deficit([[0.0, 0.0], [20.0, 0.0]], 10.0)
+        assert rep.volume == 0.0
+
+
+class TestHullBridge:
+    @pytest.mark.parametrize("R", [0.0, -1.0, math.inf])
+    def test_radius_must_be_positive_and_finite(self, R):
+        with pytest.raises(ValueError, match="R must be positive"):
+            ex.hull_dominance_bridge(None, None, 3, 100, R)

@@ -189,7 +189,7 @@ class TestCandidateOracle:
         for _ in range(1200):
             k = int(rng.integers(1, 9))
             P = BallPolyhedron.from_arrays(rng.normal(0, 0.6, (k, 2)), rng.uniform(0.8, 1.5, k))
-            region = exact2d.region_of(P)
+            region = exact2d.disk_region(P.centers, P.radii)
             assert P.is_empty() == region.empty
             if region.empty:
                 empty += 1
@@ -313,7 +313,7 @@ class TestNearestPointMap:
             P = BallPolyhedron.from_arrays(rng.normal(0, 0.6, (k, 2)), rng.uniform(0.8, 1.5, k))
             pts = rng.normal(0, 1.5, (20, 2))
             d, ok = distances_to_ballpoly(P, pts)
-            region = exact2d.region_of(P)
+            region = exact2d.disk_region(P.centers, P.radii)
             if region.empty:
                 empty += 1
                 assert not np.any(ok)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ballpoly.errors import IllConditioned
-from ballpoly.exact2d import exact_disk_intersection_2d
+from ballpoly.exact2d import disk_region
 from ballpoly.geometry import BallPolyhedron, DirectionGrid, SupportBody
 from ballpoly.intrinsic import (
     EpsilonGrid,
@@ -126,7 +126,8 @@ class TestSteinerFit:
             C = rng.normal(0, 0.3, (k, 2))
             R = rng.uniform(0.9, 1.4, k)
             P = BallPolyhedron.from_arrays(C, R)
-            area, perim = exact_disk_intersection_2d(P)
+            reg = disk_region(C, R)
+            area, perim = reg.area, reg.perimeter
             if area <= 0:
                 continue
             V = fit_intrinsic_volumes(P, EpsilonGrid.default_for(P, samples=400_000), seed=20 + i)
