@@ -18,6 +18,12 @@ t // TRIAL_BLOCK. Full blocks are always drawn, so trial t's value is
 bit-identical for any trial count, worker count or chunking, and
 ``_trial_value`` replays it alone. Worker chunks start on block bounds
 so that no block is drawn twice.
+
+A chunk passes each trial its row of the block as plain floats, a list
+of N centres that are each a list of n floats, and the radii as a
+list; the planar decomposition reads these without numpy. The
+conversion is exact, so the values, RNG contract 2 and
+``RNG_CONTRACT`` are unchanged.
 """
 
 from __future__ import annotations
@@ -116,10 +122,10 @@ def _block_centers(cfg: ExperimentConfig, densities, b: int) -> np.ndarray:
 
 
 def _trial_value(cfg: ExperimentConfig, densities, radii, t: int,
-                 centers: Optional[np.ndarray] = None) -> float:
+                 centers: Optional[Union[np.ndarray, list]] = None) -> float:
     """V_j of trial t, whose (N, n) ``centers`` are row t % TRIAL_BLOCK
-    of its block; without them the block is drawn, which replays trial
-    t alone."""
+    of its block, as an array or as a list of N lists of n floats;
+    without them the block is drawn, which replays trial t alone."""
     if centers is None:
         centers = _block_centers(cfg, densities, t // TRIAL_BLOCK)[t % TRIAL_BLOCK]
     if cfg.estimator == "exact-2d":
@@ -138,10 +144,14 @@ _FORK_STATE: dict = {}
 
 
 def _chunk_worker(bounds) -> tuple:
+    """V_j of trials lo..hi-1 and the trials that failed. Each block is
+    drawn once, and each trial gets its row as lists of floats. Rows are
+    converted one at a time: converting the whole block at once is no
+    faster, and its lists would keep a second copy of the block alive."""
     lo, hi = bounds
     cfg = _FORK_STATE["cfg"]
     densities = _FORK_STATE["densities"]
-    radii = cfg.radii
+    radii = cfg.radii.tolist()
     vals = np.empty(hi - lo)
     failed = []
     for b in range(lo // TRIAL_BLOCK, -(-hi // TRIAL_BLOCK)):
@@ -149,7 +159,7 @@ def _chunk_worker(bounds) -> tuple:
         for t in range(max(lo, b * TRIAL_BLOCK), min(hi, (b + 1) * TRIAL_BLOCK)):
             try:
                 vals[t - lo] = _trial_value(cfg, densities, radii, t,
-                                            block[t % TRIAL_BLOCK])
+                                            block[t % TRIAL_BLOCK].tolist())
             except BallPolyError:
                 vals[t - lo] = np.nan
                 failed.append(t)

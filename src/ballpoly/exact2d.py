@@ -10,6 +10,12 @@ gives the region's support function and point-to-region distance. It
 is the independent oracle against which the Monte-Carlo estimators are
 checked, and the fast path for planar experiments.
 
+``disk_region`` takes the centres as an (N, 2) array or as a list of N
+(x, y) pairs, the form in which a planar trial passes its row of
+floats, and the radii as an array or a list; both forms give the same
+bits. A trial does no numpy work: the ``DiskRegion`` it returns builds
+its ``centers``, ``radii`` and ``arcs`` arrays only when they are read.
+
 Two circles that do not cross are the same disk (centres and radii
 agree within ``TANGENCY_RTOL`` of the largest radius), disjoint or
 touching disks (an empty region: touching disks meet in one point), or
@@ -18,8 +24,8 @@ one disk nested in the other. Tangency needs no special case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import acos, atan2, cos, hypot, pi, sin
+from functools import cached_property
+from math import acos, atan2, cos, hypot, isfinite, pi, sin
 
 import numpy as np
 
@@ -33,7 +39,6 @@ TWO_PI = 2.0 * pi
 TANGENCY_RTOL = 1e-12
 
 
-@dataclass
 class DiskRegion:
     """Arc decomposition of an intersection of closed disks.
 
@@ -41,14 +46,37 @@ class DiskRegion:
     arc running counterclockwise from angle a0 over da > 0. An empty
     region has no arcs and zero area/perimeter; a region bounded by one
     whole circle is a single arc with da = 2*pi.
+
+    ``empty``, ``area`` and ``perimeter`` are plain floats. The arrays
+    ``centers`` (N, 2), ``radii`` (N,) and ``arcs`` are built from the
+    decomposition's floats the first time they are read, so a caller
+    that needs only the area or the perimeter builds none of them:
+    ``disks`` holds the input's x, y and r as three sequences, and
+    ``boundary`` the boundary circles as (cx, cy, r, pieces), each piece
+    an angle interval (a0, a1) with a0 < a1.
     """
 
-    centers: np.ndarray
-    radii: np.ndarray
-    empty: bool
-    area: float
-    perimeter: float
-    arcs: np.ndarray = field(default_factory=lambda: np.empty((0, 5)))
+    def __init__(self, disks, empty: bool, area: float, perimeter: float, boundary=()):
+        self._disks = disks
+        self._boundary = boundary
+        self.empty = empty
+        self.area = area
+        self.perimeter = perimeter
+
+    @cached_property
+    def centers(self) -> np.ndarray:
+        xs, ys, _ = self._disks
+        return np.array([xs, ys], dtype=float).T.copy()
+
+    @cached_property
+    def radii(self) -> np.ndarray:
+        return np.array(self._disks[2], dtype=float)
+
+    @cached_property
+    def arcs(self) -> np.ndarray:
+        return np.array([(cx, cy, r, a0 % TWO_PI, a1 - a0)
+                         for cx, cy, r, pieces in self._boundary
+                         for a0, a1 in pieces], dtype=float).reshape(-1, 5)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
@@ -60,25 +88,9 @@ class DiskRegion:
         return inside
 
 
-def _whole_disk_region(centers, radii, i) -> DiskRegion:
-    (cx, cy), r = centers[i], radii[i]
-    return DiskRegion(
-        centers, radii, False, float(np.pi * r * r), float(TWO_PI * r),
-        arcs=np.array([[cx, cy, r, 0.0, TWO_PI]]),
-    )
-
-
-# What a disk leaves of a circle that it does not cut into an arc.
-_WHOLE = None  # the circle lies inside the disk
-_NOTHING = ()  # the circle lies outside the disk, or repeats an earlier one
-
-
 def _clip(pieces, a, b):
-    """Intersect the disjoint angle intervals (start, end) of one circle,
-    or the whole circle when ``pieces`` is None, with the arc from angle
-    a to angle b, a < b < a + 2*pi."""
-    if pieces is None:
-        return [(a, b)]
+    """Intersect the disjoint angle intervals (start, end) of one circle
+    with the arc from angle a to angle b, a < b < a + 2*pi."""
     out = []
     for s, e in pieces:
         shift = TWO_PI * ((s - a) // TWO_PI)  # the arc's turn starting at or before s
@@ -92,21 +104,13 @@ def _clip(pieces, a, b):
     return out
 
 
-def _uncut(d, ri, rj, tang, first):
-    """What disks i and j at distance d leave of each other's circles
-    when the circles do not cross, as (for circle i, for circle j); None
-    when the disks are disjoint or touch. ``first``: circle i is visited
-    before circle j, so it keeps a disk given twice."""
-    if d <= tang and abs(ri - rj) <= tang:
-        return (_WHOLE, _NOTHING) if first else (_NOTHING, _WHOLE)
-    if d >= ri + rj:
-        return None
-    # One disk lies inside the other.
-    return (_WHOLE, _NOTHING) if ri < rj else (_NOTHING, _WHOLE)
-
-
-def disk_region(centers: np.ndarray, radii: np.ndarray) -> DiskRegion:
+def disk_region(centers, radii) -> DiskRegion:
     """Arc decomposition of the intersection of closed disks.
+
+    ``centers`` is an (N, 2) array or a list of N (x, y) pairs of
+    floats, as ``dominance`` passes one trial's row; ``radii`` is an
+    (N,) array or a list. Both forms give the same bits, and the
+    region builds its arrays only when they are read.
 
     For each circle i the other disks are compared in turn: disk j at
     distance d keeps the arc of circle i centred on the direction of
@@ -122,99 +126,141 @@ def disk_region(centers: np.ndarray, radii: np.ndarray) -> DiskRegion:
 
     Circles are visited tight-first, by r_i - |c_i - centroid|, so the
     circles that bound the region are found early and cut the others
-    away after few comparisons. Each pair is compared once: the result
-    for the circle visited later is kept for its turn.
+    away after few comparisons. Each pair is compared once: the circle
+    visited first clips what the other disk leaves of itself and what
+    its own disk leaves of the later circle, which starts its turn from
+    there, and a circle that an earlier one has left nothing skips its
+    turn. The later circles that a circle did not reach, because it
+    stopped or skipped its turn, compare themselves with it on theirs.
 
-    Raises ValueError when the centres are not planar.
+    Raises ValueError when the centres are not planar or not finite,
+    when there is no disk or the radii do not match the centres, and
+    when a radius is not positive and finite.
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    radii = np.asarray(radii, dtype=float)
-    if centers.shape[1] != 2:
-        raise ValueError(f"exact arc decomposition is 2D only, got centres {centers.shape}")
-    xs, ys, rs = centers[:, 0].tolist(), centers[:, 1].tolist(), radii.tolist()
+    rows = centers if type(centers) is list else np.asarray(centers, dtype=float).tolist()
+    rs = radii if type(radii) is list else np.asarray(radii, dtype=float).tolist()
     n = len(rs)
-    tang = TANGENCY_RTOL * max(rs)
+    if not n or n != len(rows):
+        raise ValueError(f"need one radius per centre and at least one disk, "
+                         f"got {len(rows)} centres and {n} radii")
+    try:
+        xs = [x for x, _ in rows]
+        ys = [y for _, y in rows]
+    except (TypeError, ValueError):
+        raise ValueError("exact arc decomposition is 2D only: "
+                         "every centre must be an (x, y) pair") from None
+    given = (xs, ys, rs)
     mx, my = sum(xs) / n, sum(ys) / n
-    order = sorted(range(n), key=lambda i: rs[i] - hypot(xs[i] - mx, ys[i] - my))
-    rank = [0] * n
-    for k, i in enumerate(order):
-        rank[i] = k
-    # cuts[j][i]: what disk i leaves of circle j, found on circle i's turn.
-    cuts = [{} for _ in range(n)]
-    gone = [False] * n
+    if not (isfinite(mx) and isfinite(my)):
+        raise ValueError("disk centres must be finite")
+    if not (0.0 < min(rs) and isfinite(sum(rs))):
+        raise ValueError("disk radii must be positive and finite")
+    tang = TANGENCY_RTOL * max(rs)
+    # disks[k]: circle k of the visiting order, as (x, y, r).
+    disks = sorted(zip(xs, ys, rs), key=lambda c: c[2] - hypot(c[0] - mx, c[1] - my))
+    # left[k]: what the circles visited before circle k have left of it:
+    # None (all of it), its disjoint arcs, or [] (nothing, so circle k
+    # skips its turn).
+    left = [None] * n
+    # (stop, x, y, r) of each circle that stopped short: it compared
+    # itself with the later circles below position stop, and clipped what
+    # it leaves of them, but not with the others.
+    short = []
     boundary = []
+    area = perimeter = 0.0
 
-    for i in order:
-        if gone[i]:
+    for k in range(n):
+        pieces = left[k]
+        xi, yi, ri = disks[k]
+        if pieces is not None and not pieces:  # an earlier circle left circle k nothing
+            short.append((k + 1, xi, yi, ri))
             continue
-        xi, yi, ri = xs[i], ys[i], rs[i]
-        known = cuts[i]
-        pieces = None
-        for cut in known.values():
-            if cut is not _WHOLE:
-                pieces = _clip(pieces, *cut)
+        # The earlier circles that stopped before reaching circle k.
+        for stop, xj, yj, rj in short:
+            if k < stop:
+                continue
+            dx, dy = xj - xi, yj - yi
+            d = hypot(dx, dy)
+            if (ri - rj if ri > rj else rj - ri) + tang < d < ri + rj:
+                # The circles cross: disk j leaves one arc of circle k.
+                # r_k^2 - r_j^2 is formed first, as a product: adding d^2
+                # to r_k^2 first would round d^2 away when d << r, as for
+                # neighbouring tangent balls.
+                phi = atan2(dy, dx)
+                c = (d * d + (ri - rj) * (ri + rj)) / (2.0 * d * ri)
+                w = acos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c)
+                lo, hi = phi - w, phi + w
+                pieces = [(lo, hi)] if pieces is None else _clip(pieces, lo, hi)
                 if not pieces:
                     break
-        if pieces == []:
-            continue
-        for j in order:
-            if j == i or j in known:
                 continue
-            rj = rs[j]
-            dx, dy = xs[j] - xi, ys[j] - yi
+            # The circles do not cross. Disk j, visited first, keeps a
+            # disk given twice.
+            if d <= tang and abs(ri - rj) <= tang:
+                pieces = []
+                break
+            if d >= ri + rj:
+                return DiskRegion(given, True, 0.0, 0.0)
+            if ri < rj:  # disk k lies inside disk j
+                continue
+            pieces = []
+            break
+        if pieces is not None and not pieces:  # circle k has nothing left and stops
+            short.append((k + 1, xi, yi, ri))
+            continue
+        # The later circles: each pair is compared once, and the later
+        # circle keeps what disk k leaves of it for its own turn.
+        for j in range(k + 1, n):
+            xj, yj, rj = disks[j]
+            dx, dy = xj - xi, yj - yi
             d = hypot(dx, dy)
-            later = rank[j] > rank[i]
             if (ri - rj if ri > rj else rj - ri) + tang < d < ri + rj:
-                # The circles cross: each keeps one arc of the other.
-                # r_i^2 - r_j^2 is formed first, as a product: adding d^2
-                # to r_i^2 first would round d^2 away when d << r, as for
-                # neighbouring tangent balls.
                 phi = atan2(dy, dx)
                 d2, q = d * d, (ri - rj) * (ri + rj)
                 c = (d2 + q) / (2.0 * d * ri)
                 w = acos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c)
-                if later and not gone[j]:
+                theirs = left[j]
+                if theirs is None or theirs:
                     c = (d2 - q) / (2.0 * d * rj)
                     wj = acos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c)
                     back = atan2(-dy, -dx)
-                    cuts[j][i] = (back - wj, back + wj)
-                pieces = _clip(pieces, phi - w, phi + w)
+                    lo, hi = back - wj, back + wj
+                    left[j] = [(lo, hi)] if theirs is None else _clip(theirs, lo, hi)
+                lo, hi = phi - w, phi + w
+                pieces = [(lo, hi)] if pieces is None else _clip(pieces, lo, hi)
                 if not pieces:
                     break
                 continue
-            pair = _uncut(d, ri, rj, tang, later)
-            if pair is None:
-                return DiskRegion(centers, radii, True, 0.0, 0.0)
-            cut_i, cut_j = pair
-            if later and cut_j is _NOTHING:
-                gone[j] = True
-            elif later:
-                cuts[j][i] = _WHOLE
-            if cut_i is _NOTHING:
-                pieces = []
-                break
-        if pieces is None:
-            return _whole_disk_region(centers, radii, i)
-        if pieces:
-            boundary.append((i, pieces))
-
-    if not boundary:
-        return DiskRegion(centers, radii, True, 0.0, 0.0)
-    arcs = []
-    area = 0.0
-    perimeter = 0.0
-    for i, pieces in boundary:
-        cx, cy, r = xs[i], ys[i], rs[i]
+            # Disk k, visited first, keeps a disk given twice.
+            if d <= tang and abs(ri - rj) <= tang:
+                left[j] = []
+                continue
+            if d >= ri + rj:
+                return DiskRegion(given, True, 0.0, 0.0)
+            if ri < rj:  # disk k lies inside disk j and leaves circle j nothing
+                left[j] = []
+                continue
+            pieces = []
+            break
+        if pieces is None:  # no other disk cuts circle k
+            return DiskRegion(given, False, pi * ri * ri, TWO_PI * ri,
+                              [(xi, yi, ri, [(0.0, TWO_PI)])])
+        if not pieces:  # circle k stopped at circle j
+            short.append((j + 1, xi, yi, ri))
+            continue
+        boundary.append((xi, yi, ri, pieces))
         for a0, a1 in pieces:
             da = a1 - a0
             area += 0.5 * (
-                r * r * da
-                + r * cx * (sin(a1) - sin(a0))
-                - r * cy * (cos(a1) - cos(a0))
+                ri * ri * da
+                + ri * xi * (sin(a1) - sin(a0))
+                - ri * yi * (cos(a1) - cos(a0))
             )
-            perimeter += r * da
-            arcs.append((cx, cy, r, a0 % TWO_PI, da))
-    return DiskRegion(centers, radii, False, max(area, 0.0), perimeter, arcs=np.array(arcs))
+            perimeter += ri * da
+
+    if not boundary:
+        return DiskRegion(given, True, 0.0, 0.0)
+    return DiskRegion(given, False, max(area, 0.0), perimeter, boundary)
 
 
 def support_from_region(region: DiskRegion, dirs: np.ndarray) -> np.ndarray:

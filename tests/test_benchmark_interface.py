@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ballpoly import dominance, exact2d, geometry
+from ballpoly import densities, dominance, exact2d, geometry
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -61,6 +61,29 @@ def test_traced_distance_queries_count_the_outside_points(monkeypatch):
     assert m["geometry.dykstra.calls"] == 1
     assert m["geometry.dykstra.points"] == outside
     assert m["geometry.dykstra.unconverged_ratio"] == 0
+
+
+def test_traced_planar_trials_count_trials_and_disks(monkeypatch):
+    # The planar layer reads one disk_region call per trial, made through
+    # _trial_value, with the trial's N centres as one row: a trial loop
+    # that bypassed _trial_value would read 0 trials, and one that passed
+    # x and y as separate lists would read 1 disk per call.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    importlib.import_module("workloads")
+    spans = importlib.import_module("spans")
+    cfg = dominance.ExperimentConfig(
+        n=2, N=3, R=3.0, j=2, trials=256, seed=0,
+        density=densities.UniformBody(densities.Box.centered_cube(1.0, 2)))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        dominance.run_trials(cfg)
+    finally:
+        tracer.uninstall()
+    m = spans.layer_metrics(tracer)
+    assert m["exact2d.disk_region.calls"] == 256
+    assert m["exact2d.disk_region.disks_mean"] == 3
+    assert m["dominance.trials"] == 256
 
 
 def test_every_module_attribute_the_benchmark_uses_exists():

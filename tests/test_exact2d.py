@@ -86,9 +86,22 @@ class TestClosedForms:
         reg = e2.disk_region(P.centers, P.radii)
         assert (reg.area, reg.perimeter) == (0.0, 0.0)
 
-    def test_non_planar_centres_are_rejected(self):
-        with pytest.raises(ValueError, match="2D only"):
-            e2.disk_region(np.zeros((2, 3)), np.ones(2))
+    @pytest.mark.parametrize("centers, radii, match", [
+        (np.zeros((2, 3)), np.ones(2), "2D only"),
+        ([[0.0, 0.0], [1.0, 0.0, 0.0]], [1.0, 1.0], "2D only"),
+        ([[0.0, 0.0], [math.nan, 0.0]], [1.0, 1.0], "centres must be finite"),
+        ([[0.0, math.inf], [0.0, 0.0]], [1.0, 1.0], "centres must be finite"),
+        (np.zeros((0, 2)), np.zeros(0), "at least one disk"),
+        (np.zeros((2, 2)), np.ones(3), "one radius per centre"),
+        ([[0.0, 0.0], [0.5, 0.0]], [1.0, 0.0], "radii must be positive"),
+        ([[0.0, 0.0], [0.5, 0.0]], [1.0, -1.0], "radii must be positive"),
+        ([[0.0, 0.0], [0.5, 0.0]], [1.0, math.nan], "radii must be positive"),
+        ([[0.0, 0.0], [0.5, 0.0]], [math.inf, 1.0], "radii must be positive"),
+    ], ids=["3d-centres", "ragged-centres", "nan-centre", "infinite-centre", "no-disks",
+            "radii-count", "zero-radius", "negative-radius", "nan-radius", "infinite-radius"])
+    def test_non_planar_centres_are_rejected(self, centers, radii, match):
+        with pytest.raises(ValueError, match=match):
+            e2.disk_region(centers, radii)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(3)
@@ -286,6 +299,12 @@ class TestReference:
             C = rng.normal(0.0, rng.choice([0.2, 0.5, 1.0]), (k, 2)) + rng.normal(0.0, 3.0, 2)
             R = np.full(k, rng.uniform(0.5, 2.0)) if t % 2 else rng.uniform(0.3, 2.0, k)
             reg = assert_matches_reference(C, R)
+            # The same disks as lists of floats, as a planar trial passes
+            # them, give the same bits.
+            listed = e2.disk_region(C.tolist(), R.tolist())
+            assert (listed.empty, listed.area, listed.perimeter) == (
+                reg.empty, reg.area, reg.perimeter)
+            assert listed.arcs.tolist() == reg.arcs.tolist()
             whole = not reg.empty and reg.arcs[0, 4] == e2.TWO_PI
             counts["empty" if reg.empty else "whole" if whole else "arcs"] += 1
         # Every branch of the decomposition is exercised.
