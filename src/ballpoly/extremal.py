@@ -7,7 +7,11 @@ containing configuration onto K never increases V_j), so the search
 runs over direction tuples on a product of spheres with a multi-start
 Nelder-Mead in tangent charts. The simplex steps are plain floats
 (``neldermead``, which replays scipy's Nelder-Mead bit for bit), so a
-search imports no scipy; only the 3-D objective's Qhull does.
+search imports no scipy; only the 3-D objective's Qhull does. The
+restarts run in lockstep rounds, so the numpy steps of a point (the
+chart and the support values) run once per round for all restarts
+rather than once per evaluation; the objective itself is called
+once per point.
 
 The deficit side: for fixed points, the volume of the intersection of
 balls B(x_i, R) behaves for large R like
@@ -109,20 +113,17 @@ def _tangent_basis(theta: np.ndarray) -> np.ndarray:
     return np.array(basis)
 
 
-def _chart(base: np.ndarray):
-    """Map R^{N(n-1)} -> (S^{n-1})^N around base directions by
-    normalized tangent offsets (a retraction chart)."""
-    N, n = base.shape
-    bases = np.stack([_tangent_basis(base[i]) for i in range(N)])  # (N, n-1, n)
-
-    def to_sphere(v: np.ndarray) -> np.ndarray:
-        # Batched matmul runs the same BLAS products per ball as a loop
-        # of ``bases[i].T @ v_i`` and ``p @ p`` would, so the chart
-        # stays bit for bit what it was; einsum would sum differently.
-        p = base + np.matmul(v.reshape(N, 1, n - 1), bases)[:, 0, :]
-        return p / np.sqrt(np.matmul(p[:, None, :], p[:, :, None])[:, :, 0])
-
-    return to_sphere
+def _chart(base: np.ndarray, bases: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Map tangent offsets to the sphere around base directions by
+    normalizing base + offset (a retraction chart), one row per ball:
+    ``base`` (M, n) unit rows, ``bases`` (M, n-1, n) their
+    ``_tangent_basis`` and ``v`` (M, n-1) the offsets. The rows may be
+    the balls of any number of restarts; each is mapped alone."""
+    # Batched matmul runs the same BLAS products per ball as a loop of
+    # ``bases[i].T @ v_i`` and ``p @ p`` would, so a direction has the
+    # same bits whatever rows share the call; einsum would sum differently.
+    p = base + np.matmul(v.reshape(len(v), 1, -1), bases)[:, 0, :]
+    return p / np.sqrt(np.matmul(p[:, None, :], p[:, :, None])[:, :, 0])
 
 
 class _Objective:
@@ -140,26 +141,27 @@ class _Objective:
         g = prob.K.grid
         self.interior = self.n * (g.weights * prob.K.values) @ g.directions
 
-    def offsets(self, thetas: np.ndarray) -> np.ndarray:
-        return self.prob.K.support(thetas)
-
     def vertices(self, thetas: np.ndarray) -> np.ndarray:
-        offs = self.offsets(thetas)
+        offs = self.prob.K.support(thetas)
         bound = self.prob.penalty_bound
         if self.n == 2:
             return polytope.clip_polygon(thetas, offs, bound)
         return polytope.halfspace_vertices_3d(thetas, offs, bound, self.interior)
 
-    def __call__(self, thetas: np.ndarray) -> float:
+    def __call__(self, thetas, offsets) -> float:
+        """V_j for directions ``thetas`` with offsets ``offsets`` (their
+        support values): in the plane lists of float pairs and floats,
+        as ``minimize_mjN`` passes them, or arrays; arrays in 3D."""
         p = self.prob
         if self.n == 2:
             # The clipper's float pairs go straight to the shoelace: an
             # array of a handful of vertices costs more than their sums.
-            poly = polytope.clip_vertices(thetas, self.offsets(thetas), p.penalty_bound)
+            poly = polytope.clip_vertices(thetas, offsets, p.penalty_bound)
             area, perim = polytope.polygon_area_perimeter(poly)
             return area if p.j == 2 else perim / 2.0
         try:
-            return polytope.hull_intrinsic_volumes(self.vertices(thetas))[p.j]
+            verts = polytope.halfspace_vertices_3d(thetas, offsets, p.penalty_bound, self.interior)
+            return polytope.hull_intrinsic_volumes(verts)[p.j]
         except UnboundedConfiguration:
             return (2.0 * p.penalty_bound) ** 3
 
@@ -169,29 +171,59 @@ def minimize_mjN(prob: CircumscriptionProblem, restarts: int = 32,
     """Multi-start simplex-reflection minimum of V_j over touching
     halfspace configurations.
 
-    Each restart draws random directions and optimizes in a tangent
-    chart with Nelder-Mead (the adaptive coefficients for n = 3); the
+    Each restart r draws random directions from ``stream(seed, r)`` and
+    optimizes in a tangent chart around them with Nelder-Mead (the
+    adaptive coefficients for n = 3), at most ``max_fev`` evaluations.
+    The restarts run in lockstep rounds: each round takes the pending
+    point of every unfinished search, maps all of them to the sphere in
+    one ``_chart`` call and takes their offsets from one support call,
+    then evaluates the objective point by point and sends each value
+    back. A search's steps and values do not depend on the others, so
+    the result is that of running the restarts one after another. The
     best restart (value, then index) wins. The reported configuration
     always contains K by construction (offsets are the support values);
     the feasibility margin is re-checked on the body's grid.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if max_fev < 1:
+        raise ValueError(f"max_fev must be >= 1, got {max_fev}")
     obj = _Objective(prob)
     n, N = prob.K.dimension, prob.N
     dim = N * (n - 1)
-    best = (np.inf, None, -1)
-    trace = np.full(restarts, np.inf)
-    evaluations = 0
     step = 0.45
     init = [[0.0] * dim] + [[step if i == k else 0.0 for i in range(dim)] for k in range(dim)]
-    for r in range(restarts):
-        chart = _chart(uniform_on_sphere(stream(seed, r), n, N))
-        x, fun, nfev = _nelder_mead(lambda v: obj(chart(np.array(v))), init, max_fev,
-                                    xatol=1e-7, fatol=1e-7, adaptive=n > 2)
-        trace[r] = fun
-        evaluations += nfev
-        if fun < best[0]:
-            best = (fun, chart(np.array(x)), r)
-    value, thetas, best_r = best
+    base = np.concatenate([uniform_on_sphere(stream(seed, r), n, N) for r in range(restarts)])
+    bases = np.stack([_tangent_basis(theta) for theta in base])
+    searches = [_nelder_mead(init, max_fev, xatol=1e-7, fatol=1e-7, adaptive=n > 2)
+                for _ in range(restarts)]
+    # A budget of at least one evaluation makes every search yield.
+    pending = {r: next(search) for r, search in enumerate(searches)}
+    results = [None] * restarts
+    rows = base, bases
+    while pending:
+        if len(rows[0]) > N * len(pending):  # drop the balls of finished searches
+            keep = (N * np.array(list(pending))[:, None] + np.arange(N)).ravel()
+            rows = base[keep], bases[keep]
+        v = np.array(list(pending.values())).reshape(-1, n - 1)
+        thetas = _chart(*rows, v)
+        offsets = prob.K.support(thetas)
+        if n == 2:
+            thetas, offsets = thetas.tolist(), offsets.tolist()
+        for lo, r in zip(range(0, len(v), N), list(pending)):
+            try:
+                pending[r] = searches[r].send(obj(thetas[lo:lo + N], offsets[lo:lo + N]))
+            except StopIteration as stop:
+                results[r] = stop.value
+                del pending[r]
+    trace = np.array([fun for _, fun, _ in results])
+    evaluations = sum(nfev for _, _, nfev in results)
+    value, best_r = np.inf, -1
+    for r, fun in enumerate(trace.tolist()):
+        if fun < value:
+            value, best_r = fun, r
+    span = slice(best_r * N, (best_r + 1) * N)
+    thetas = _chart(base[span], bases[span], np.array(results[best_r][0]).reshape(N, n - 1))
     # Feasibility: the configuration's support dominates the body's.
     verts = obj.vertices(thetas)
     gdirs = prob.K.grid.directions

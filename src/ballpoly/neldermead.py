@@ -5,6 +5,12 @@ numpy arrays cost more per step than the arithmetic they hold, and
 scipy's implementation costs a 40 MB import besides. ``_nelder_mead``
 replays scipy's steps bit for bit instead; ``extremal.minimize_mjN`` is
 its one caller.
+
+The search is a generator and evaluates nothing itself: it yields each
+trial point as a list of floats and takes the point's value by ``send``,
+and its ``return`` value (``StopIteration.value``) is the result. So
+one caller can run many searches in lockstep and evaluate the pending
+points of all of them together.
 """
 
 from __future__ import annotations
@@ -18,11 +24,14 @@ class _OutOfEvaluations(Exception):
     """The Nelder-Mead evaluation budget ran out."""
 
 
-def _nelder_mead(f, simplex, maxfev: int, xatol: float, fatol: float, adaptive: bool):
+def _nelder_mead(simplex, maxfev: int, xatol: float, fatol: float, adaptive: bool):
     """Minimize f from an initial simplex of n + 1 points in R^n by
     Nelder-Mead (Lagarias et al., SIAM J. Optim. 9, 1998; the adaptive
     coefficients of Gao and Han, Comput. Optim. Appl. 51, 2012).
-    Returns (x, f(x), evaluations), x a list of floats.
+
+    A generator: it yields each point x to evaluate (a list of floats)
+    and expects f(x) back by ``send``; it returns (x, f(x), evaluations),
+    x a list of floats. With ``maxfev`` >= 1 it yields at least once.
 
     Plain floats, step for step scipy's ``_minimize_neldermead`` with
     only ``maxfev`` set: the centroid summed vertex by vertex, the same
@@ -46,7 +55,7 @@ def _nelder_mead(f, simplex, maxfev: int, xatol: float, fatol: float, adaptive: 
         if nfev >= maxfev:
             raise _OutOfEvaluations
         nfev += 1
-        return f(x)
+        return (yield x)
 
     def reordered():
         ind = np.argsort(fsim)
@@ -54,7 +63,7 @@ def _nelder_mead(f, simplex, maxfev: int, xatol: float, fatol: float, adaptive: 
 
     try:
         for k in range(n + 1):
-            fsim[k] = func(sim[k])
+            fsim[k] = yield from func(sim[k])
     except _OutOfEvaluations:
         pass
     sim, fsim = reordered()
@@ -70,28 +79,28 @@ def _nelder_mead(f, simplex, maxfev: int, xatol: float, fatol: float, adaptive: 
             xbar = [s / n for s in xbar]
             worst = sim[-1]
             xr = [(1 + rho) * b - rho * w for b, w in zip(xbar, worst)]
-            fxr = func(xr)
+            fxr = yield from func(xr)
             if fxr < fsim[0]:
                 xe = [(1 + rho * chi) * b - rho * chi * w for b, w in zip(xbar, worst)]
-                fxe = func(xe)
+                fxe = yield from func(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:  # outside contraction
                     xc = [(1 + psi * rho) * b - psi * rho * w for b, w in zip(xbar, worst)]
-                    fxc = func(xc)
+                    fxc = yield from func(xc)
                     shrink = not fxc <= fxr
                 else:  # inside contraction
                     xc = [(1 - psi) * b + psi * w for b, w in zip(xbar, worst)]
-                    fxc = func(xc)
+                    fxc = yield from func(xc)
                     shrink = not fxc < fsim[-1]
                 if not shrink:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
                     for j in range(1, n + 1):
                         sim[j] = [a + sigma * (b - a) for a, b in zip(sim[0], sim[j])]
-                        fsim[j] = func(sim[j])
+                        fsim[j] = yield from func(sim[j])
         except _OutOfEvaluations:
             pass
         sim, fsim = reordered()

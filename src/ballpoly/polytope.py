@@ -31,13 +31,20 @@ CLIP_EPS = 1e-12
 BOX_NORMALS_3D = np.vstack([np.eye(3), -np.eye(3)])
 
 
-def clip_vertices(normals: np.ndarray, offsets: np.ndarray, bound: float) -> list:
+def clip_vertices(normals, offsets, bound: float) -> list:
     """Vertices (CCW, as float pairs) of {x : <x,n_i> <= c_i} intersected
-    with the box [-bound, bound]^2; an empty list when infeasible."""
+    with the box [-bound, bound]^2; an empty list when infeasible.
+
+    ``normals`` is an (N, 2) array or a list of N (x, y) pairs of
+    floats, ``offsets`` an (N,) array or a list of floats; lists are
+    used as given (the circumscription search passes them so), and both
+    forms give the same bits."""
     # Plain floats: a polygon has a handful of vertices, so per-vertex
     # numpy arithmetic would cost more than the clipping itself.
-    normals = np.atleast_2d(np.asarray(normals, dtype=float)).tolist()
-    offsets = np.asarray(offsets, dtype=float).tolist()
+    if type(normals) is not list:
+        normals = np.atleast_2d(np.asarray(normals, dtype=float)).tolist()
+    if type(offsets) is not list:
+        offsets = np.asarray(offsets, dtype=float).tolist()
     b = float(bound)
     poly = [(-b, -b), (b, -b), (b, b), (-b, b)]
     eps = CLIP_EPS * max(1.0, max(map(abs, offsets)), b)

@@ -46,7 +46,8 @@ CUBE_3D = {"type": "cube", "side": 1.0, "n": 3, "grid_size": 512}
 UNIT_BOX = {"type": "box1d-step", "breaks": [-0.5, 0.5], "heights": [1.0]}
 
 # One tiny config per kind, plus the 3-D circumscription kinds, the
-# simplex case of ``schneider`` and a constant boundary function, each
+# simplex case of ``schneider``, a constant boundary function and a
+# circumscription search whose restarts end in different rounds, each
 # run through ``cli.main``.
 SMOKE = {
     "dominance-ball": {"n": 2, "N": 3, "R": 3.0, "j": 2, "trials": 100,
@@ -60,6 +61,9 @@ SMOKE = {
     "vr-asymptotics": {"f": {"type": "support-cube", "side": 1.0}, "R_list": [5.0, 10.0],
                        "grid_size": 256},
     "minimize": {"body": SQUARE, "j": 2, "N": 3, "restarts": 2, "max_fev": 40},
+    # Six restarts in lockstep; one converges after 293 evaluations, the
+    # others spend the budget of 400.
+    "minimize/lockstep": {"body": SQUARE, "j": 1, "N": 4, "restarts": 6, "max_fev": 400},
     "schneider": {"body": SQUARE, "j": 2, "N": 4, "restarts": 1},
     "gorbovickis": {"points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], "R_list": [10.0, 20.0]},
     "hull-bridge": {"N": 3, "trials": 100, "R": 10.0, "grid_size": 64,
@@ -593,8 +597,8 @@ class TestSmoke:
 # more than doubles a cold start's time and memory. The circumscription
 # search is plain floats, so the planar circumscription kinds qualify.
 SCIPY_FREE = ["dominance-ball", "dominance-cube", "moments", "gorbovickis", "hull-bridge",
-              "vr-asymptotics", "vr-asymptotics/constant", "minimize", "schneider",
-              "schneider/simplex"]
+              "vr-asymptotics", "vr-asymptotics/constant", "minimize", "minimize/lockstep",
+              "schneider", "schneider/simplex"]
 
 SCIPY_PROBE = textwrap.dedent("""
     import importlib, json, pkgutil, sys

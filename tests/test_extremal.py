@@ -26,8 +26,9 @@ CORNER_TETRAHEDRON = np.vstack([-np.eye(3), np.ones(3) / math.sqrt(3.0)])
 
 
 def objective(K, thetas, j):
+    thetas = np.asarray(thetas, dtype=float)
     prob = ex.CircumscriptionProblem(K, j=j, N=len(thetas))
-    return ex._Objective(prob)(np.asarray(thetas, dtype=float))
+    return ex._Objective(prob)(thetas, K.support(thetas))
 
 
 class TestHullIntrinsicVolumes:
@@ -115,19 +116,33 @@ class TestAreaPerimeter:
 
 
 class TestChart:
-    @pytest.mark.parametrize("n, N", [(2, 4), (3, 4), (3, 7)])
-    def test_matches_per_ball_loop(self, n, N):
+    @staticmethod
+    def check_per_ball(n, N, restarts):
+        """One ``_chart`` call on the balls of ``restarts`` restarts maps
+        every ball as the per-ball loop does, whatever shares the call,
+        and as a call on its own restart's balls alone does."""
         rng = np.random.default_rng(N)
-        base = uniform_on_sphere(stream(n, N), n, N)
-        bases = [ex._tangent_basis(theta) for theta in base]
-        to_sphere = ex._chart(base)
+        base = np.concatenate([uniform_on_sphere(stream(n, N, r), n, N) for r in range(restarts)])
+        bases = np.stack([ex._tangent_basis(theta) for theta in base])
         for scale in (1e-6, 0.5, 3.0):
-            v = rng.normal(scale=scale, size=(N, n - 1))
+            v = rng.normal(scale=scale, size=(restarts * N, n - 1))
             want = []
-            for i in range(N):
+            for i in range(restarts * N):
                 p = base[i] + bases[i].T @ v[i]
                 want.append(p / np.linalg.norm(p))
-            assert np.array_equal(to_sphere(v.ravel()), np.array(want))
+            assert np.array_equal(ex._chart(base, bases, v), np.array(want))
+            for r in range(restarts):
+                rows = slice(r * N, (r + 1) * N)
+                assert np.array_equal(ex._chart(base[rows], bases[rows], v[rows]),
+                                      np.array(want[rows]))
+
+    @pytest.mark.parametrize("n, N", [(2, 4), (3, 4), (3, 7)])
+    def test_matches_per_ball_loop(self, n, N):
+        self.check_per_ball(n, N, 1)
+
+    @pytest.mark.parametrize("n, N, restarts", [(2, 4, 5), (2, 6, 32), (3, 4, 3), (3, 7, 8)])
+    def test_restarts_in_one_call(self, n, N, restarts):
+        self.check_per_ball(n, N, restarts)
 
 
 class TestObjective:
@@ -173,6 +188,17 @@ def rosenbrock(x):
     return sum(100.0 * (b - a * a) * (b - a * a) + (1.0 - a) * (1.0 - a) for a, b in zip(x, x[1:]))
 
 
+def drive(f, search):
+    """Run a ``_nelder_mead`` generator to its end, evaluating f at each
+    point it yields; returns the search's (x, f(x), evaluations)."""
+    try:
+        x = next(search)
+        while True:
+            x = search.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
 def start_simplex(dim):
     rng = np.random.default_rng(dim)
     return rng.normal(size=dim) + 0.5 * np.vstack([np.zeros(dim), np.eye(dim)])
@@ -198,7 +224,7 @@ class TestNelderMead:
         want = minimize(f, simplex[0], method="Nelder-Mead", options={
             "initial_simplex": simplex, "maxfev": maxfev, "xatol": 1e-8, "fatol": 1e-8,
             "adaptive": adaptive})
-        x, fun, nfev = _nelder_mead(f, simplex.tolist(), maxfev, 1e-8, 1e-8, adaptive)
+        x, fun, nfev = drive(f, _nelder_mead(simplex.tolist(), maxfev, 1e-8, 1e-8, adaptive))
         assert x == want.x.tolist()
         assert fun == want.fun
         assert nfev == want.nfev
@@ -226,7 +252,8 @@ class TestMinimize:
         calls = []
         objective_call = ex._Objective.__call__
         monkeypatch.setattr(ex._Objective, "__call__",
-                            lambda obj, thetas: calls.append(1) or objective_call(obj, thetas))
+                            lambda obj, thetas, offsets:
+                            calls.append(1) or objective_call(obj, thetas, offsets))
         K = build_body({"type": "cube", "side": 1.0, "n": 2})
         res = ex.minimize_mjN(ex.CircumscriptionProblem(K, j=j, N=4), restarts=4, seed=3)
         value, best_restart, trace = self.PINNED[j]
@@ -234,6 +261,61 @@ class TestMinimize:
         assert res.best_restart == best_restart
         np.testing.assert_allclose(res.trace, trace, rtol=1e-12, atol=0.0)
         assert res.evaluations == len(calls)
+
+    @staticmethod
+    def one_restart_at_a_time(prob, restarts, seed, max_fev):
+        """minimize_mjN's searches run one after another, each point
+        charted, given its support values and scored alone, as arrays:
+        (trace, best restart, per-restart evaluations)."""
+        obj = ex._Objective(prob)
+        n, N = prob.K.dimension, prob.N
+        dim = N * (n - 1)
+        init = [[0.0] * dim] + [[0.45 if i == k else 0.0 for i in range(dim)] for k in range(dim)]
+        trace, nfevs = [], []
+        for r in range(restarts):
+            base = uniform_on_sphere(stream(seed, r), n, N)
+            bases = np.stack([ex._tangent_basis(theta) for theta in base])
+
+            def f(x):
+                thetas = ex._chart(base, bases, np.array(x).reshape(N, n - 1))
+                return obj(thetas, prob.K.support(thetas))
+
+            _, fun, nfev = drive(f, _nelder_mead(init, max_fev, 1e-7, 1e-7, n > 2))
+            trace.append(fun)
+            nfevs.append(nfev)
+        return trace, min(range(restarts), key=lambda r: (trace[r], r)), nfevs
+
+    # In the plane the budget of 400 lets some searches converge first,
+    # so they end in different rounds; in 3D every search spends its 40.
+    @pytest.mark.parametrize("body, j, N, max_fev", [
+        pytest.param({"type": "cube", "side": 1.0, "n": 2}, 1, 4, 400, id="square-j1"),
+        pytest.param({"type": "cube", "side": 1.0, "n": 2}, 2, 4, 400, id="square-j2"),
+        pytest.param({"type": "polytope", "grid_size": 256,
+                      "vertices": [[0, 0], [2, 0.3], [1.5, 1.7], [0.2, 1.1], [-0.4, 0.5]]},
+                     2, 4, 400, id="pentagon-j2"),
+        pytest.param({"type": "cube", "side": 1.0, "n": 3, "grid_size": 512}, 2, 4, 40,
+                     id="cube-j2"),
+    ])
+    def test_lockstep_is_one_restart_at_a_time(self, body, j, N, max_fev):
+        prob = ex.CircumscriptionProblem(build_body(body), j=j, N=N)
+        res = ex.minimize_mjN(prob, restarts=8, seed=5, max_fev=max_fev)
+        trace, best_restart, nfevs = self.one_restart_at_a_time(prob, 8, 5, max_fev)
+        assert res.trace.tolist() == trace
+        assert res.value == trace[best_restart]
+        assert res.best_restart == best_restart
+        assert res.evaluations == sum(nfevs)
+        assert (len(set(nfevs)) > 1) == (prob.K.dimension == 2)
+
+    @pytest.mark.parametrize("restarts, max_fev, name", [
+        (0, 400, "restarts"), (-1, 400, "restarts"), (4, 0, "max_fev"), (4, -3, "max_fev")])
+    def test_budgets_below_one_are_rejected(self, restarts, max_fev, name):
+        K = build_body({"type": "cube", "side": 1.0, "n": 2})
+        prob = ex.CircumscriptionProblem(K, j=2, N=4)
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+            ex.minimize_mjN(prob, restarts=restarts, max_fev=max_fev)
+        if name == "restarts":
+            with pytest.raises(ValueError, match="^restarts must be >= 1"):
+                ex.schneider_check(prob, restarts=restarts)
 
 
 class TestGorbovickis:
