@@ -148,7 +148,7 @@ def _run_gorbovickis(cfg: RunConfig):
     p = cfg.params
     pts = np.asarray(p["points"], dtype=float)
     # Ascending, so the metrics are those of the largest R in any order.
-    radii = sorted(p.get("R_list", [p["R"]] if "R" in p else []))
+    radii = sorted(p["R_list"])
     rows = []
     for R in radii:
         rep = ex.gorbovickis_deficit(pts, float(R), seed=cfg.seed, **given(p, "samples"))

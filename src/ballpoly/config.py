@@ -11,15 +11,22 @@ Top level:
     params: {...}       # kind-specific block, schema-checked
 
 The schema tables below are the single list of accepted keys: ``TOP``
-for the top level, ``PARAMS`` for each kind's block, and ``DENSITIES``,
-``BODIES`` and ``FUNCTIONS`` for each spec ``type``. A table maps a key
-to (types, domain, required); a key outside its table is rejected, and
-all violations are reported at once. Each density, body and boundary
-function spec that passes its table is then built by its builder, and
-the few rules that no library constructor checks read the built objects.
-A boundary function spec builds the ``SupportBody`` whose support
-function it is (``constant`` is a centred ball) on the run's grid; one
-rule checks that it, or a ``moments`` body, is positive and below R.
+for the top level, ``PARAMS`` for each kind's block, and ``DENSITIES``
+and ``BODIES`` for each spec ``type`` of the two spec families. A table
+maps a key to (types, domain, required); a key outside its table is
+rejected, and all violations are reported at once. Each density and
+body spec that passes its table is then built by its builder, and the
+few rules that no library constructor checks read the built objects.
+A Wulff kind's boundary function ``f`` is a body spec: f is the support
+function of the ``SupportBody`` it builds, on the spec's ``grid_size``
+or else on the run's default grid (``WULFF_GRID_SIZE``). One rule checks
+that f, or a ``moments`` body, is positive and below R;
+``wulff-convergence`` also needs a planar f on at least three
+directions, while ``vr-asymptotics`` takes f in any dimension. (The
+boundary-function family ``FUNCTIONS`` is gone: its ``constant`` and
+``support-ball`` types are ``ball`` bodies, ``support-cube`` is a
+``cube`` and ``support-segment`` a ``segment``. An f of an old type is
+rejected, so an archived summary with one exits 2.)
 Validation then builds the object the run executes, an
 ``ExperimentConfig`` or a ``CircumscriptionProblem``: its constructor is
 the one place that checks the rules between its keys and fills in the
@@ -46,7 +53,7 @@ import yaml
 from .errors import BallPolyError, ParseError, RadiusTooSmall, SchemaError
 from .geometry import DEFAULT_GRID_SIZE
 
-# Default grid of each Wulff kind's f; validation builds f on the run's grid.
+# Default grid of each Wulff kind's f, for an f spec without ``grid_size``.
 WULFF_GRID_SIZE = {"wulff-convergence": 720, "vr-asymptotics": 4096}
 
 
@@ -123,25 +130,6 @@ def build_body(spec: dict):
     raise SchemaError(f"unknown body type {t!r}")
 
 
-def build_spherical_function(spec: dict, grid_size: int):
-    """f as the SupportBody whose support function it is, on ``grid_size`` angles."""
-    from .geometry import DirectionGrid, SupportBody
-
-    grid = DirectionGrid.uniform_2d(grid_size)
-    t = spec["type"]
-    if t == "constant":
-        return SupportBody.ball(np.zeros(2), float(spec["value"]), grid)
-    if t == "support-cube":
-        return SupportBody.cube(float(spec.get("side", 1.0)), 2, grid)
-    if t == "support-ball":
-        return SupportBody.ball(np.zeros(2), float(spec.get("radius", 1.0)), grid)
-    if t == "support-segment":
-        length = float(spec.get("length", 1.0))
-        return SupportBody.segment(np.array([-length / 2.0, 0.0]),
-                                   np.array([length / 2.0, 0.0]), grid)
-    raise SchemaError(f"unknown spherical function type {t!r}")
-
-
 # ---------------------------------------------------------------------------
 # Schema tables: key -> (types, domain, required). ``types`` is a type or
 # a tuple of types (booleans never pass, although bool subclasses int),
@@ -209,19 +197,12 @@ BODIES = {
     "segment": {"a": (list, _numbers, REQ), "b": (list, _numbers, REQ), "grid_size": _COUNT},
 }
 
-FUNCTIONS = {
-    "constant": {"value": (_NUM, _finite, REQ)},
-    "support-cube": {"side": (_NUM, _finite, OPT)},
-    "support-ball": {"radius": (_NUM, _finite, OPT)},
-    "support-segment": {"length": (_NUM, _finite, OPT)},
-}
-
 # Each builder takes the spec and a hint: the run's dimension for a
-# density, the run's grid size for a boundary function.
+# density, the run's default grid size (None: DEFAULT_GRID_SIZE) for a
+# body that sets no ``grid_size``.
 _SPECS = {
     "density": (DENSITIES, build_density),
-    "body": (BODIES, lambda spec, hint: build_body(spec)),
-    "f": (FUNCTIONS, build_spherical_function),
+    "body": (BODIES, lambda spec, hint: build_body({"grid_size": hint, **spec} if hint else spec)),
 }
 
 _DOMINANCE = {
@@ -239,10 +220,9 @@ _DOMINANCE = {
 }
 
 _WULFF = {
-    "f": ("f", None, REQ),
+    "f": ("body", None, REQ),
     # A slope needs two distinct radii.
     "R_list": (list, lambda v: _numbers(v) and len(set(v)) >= 2, REQ),
-    "grid_size": _COUNT,
 }
 
 # The circumscription objective is exact, so ``estimator`` only has to
@@ -268,15 +248,13 @@ PARAMS = {
         "estimator": _ESTIMATOR,
         "fit_samples": _COUNT,
     },
-    # W(f) is unbounded on fewer than three directions.
-    "wulff-convergence": {**_WULFF, "grid_size": (int, _at_least(3), OPT), "probe_size": _COUNT},
+    "wulff-convergence": {**_WULFF, "probe_size": _COUNT},
     "vr-asymptotics": _WULFF,
     "minimize": {**_CIRCUMSCRIPTION, "max_fev": _COUNT},
     "schneider": _CIRCUMSCRIPTION,
     "gorbovickis": {
         "points": (list, _points, REQ),
-        "R": (_NUM, _positive, OPT),
-        "R_list": (list, lambda v: len(v) >= 1 and _numbers(v) and all(map(_positive, v)), OPT),
+        "R_list": (list, lambda v: len(v) >= 1 and _numbers(v) and all(map(_positive, v)), REQ),
         "samples": (int, _at_least(0), OPT),
     },
     "hull-bridge": {
@@ -389,14 +367,20 @@ def _relations(kind: str, p: dict, built: dict) -> List[str]:
     if kind == "dominance-cube" and not isinstance(built["density"], Product1D):
         errors.append("params.density: dominance-cube needs a product density")
     if kind == "gorbovickis":
-        if ("R" in p) == ("R_list" in p):
-            errors.append("params: need 'R' or 'R_list', not both")
         planar, samples = len(p["points"][0]) == 2, p.get("samples", 0)
         if not planar and samples < 1:
             errors.append("params: key 'points' off the plane needs 'samples' >= 1")
         if planar and samples != 0:
             errors.append(f"params: key 'samples' must be 0 or omitted for planar 'points' "
                           f"(the planar volume is exact), got {samples}")
+    if kind == "wulff-convergence":
+        f = built["f"]
+        if f.dimension != 2:
+            errors.append(f"params.f: dimension {f.dimension}, the run needs 2 "
+                          f"(wulff-convergence is planar)")
+        elif len(f.grid) < 3:
+            errors.append(f"params.f: key 'grid_size' is {len(f.grid)}, but W(f) is unbounded "
+                          f"on fewer than three directions")
     return errors
 
 
@@ -440,12 +424,11 @@ def validate(doc: dict) -> RunConfig:
     kind, params = doc.get("kind"), doc.get("params", {})
     built: Dict[str, Any] = {}
     if isinstance(kind, str) and kind in PARAMS and isinstance(params, dict):
-        # The builders' hint (see _SPECS); a bad value, reported by its
-        # key's check, falls back to the default.
-        default = WULFF_GRID_SIZE.get(kind)
-        hint = params.get("grid_size" if default else "n", default)
+        # The builders' hint (see _SPECS); a bad n, reported by its
+        # key's check, gives none.
+        hint = WULFF_GRID_SIZE.get(kind, params.get("n"))
         if isinstance(hint, bool) or not isinstance(hint, int) or hint < 1:
-            hint = default
+            hint = None
         before = len(errors)
         built = _check_block(params, PARAMS[kind], "params", errors, hint)
         if len(errors) == before:

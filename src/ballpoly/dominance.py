@@ -67,7 +67,7 @@ class ExperimentConfig:
     N: int
     R: float
     j: int
-    density: Union[Density, List[Density]]
+    density: Density
     trials: int
     seed: int
     s_grid: Optional[np.ndarray] = None
@@ -98,13 +98,10 @@ class ExperimentConfig:
         return np.broadcast_to(np.asarray(self.R, dtype=float), (self.N,)).copy()
 
     def densities(self) -> List[Density]:
-        ds = self.density if isinstance(self.density, list) else [self.density] * self.N
-        if len(ds) != self.N:
-            raise ValueError("need one density per ball")
-        for d in ds:
-            if d.dimension != self.n:
-                raise ValueError("density dimension mismatch")
-        return ds
+        """The density of each of the N i.i.d. centres."""
+        if self.density.dimension != self.n:
+            raise ValueError("density dimension mismatch")
+        return [self.density] * self.N
 
 
 @dataclass
@@ -166,14 +163,14 @@ def _chunk_worker(bounds) -> tuple:
     return vals, failed
 
 
-def run_trials(cfg: ExperimentConfig, density=None) -> TrialBatch:
+def run_trials(cfg: ExperimentConfig, density: Optional[Density] = None) -> TrialBatch:
     """Evaluate V_j over cfg.trials independent ball-polyhedra.
 
-    ``density`` overrides cfg.density (used to run the extremizer with
-    the same trial seeds). Empty intersections score 0; estimator
-    failures (``BallPolyError``) mark the trial FAILED, and the run
-    aborts if failures exceed 0.1% of the trials. Any other exception,
-    and any sampler error while drawing a block, propagates.
+    ``density`` overrides cfg.density for every centre (used to run the
+    extremizer with the same trial seeds). Empty intersections score 0;
+    estimator failures (``BallPolyError``) mark the trial FAILED, and the
+    run aborts if failures exceed 0.1% of the trials. Any other
+    exception, and any sampler error while drawing a block, propagates.
     """
     local = ExperimentConfig(**{**cfg.__dict__, "density": density}) if density is not None else cfg
     densities = local.densities()
@@ -265,12 +262,12 @@ def _auto_grid(extremal_values: np.ndarray, count: int) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _check_extremizer(cfg: ExperimentConfig, extremizers: List[Density],
+def _check_extremizer(cfg: ExperimentConfig, extremizer: Density,
                       label: str) -> DominanceReport:
-    """Run cfg's trials under its own densities and under the
-    extremizers (same trial seeds), and compare the survival curves."""
+    """Run cfg's trials under its own density and under the extremizer
+    (same trial seeds), and compare the survival curves."""
     test = run_trials(cfg)
-    extremal = run_trials(cfg, density=extremizers)
+    extremal = run_trials(cfg, density=extremizer)
     s = cfg.s_grid if cfg.s_grid is not None else _auto_grid(extremal.values, cfg.s_points)
     tc = SurvivalCurve.from_samples(test.values, s, cfg.alpha)
     ec = SurvivalCurve.from_samples(extremal.values, s, cfg.alpha)
@@ -284,27 +281,22 @@ def check_ball_extremizer(cfg: ExperimentConfig) -> DominanceReport:
     Densities with sup at most one are compared against the uniform
     density on the volume-one centered ball; larger sup bounds use the
     general normalization a*1_{bB} with a the density's sup."""
-    extremizers = []
-    for d in cfg.densities():
-        sup = d.sup_bound
-        extremizers.append(ball_extremizer(cfg.n, sup if sup > 1.0 else 1.0))
-    return _check_extremizer(cfg, extremizers, "uniform-ball")
+    sup = cfg.density.sup_bound
+    return _check_extremizer(cfg, ball_extremizer(cfg.n, sup if sup > 1.0 else 1.0),
+                             "uniform-ball")
 
 
 def check_cube_extremizer(cfg: ExperimentConfig) -> DominanceReport:
     """Survival-curve comparison against the cube extremizer for
     product densities: the unit cube when every factor's sup is at most
     one, otherwise uniform factors matching the factors' sups."""
-    extremizers = []
-    for d in cfg.densities():
-        if not isinstance(d, Product1D):
-            raise ValueError("cube extremizer requires product densities")
-        sups = [f.sup_bound for f in d.factors]
-        if max(sups) > 1.0 + 1e-12:
-            extremizers.append(cube_extremizer(sups))
-        else:
-            extremizers.append(cube_extremizer([1.0] * cfg.n))
-    return _check_extremizer(cfg, extremizers, "uniform-cube")
+    d = cfg.density
+    if not isinstance(d, Product1D):
+        raise ValueError("cube extremizer requires product densities")
+    sups = [f.sup_bound for f in d.factors]
+    if max(sups) <= 1.0 + 1e-12:
+        sups = [1.0] * cfg.n
+    return _check_extremizer(cfg, cube_extremizer(sups), "uniform-cube")
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +348,7 @@ def moment_samples(cfg: ExperimentConfig):
     star body's volume (rhs). Returns the two TrialBatches, from which
     ``moment_report`` scores any number of p."""
     ball = UniformBody(BallRegion(np.zeros(cfg.n), volume_radius(cfg.density.region)))
-    return run_trials(cfg), run_trials(cfg, density=[ball] * cfg.N)
+    return run_trials(cfg), run_trials(cfg, density=ball)
 
 
 def moment_report(lhs_vals: np.ndarray, rhs_vals: np.ndarray, p: float) -> MomentReport:

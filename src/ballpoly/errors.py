@@ -6,12 +6,9 @@ class BallPolyError(Exception):
 
 
 class NonConvergence(BallPolyError):
-    """Iterative projection failed to converge.
-
-    For ball-polyhedra this usually signals an empty (or numerically
-    empty) intersection; callers may treat it as "empty for this
-    tolerance".
-    """
+    """An iterative projection failed to converge. Nothing raises it
+    since the nearest-point map became exact; the benchmark's workloads
+    (``perfbench/workloads.py``) import it."""
 
 
 class EmptyIntersection(BallPolyError):
@@ -43,8 +40,8 @@ class RejectionStall(BallPolyError):
 
 
 class UnsupportedTag(BallPolyError):
-    """The density family does not admit the requested closed-form
-    transform."""
+    """A uniform density was given a region of an unsupported type
+    (not a box, a ball or a star body)."""
 
 
 class UnsupportedDimension(BallPolyError):

@@ -31,12 +31,9 @@ RNG_CONTRACT = 2
 TRIAL_BLOCK = 256
 
 
-def stream(seed, *indices: int) -> np.random.Generator:
-    """Return the generator for substream ``(seed, *indices)``.
-
-    ``seed`` may itself be a tuple of integers (a parent key)."""
-    key = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    key = tuple(int(k) for k in key) + tuple(int(i) for i in indices)
+def stream(seed: int, *indices: int) -> np.random.Generator:
+    """Return the generator for substream ``(seed, *indices)``."""
+    key = (int(seed),) + tuple(int(i) for i in indices)
     return np.random.default_rng(np.random.SeedSequence(key))
 
 

@@ -46,9 +46,10 @@ CUBE_3D = {"type": "cube", "side": 1.0, "n": 3, "grid_size": 512}
 UNIT_BOX = {"type": "box1d-step", "breaks": [-0.5, 0.5], "heights": [1.0]}
 
 # One tiny config per kind, plus the 3-D circumscription kinds, the
-# simplex case of ``schneider``, a constant boundary function and a
-# circumscription search whose restarts end in different rounds, each
-# run through ``cli.main``.
+# simplex case of ``schneider``, a constant boundary function (a ball's
+# support function), a 3-D boundary function and a circumscription
+# search whose restarts end in different rounds, each run through
+# ``cli.main``.
 SMOKE = {
     "dominance-ball": {"n": 2, "N": 3, "R": 3.0, "j": 2, "trials": 100,
                        "density": {"type": "uniform-box", "side": 1.0}},
@@ -56,10 +57,10 @@ SMOKE = {
                        "density": {"type": "product", "factors": [UNIT_BOX, UNIT_BOX]}},
     "moments": {"body": SQUARE, "R": 6.0, "N": 3, "j": 2, "p_list": [1, -1, "-inf"],
                 "trials": 100},
-    "wulff-convergence": {"f": {"type": "support-cube", "side": 1.0}, "R_list": [5.0, 10.0],
-                          "grid_size": 64, "probe_size": 256},
-    "vr-asymptotics": {"f": {"type": "support-cube", "side": 1.0}, "R_list": [5.0, 10.0],
-                       "grid_size": 256},
+    "wulff-convergence": {"f": {"type": "cube", "side": 1.0, "grid_size": 64},
+                          "R_list": [5.0, 10.0], "probe_size": 256},
+    "vr-asymptotics": {"f": {"type": "cube", "side": 1.0, "grid_size": 256},
+                       "R_list": [5.0, 10.0]},
     "minimize": {"body": SQUARE, "j": 2, "N": 3, "restarts": 2, "max_fev": 40},
     # Six restarts in lockstep; one converges after 293 evaluations, the
     # others spend the budget of 400.
@@ -77,8 +78,9 @@ SMOKE = {
     # j = n, N = n + 1: the minimal circumscribed simplex against its
     # closed-form bound.
     "schneider/simplex": {"body": SQUARE, "j": 2, "N": 3, "restarts": 1},
-    "vr-asymptotics/constant": {"f": {"type": "constant", "value": 1.0},
-                                "R_list": [5.0, 10.0], "grid_size": 256},
+    "vr-asymptotics/constant": {"f": {"type": "ball", "radius": 1.0, "grid_size": 256},
+                                "R_list": [5.0, 10.0]},
+    "vr-asymptotics/3d": {"f": CUBE_3D, "R_list": [5.0, 10.0]},
 }
 
 
@@ -106,7 +108,7 @@ def run_main(doc, tmp_path, *argv):
 BAD_CONFIGS = [
     pytest.param(smoke_with("minimize", body={"type": "segment", "b": [1.0, 0.0]}),
                  "missing required key 'a'", id="segment-without-a"),
-    pytest.param(smoke_with("wulff-convergence", grid_size="x"), "grid_size",
+    pytest.param(smoke_with("wulff-convergence", f={**SQUARE, "grid_size": "x"}), "grid_size",
                  id="grid-size-string"),
     pytest.param(smoke_with("hull-bridge", grid_size=0), "grid_size", id="grid-size-zero"),
     # These used to fail mid-run: a ZeroDivisionError (exit 1) drawing
@@ -114,8 +116,18 @@ BAD_CONFIGS = [
     # Wulff shape.
     pytest.param(smoke_with("minimize", body={"type": "cube", "side": 1, "n": 4, "grid_size": 1}),
                  "grid_size", id="4d-body-grid-size-1"),
-    *[pytest.param(smoke_with("wulff-convergence", grid_size=g), "key 'grid_size'",
-                   id=f"wulff-grid-size-{g}") for g in (1, 2)],
+    *[pytest.param(smoke_with("wulff-convergence", f={**SQUARE, "grid_size": g}),
+                   "params.f: key 'grid_size'", id=f"wulff-grid-size-{g}") for g in (1, 2)],
+    # f is a body spec, on the spec's own grid: the old params-level
+    # grid_size and boundary-function types are unknown.
+    *[pytest.param(smoke_with(kind, grid_size=256), "params: unknown key 'grid_size'",
+                   id=f"{kind}-params-grid-size")
+      for kind in ("wulff-convergence", "vr-asymptotics")],
+    pytest.param(smoke_with("vr-asymptotics", f={"type": "support-cube", "side": 1.0}),
+                 "params.f: body spec must be a mapping with 'type' one of", id="old-f-type"),
+    # Exited 3 mid-run (UnsupportedDimension); vr-asymptotics runs a 3-D f.
+    pytest.param(smoke_with("wulff-convergence", f=CUBE_3D), "wulff-convergence is planar",
+                 id="wulff-3d-f"),
     pytest.param(smoke_with("moments", body={**SQUARE, "grid_size": True}), "grid_size",
                  id="body-grid-size-bool"),
     pytest.param(smoke_with("dominance-ball", s_grid=[3, 1]), "s_grid", id="s-grid-descending"),
@@ -155,23 +167,23 @@ BAD_CONFIGS = [
                  "params.density_a: dimension", id="hull-bridge-3d-density"),
     pytest.param(smoke_with("wulff-convergence", probe_size=-4), "probe_size",
                  id="probe-size-negative"),
-    pytest.param(smoke_with("wulff-convergence", f={"type": "support-cube", "side": "x"}),
+    pytest.param(smoke_with("wulff-convergence", f={"type": "cube", "side": "x"}),
                  "key 'side'", id="support-cube-side-string"),
     pytest.param(smoke_with("vr-asymptotics", probe_size=256), "unknown key 'probe_size'",
                  id="vr-probe-size-ignored"),
-    pytest.param(smoke_with("vr-asymptotics", f={"type": "support-ball", "side": 2.0}),
+    pytest.param(smoke_with("vr-asymptotics", f={"type": "ball", "radius": 1.0, "side": 2.0}),
                  "unknown key 'side'", id="support-ball-side-ignored"),
-    pytest.param(smoke_with("gorbovickis", R=10.0), "'R_list', not both", id="R-and-R-list"),
+    pytest.param(smoke_with("gorbovickis", R=10.0), "unknown key 'R'", id="R-and-R-list"),
     pytest.param({**smoke_doc("selftest"), "seed": -1}, "key 'seed'", id="seed-negative"),
     pytest.param(smoke_with("dominance-ball", density={"type": "uniform-ball", "radius": 10**400}),
                  "key 'radius'", id="radius-beyond-float"),
     # R against the largest value of the boundary function (or support
     # function) on the grid the run builds: these used to exit 3 mid-run.
     pytest.param({"kind": "vr-asymptotics", "seed": 1, "params": {
-        "f": {"type": "support-cube", "side": 1.0}, "R_list": [0.1, 0.2]}},
+        "f": {"type": "cube", "side": 1.0}, "R_list": [0.1, 0.2]}},
         "key 'R_list'", id="vr-R-below-max-f"),
     pytest.param({"kind": "wulff-convergence", "seed": 1, "params": {
-        "f": {"type": "support-cube", "side": 1.0}, "R_list": [0.5, 10.0]}},
+        "f": {"type": "cube", "side": 1.0}, "R_list": [0.5, 10.0]}},
         "key 'R_list'", id="wulff-R-below-max-f"),
     pytest.param(smoke_with("moments", body={"type": "polytope", "vertices": [[1, 1], [2, 1], [1, 2]]}),
                  "params.body: the body must contain the origin", id="moments-origin-outside"),
@@ -181,7 +193,8 @@ BAD_CONFIGS = [
     # support function reads 3e-17 at its normals on the grid): the
     # Wulff run used to exit 3 in Qhull, and the moments run ran with
     # the origin on the body's boundary.
-    pytest.param(smoke_with("wulff-convergence", f={"type": "support-segment"}),
+    pytest.param(smoke_with("wulff-convergence", f={"type": "segment", "a": [-0.5, 0.0],
+                                                    "b": [0.5, 0.0]}),
                  "params.f: the body must contain the origin", id="wulff-segment-f"),
     pytest.param(smoke_with("moments", body={"type": "segment", "a": [-0.5, 0.0],
                                              "b": [0.5, 0.0], "grid_size": 256}),
@@ -236,14 +249,15 @@ class TestValidation:
         pytest.param({"points": [[0.0, 0.0], [True, 0.0]]}, id="params6"),
     ])
     def test_bad_points_exits_2(self, params, tmp_path, capsys):
-        doc = {"kind": "gorbovickis", "seed": 1, "params": {**params, "R": 10.0}}
+        doc = {"kind": "gorbovickis", "seed": 1, "params": {**params, "R_list": [10.0]}}
         assert run_main(doc, tmp_path) == 2
         assert "points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("samples", ["x", -1, 2.5, True])
     def test_bad_samples_exits_2(self, samples, tmp_path, capsys):
         doc = {"kind": "gorbovickis", "seed": 1,
-               "params": {"points": [[0.0, 0.0], [1.0, 0.0]], "R": 10.0, "samples": samples}}
+               "params": {"points": [[0.0, 0.0], [1.0, 0.0]], "R_list": [10.0],
+                          "samples": samples}}
         assert run_main(doc, tmp_path) == 2
         assert "samples" in capsys.readouterr().err
 
@@ -329,10 +343,10 @@ class TestValidation:
     def test_R_checked_on_the_runs_grid(self, tmp_path, capsys):
         # On 12 directions the cube's max support is 0.683, not sqrt(2)/2.
         doc = {"kind": "vr-asymptotics", "seed": 1, "params": {
-            "f": {"type": "support-cube", "side": 1.0}, "R_list": [0.69, 1.0]}}
+            "f": {"type": "cube", "side": 1.0}, "R_list": [0.69, 1.0]}}
         assert run_main(doc, tmp_path) == 2
         assert "R_list" in capsys.readouterr().err
-        doc["params"]["grid_size"] = 12
+        doc["params"]["f"]["grid_size"] = 12
         assert run_main(doc, tmp_path) == 0
 
     def test_circumscription_estimator_optional(self):
@@ -344,7 +358,7 @@ class TestValidation:
 
     def test_three_dimensional_points_need_samples(self):
         config.validate({"kind": "gorbovickis", "seed": 1, "params": {
-            "points": [[0, 0, 0], [1, 0, 0]], "R": 10.0, "samples": 100}})
+            "points": [[0, 0, 0], [1, 0, 0]], "R_list": [10.0], "samples": 100}})
 
     def test_minus_infinity_accepted(self):
         config.validate(moments_doc(["-inf", float("-inf"), -1, 2.5]))
@@ -439,11 +453,6 @@ def _branches(fn) -> dict:
 
 
 class TestSchemaTables:
-    # Declared keys that neither a runner nor the construction of the
-    # run's object in validation reads: a Wulff kind's grid_size is
-    # consumed by validation, which builds f on that grid.
-    UNREAD = {"wulff-convergence": {"grid_size"}, "vr-asymptotics": {"grid_size"}}
-
     def test_runners_read_exactly_the_declared_keys(self):
         tree = ast.parse(Path(cli.__file__).read_text())
         functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -462,7 +471,7 @@ class TestSchemaTables:
             read = _keys_read(fn) | (_keys_read(built[kind]) if kind in built else set())
             declared = set(config.PARAMS[kind])
             assert read <= declared, f"{kind}: {fn.name} reads undeclared {read - declared}"
-            assert declared - read == self.UNREAD.get(kind, set()), f"{kind}: unread keys"
+            assert read == declared, f"{kind}: unread keys {declared - read}"
 
 
 class TestBuildOnce:
@@ -485,7 +494,7 @@ class TestBuildOnce:
         for family, (tables, builder) in list(config._SPECS.items()):
             monkeypatch.setitem(config._SPECS, family, (tables, counting(builder)))
         for module in (config, cli):
-            for attr in ("build_density", "build_body", "build_spherical_function"):
+            for attr in ("build_density", "build_body"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, counting(getattr(module, attr)))
         cli.run(config.validate(smoke_doc(name)))
@@ -597,8 +606,13 @@ class TestSmoke:
 # more than doubles a cold start's time and memory. The circumscription
 # search is plain floats, so the planar circumscription kinds qualify.
 SCIPY_FREE = ["dominance-ball", "dominance-cube", "moments", "gorbovickis", "hull-bridge",
-              "vr-asymptotics", "vr-asymptotics/constant", "minimize", "minimize/lockstep",
-              "schneider", "schneider/simplex"]
+              "vr-asymptotics", "vr-asymptotics/constant", "vr-asymptotics/3d", "minimize",
+              "minimize/lockstep", "schneider", "schneider/simplex"]
+
+# Configs that build a hull with Qhull: 3-D circumscription, the Wulff
+# shape, and the selftest's Wulff and hull checks.
+QHULL = ["minimize/exact-hull-3d", "minimize/3d-j2", "schneider/3d", "wulff-convergence",
+         "selftest"]
 
 SCIPY_PROBE = textwrap.dedent("""
     import importlib, json, pkgutil, sys
@@ -630,6 +644,12 @@ def scipy_modules_after(names, tmp_path) -> list:
 
 
 class TestColdStart:
+    def test_every_smoke_config_is_listed_once(self):
+        # A new smoke config must say whether it loads Qhull, so that it
+        # cannot escape the cold-start check below.
+        assert not set(SCIPY_FREE) & set(QHULL)
+        assert set(SMOKE) == set(SCIPY_FREE) | set(QHULL)
+
     def test_scipy_free_kinds_do_not_import_scipy(self, tmp_path):
         assert scipy_modules_after(SCIPY_FREE, tmp_path) == []
 

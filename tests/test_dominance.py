@@ -227,7 +227,7 @@ class TestBallExtremizer:
         cfg = dm.ExperimentConfig(n=2, N=3, R=3.0, j=2, density=ball,
                                   trials=30_000, seed=11)
         test = dm.run_trials(cfg)
-        ext = dm.run_trials(cfg, density=[sq] * 3)
+        ext = dm.run_trials(cfg, density=sq)
         s = dm._auto_grid(ext.values, 20)
         v = dm.compare_curves(dm.SurvivalCurve.from_samples(test.values, s),
                               dm.SurvivalCurve.from_samples(ext.values, s))
@@ -277,7 +277,7 @@ class TestCubeExtremizer:
                           dn.Box1DStep([-0.5, 0.5], [1.0])])
         cfg = dm.ExperimentConfig(n=2, N=3, R=3.0, j=2, density=q, trials=200, seed=17)
         rep = dm.check_cube_extremizer(cfg)
-        ext = dm.run_trials(cfg, density=[dn.cube_extremizer([2.0, 1.0])] * 3)
+        ext = dm.run_trials(cfg, density=dn.cube_extremizer([2.0, 1.0]))
         expected = dm.SurvivalCurve.from_samples(ext.values, rep.extremal_curve.s)
         assert np.array_equal(rep.extremal_curve.p, expected.p)
         assert np.array_equal(rep.extremal_curve.s, dm._auto_grid(ext.values, 20))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ballpoly.exact2d as e2
-from ballpoly.config import build_spherical_function
+from ballpoly.config import build_body
 from ballpoly.errors import DegenerateTangency, EmptyIntersection
 from ballpoly.geometry import BallPolyhedron, support_function
 from ballpoly.intrinsic import mc_volume
@@ -346,14 +346,14 @@ class TestReference:
         assert whole.perimeter == pytest.approx(4 * math.pi, abs=1e-14)
 
     @pytest.mark.parametrize("spec, area, perimeter", [
-        ({"type": "support-cube", "side": 1.0}, 0.9800757888763321, 3.884533346151736),
-        ({"type": "support-ball", "radius": 1.0}, 3.1416100987165456, 6.283218016771787),
+        ({"type": "cube", "side": 1.0}, 0.9800757888763321, 3.884533346151736),
+        ({"type": "ball", "radius": 1.0}, 3.1416100987165456, 6.283218016771787),
     ])
     def test_tangent_ball_grid_pinned(self, spec, area, perimeter):
         # 720 tangent balls of radius 8 around a square and around a
         # disk, where every circle is on the boundary; the values were
         # computed by the earlier vertex-enumeration implementation.
-        P = ballpoly_approx(build_spherical_function(spec, 720), 8.0)
+        P = ballpoly_approx(build_body({**spec, "grid_size": 720}), 8.0)
         reg = e2.disk_region(P.centers, P.radii)
         assert reg.area == pytest.approx(area, rel=1e-12)
         assert reg.perimeter == pytest.approx(perimeter, rel=1e-12)

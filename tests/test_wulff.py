@@ -28,6 +28,16 @@ class TestVrAsymptotics:
         assert np.all(np.diff(rep.scaled) < 0)
         assert -1.2 <= rep.slope <= -0.9
 
+    def test_scaled_residual_tends_to_the_variance_in_3d(self):
+        # In R^3 the limit of R * residual is (n - 1) Var f / 2 = Var f.
+        K = SupportBody.cube(1.0, 3, DirectionGrid.for_dimension(3, 4096))
+        rep = wulff.vr_asymptotics(K, [4.0, 8.0, 16.0, 32.0, 64.0])
+        assert np.all(rep.residuals > 0)
+        w, h = K.grid.weights, K.values
+        limit = (3 - 1) * float(w @ (h - w @ h) ** 2) / 2.0
+        assert np.all(np.diff(rep.scaled) < 0)
+        assert rep.scaled[-1] == pytest.approx(limit, rel=0.02)
+
 
 class TestConvergenceRate:
     def test_square_converges_at_order_one_over_R(self):
