@@ -43,7 +43,6 @@ from .geometry import (
     DirectionGrid,
     StarBody,
     SupportBody,
-    support_function,
 )
 from .intrinsic import (
     EpsilonGrid,
@@ -51,7 +50,6 @@ from .intrinsic import (
     fit_intrinsic_volumes,
     mc_volume,
     omega,
-    unit_ball_intrinsic,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

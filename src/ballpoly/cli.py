@@ -181,53 +181,6 @@ def _run_hull_bridge(cfg: RunConfig):
     return metrics, [], 0
 
 
-def _run_selftest(cfg: RunConfig):
-    """Quick closed-form checks across all modules; raises on failure."""
-    import math
-
-    from . import exact2d, polytope, wulff
-    from .geometry import (
-        BallPolyhedron, DirectionGrid, SupportBody, project_points_onto_ballpoly,
-        support_function,
-    )
-    from .intrinsic import omega, unit_ball_intrinsic
-
-    checks = []
-
-    def check(name, ok):
-        checks.append((name, bool(ok)))
-        _log(f"  {'ok' if ok else 'FAIL'}  {name}")
-
-    reg = exact2d.disk_region(np.array([[0.5, 0.0], [-0.5, 0.0]]), np.ones(2))
-    check("lens area", abs(reg.area - (2 * math.pi / 3 - math.sqrt(3) / 2)) < 1e-12)
-    check("lens perimeter", abs(reg.perimeter - 4 * math.pi / 3) < 1e-12)
-    proj, ok = project_points_onto_ballpoly(
-        BallPolyhedron.from_arrays([[2.0, 0.0]], 1.0), np.array([[0.0, 0.0]]))
-    check("single-ball projection", ok[0] and np.allclose(proj[0], [1.0, 0.0], atol=1e-12))
-    check("omega_2", abs(omega(2) - math.pi) < 1e-15)
-    check("omega_3", abs(omega(3) - 4 * math.pi / 3) < 1e-15)
-    check("V_1 of planar unit ball", abs(unit_ball_intrinsic(2, 1) - math.pi) < 1e-12)
-    g = DirectionGrid.uniform_2d(2048)
-    sq = SupportBody.cube(1.0, 2, g)
-    check("square mean width", abs(sq.mean_width() - 4 / math.pi) < 1e-4)
-    W = wulff.wulff_shape(sq)
-    probe = DirectionGrid.uniform_2d(256).directions
-    check("Wulff of a cube support", np.max(np.abs(W.support(probe) - sq.support(probe))) < 1e-9)
-    check("lens support (exact arcs)",
-          abs(exact2d.support_from_region(reg, np.array([[0.0, 1.0]]))[0]
-              - math.sqrt(3) / 2) < 1e-12)
-    lens3 = BallPolyhedron.from_arrays([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]], 1.0)
-    check("3-D lens support (exact candidates)",
-          abs(support_function(lens3, np.array([0.0, 0.6, 0.8])) - math.sqrt(3) / 2) < 1e-12)
-    unit_cube = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], float)
-    check("unit cube hull intrinsic volumes",
-          np.allclose(polytope.hull_intrinsic_volumes(unit_cube), [1, 3, 3, 1], atol=1e-12))
-    bad = [name for name, ok in checks if not ok]
-    if bad:
-        raise RuntimeError(f"selftest failures: {', '.join(bad)}")
-    return {"checks": len(checks), "failures": 0}, [], 0
-
-
 _RUNNERS = {
     "dominance-ball": lambda cfg: _run_dominance(cfg, cube=False),
     "dominance-cube": lambda cfg: _run_dominance(cfg, cube=True),
@@ -238,7 +191,6 @@ _RUNNERS = {
     "schneider": _run_schneider,
     "gorbovickis": _run_gorbovickis,
     "hull-bridge": _run_hull_bridge,
-    "selftest": _run_selftest,
 }
 
 

@@ -4,7 +4,7 @@ Top level:
 
     kind: dominance-ball | dominance-cube | moments | wulff-convergence
           | vr-asymptotics | minimize | schneider | gorbovickis
-          | hull-bridge | selftest
+          | hull-bridge
     seed: 42            # mandatory; reproducibility is not optional
     workers: 4          # optional, default from BALLPOLY_WORKERS or 1
     out: results        # optional output directory
@@ -41,7 +41,6 @@ A previously written summary document (which echoes its config under a
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -165,9 +164,8 @@ def _points(v) -> bool:
 
 
 def _is_moment_order(v) -> bool:
-    """A p of ``p_list``: a nonzero finite number, or minus infinity
-    (the string "-inf" or a YAML ``-.inf``)."""
-    return v == "-inf" or v == -math.inf or (_finite(v) and v != 0)
+    """A p of ``p_list``: a finite, nonzero number."""
+    return _finite(v) and v != 0
 
 
 _COUNT = (int, _at_least(1), OPT)
@@ -265,7 +263,6 @@ PARAMS = {
         "density_b": ("density", None, REQ),
         "grid_size": _COUNT,
     },
-    "selftest": {},
 }
 KINDS = tuple(PARAMS)
 

@@ -352,15 +352,15 @@ def moment_samples(cfg: ExperimentConfig):
 
 
 def moment_report(lhs_vals: np.ndarray, rhs_vals: np.ndarray, p: float) -> MomentReport:
-    """p-th moments of the two sides' V_j samples.
+    """p-th moments of the two sides' V_j samples, for a finite, nonzero p
+    (any other p raises ValueError).
 
-    ``p = -inf`` (any non-finite p) reports the sample minima. Every
-    ball in these configurations contains a fixed neighborhood of the
-    origin, so negative moments are finite; a sample below 1e-12 with
-    p < 0 raises NonIntegrable since it signals a geometry bug.
+    Every ball in these configurations contains a fixed neighborhood of
+    the origin, so negative moments are finite; a sample below 1e-12
+    with p < 0 raises NonIntegrable since it signals a geometry bug.
     """
-    if not math.isfinite(p):
-        return MomentReport(p, float(np.min(lhs_vals)), float(np.min(rhs_vals)), 0.0, 0.0)
+    if not (math.isfinite(p) and p != 0):
+        raise ValueError(f"moment order p must be finite and nonzero, got {p}")
     if p < 0 and (np.any(lhs_vals < 1e-12) or np.any(rhs_vals < 1e-12)):
         raise NonIntegrable(
             "a trial produced V_j below 1e-12 with p < 0; the tangent-center "

@@ -255,7 +255,7 @@ def distances_to_ballpoly(P: BallPolyhedron, points: np.ndarray):
     return dists, converged
 
 
-def support_function(P: BallPolyhedron, theta: np.ndarray) -> float:
+def _support_function(P: BallPolyhedron, theta: np.ndarray) -> float:
     """max <y, theta> over the ball intersection, exactly, in any
     dimension: the best feasible candidate of ``_candidates``. Raises
     EmptyIntersection when no candidate is feasible."""

@@ -43,17 +43,6 @@ def omega(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def unit_ball_intrinsic(n: int, j: int, r: float = 1.0) -> float:
-    """V_j of the ball of radius r in R^n, in closed form.
-
-    Expanding vol(rB + eps B) = omega_n (r + eps)^n and matching
-    coefficients gives V_j(rB) = C(n,j) * omega_n / omega_{n-j} * r^j.
-    """
-    if not 0 <= j <= n:
-        raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
-    return math.comb(n, j) * omega(n) / omega(n - j) * r**j
-
-
 @dataclass
 class IntrinsicVolumeVector:
     """V_0..V_n with per-entry standard errors."""

@@ -12,8 +12,8 @@ convex hull.)
 Importing this module does not import scipy: the two Qhull calls import
 ``scipy.spatial`` when they run, and the circumscription search
 (``extremal.minimize_mjN``) is plain Python. So of the CLI kinds only
-3-D ``minimize`` and ``schneider`` (Qhull), ``wulff-convergence`` (the
-Wulff hull) and ``selftest`` load scipy; planar circumscription,
+3-D ``minimize`` and ``schneider`` (Qhull) and ``wulff-convergence``
+(the Wulff hull) load scipy; planar circumscription,
 ``dominance-ball``, ``dominance-cube``, ``moments``, ``gorbovickis``,
 ``hull-bridge`` and ``vr-asymptotics`` run without it.
 """
@@ -159,7 +159,7 @@ def hull_intrinsic_volumes(vertices: np.ndarray):
     than four, or flat) raise UnboundedConfiguration.
     """
     # Deferred, as in halfspace_vertices_3d: only 3D circumscription
-    # and the selftest reach this function.
+    # reaches this function.
     from scipy.spatial import ConvexHull, QhullError
 
     try:

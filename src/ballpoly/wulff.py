@@ -95,7 +95,7 @@ def _polar_dual_vertices(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray
     points n_i/c_i correspond to primal vertices."""
     # Deferred: importing scipy.spatial more than doubles a cold start's
     # time and resident memory, and of the CLI kinds only
-    # wulff-convergence and selftest build Wulff shapes.
+    # wulff-convergence builds Wulff shapes.
     from scipy.spatial import ConvexHull
 
     if not np.min(offsets) > POSITIVE_RTOL * np.max(offsets):

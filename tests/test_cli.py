@@ -55,8 +55,7 @@ SMOKE = {
                        "density": {"type": "uniform-box", "side": 1.0}},
     "dominance-cube": {"n": 2, "N": 3, "R": 3.0, "j": 2, "trials": 100,
                        "density": {"type": "product", "factors": [UNIT_BOX, UNIT_BOX]}},
-    "moments": {"body": SQUARE, "R": 6.0, "N": 3, "j": 2, "p_list": [1, -1, "-inf"],
-                "trials": 100},
+    "moments": {"body": SQUARE, "R": 6.0, "N": 3, "j": 2, "p_list": [1, -1], "trials": 100},
     "wulff-convergence": {"f": {"type": "cube", "side": 1.0, "grid_size": 64},
                           "R_list": [5.0, 10.0], "probe_size": 256},
     "vr-asymptotics": {"f": {"type": "cube", "side": 1.0, "grid_size": 256},
@@ -70,7 +69,6 @@ SMOKE = {
     "hull-bridge": {"N": 3, "trials": 100, "R": 10.0, "grid_size": 64,
                     "density_a": {"type": "uniform-box", "side": 1.0},
                     "density_b": {"type": "uniform-ball", "radius": 0.5}},
-    "selftest": {},
     "minimize/exact-hull-3d": {"body": CUBE_3D, "j": 3, "N": 4, "estimator": "exact-hull-3d",
                                "restarts": 1, "max_fev": 40},
     "minimize/3d-j2": {"body": CUBE_3D, "j": 2, "N": 4, "restarts": 1, "max_fev": 40},
@@ -174,7 +172,8 @@ BAD_CONFIGS = [
     pytest.param(smoke_with("vr-asymptotics", f={"type": "ball", "radius": 1.0, "side": 2.0}),
                  "unknown key 'side'", id="support-ball-side-ignored"),
     pytest.param(smoke_with("gorbovickis", R=10.0), "unknown key 'R'", id="R-and-R-list"),
-    pytest.param({**smoke_doc("selftest"), "seed": -1}, "key 'seed'", id="seed-negative"),
+    pytest.param({**smoke_doc("gorbovickis"), "seed": -1}, "key 'seed'", id="seed-negative"),
+    pytest.param({"kind": "selftest", "seed": 0}, "key 'kind'", id="selftest-kind"),
     pytest.param(smoke_with("dominance-ball", density={"type": "uniform-ball", "radius": 10**400}),
                  "key 'radius'", id="radius-beyond-float"),
     # R against the largest value of the boundary function (or support
@@ -360,9 +359,14 @@ class TestValidation:
         config.validate({"kind": "gorbovickis", "seed": 1, "params": {
             "points": [[0, 0, 0], [1, 0, 0]], "R_list": [10.0], "samples": 100}})
 
-    def test_minus_infinity_accepted(self):
-        config.validate(moments_doc(["-inf", float("-inf"), -1, 2.5]))
+    @pytest.mark.parametrize("p", ["-inf", -math.inf], ids=["string", "yaml"])
+    def test_minus_infinity_exits_2(self, p, tmp_path, capsys):
+        # Integers and floats pass as moment orders and radii; minus
+        # infinity is no moment order (it would compare two sample minima).
+        config.validate(moments_doc([-1, 2.5]))
         config.validate(gorbovickis_doc([10, 20.0]))
+        assert run_main(moments_doc([-1, p]), tmp_path) == 2
+        assert "key 'p_list'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc, fragment", BAD_CONFIGS)
     def test_bad_config_exits_2(self, doc, fragment, tmp_path, capsys):
@@ -382,7 +386,7 @@ class TestValidation:
     def test_unusable_out_exits_2_before_the_run(self, out, tmp_path, capsys):
         (tmp_path / "file").write_text("")
         # The last --out wins over the one run_main passes.
-        assert run_main(smoke_doc("selftest"), tmp_path, "--out", str(tmp_path / out)) == 2
+        assert run_main(smoke_doc("gorbovickis"), tmp_path, "--out", str(tmp_path / out)) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "running" not in err
 
@@ -392,12 +396,14 @@ class TestValidation:
     def test_bad_workers_exits_2(self, argv, env, tmp_path, capsys, monkeypatch):
         if env is not None:
             monkeypatch.setenv("BALLPOLY_WORKERS", env)
-        assert run_main({"kind": "selftest", "seed": 0}, tmp_path, *argv) == 2
+        doc = smoke_doc("gorbovickis")
+        del doc["workers"]  # so that BALLPOLY_WORKERS is read
+        assert run_main(doc, tmp_path, *argv) == 2
         assert "workers" in capsys.readouterr().err
 
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.yaml"
-        path.write_bytes(b"\xff\xfekind: selftest\n")
+        path.write_bytes(b"\xff\xfe" + yaml.safe_dump(smoke_doc("gorbovickis")).encode())
         assert cli.main([str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"cannot parse {path}" in capsys.readouterr().err
 
@@ -506,7 +512,7 @@ class TestMoments:
     def test_margins_match_per_p_compare(self):
         # The CLI scores every p from one set of trials; each p must
         # equal a separate moment_compare run bit for bit.
-        p_list = [-1, 2, "-inf"]
+        p_list = [-1, 2]
         cfg = config.validate(moments_doc(p_list))
         record = cli.run(cfg)
         body = build_body(cfg.params["body"])
@@ -533,7 +539,7 @@ class TestMoments:
         for workers in (1, 2):
             out = tmp_path / str(workers)
             out.mkdir()
-            assert run_main(moments_doc([1, -1, "-inf"]), out, "--workers", str(workers)) == 0
+            assert run_main(moments_doc([1, -1]), out, "--workers", str(workers)) == 0
             (summary,) = (out / "out").glob("*.summary.yaml")
             metrics[workers] = yaml.safe_load(summary.read_text())["record"]["metrics"]
             assert contexts == (["fork", "fork"] if workers == 2 else [])
@@ -543,7 +549,7 @@ class TestMoments:
 class TestRecord:
     def test_summary_carries_rng_contract(self, tmp_path):
         assert RNG_CONTRACT == 2
-        assert run_main({"kind": "selftest", "seed": 0}, tmp_path) == 0
+        assert run_main(smoke_doc("gorbovickis"), tmp_path) == 0
         (summary,) = (tmp_path / "out").glob("*.summary.yaml")
         doc = yaml.safe_load(summary.read_text())
         assert doc["record"]["rng_contract"] == 2
@@ -609,10 +615,9 @@ SCIPY_FREE = ["dominance-ball", "dominance-cube", "moments", "gorbovickis", "hul
               "vr-asymptotics", "vr-asymptotics/constant", "vr-asymptotics/3d", "minimize",
               "minimize/lockstep", "schneider", "schneider/simplex"]
 
-# Configs that build a hull with Qhull: 3-D circumscription, the Wulff
-# shape, and the selftest's Wulff and hull checks.
-QHULL = ["minimize/exact-hull-3d", "minimize/3d-j2", "schneider/3d", "wulff-convergence",
-         "selftest"]
+# Configs that build a hull with Qhull: 3-D circumscription and the
+# Wulff shape.
+QHULL = ["minimize/exact-hull-3d", "minimize/3d-j2", "schneider/3d", "wulff-convergence"]
 
 SCIPY_PROBE = textwrap.dedent("""
     import importlib, json, pkgutil, sys

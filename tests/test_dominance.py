@@ -305,12 +305,8 @@ class TestMoments:
             rep = dm.moment_compare(K, R=6.0, N=4, j=2, p=p, trials=3000, seed=18)
             assert rep.lhs <= rep.rhs + 3 * rep.combined_stderr
 
-    def test_minus_infinity_reports_minima(self):
-        K = SupportBody.cube(math.pi / 4, 2, self.grid())
-        rep = dm.moment_compare(K, R=6.0, N=3, j=2, p=float("-inf"),
-                                trials=1500, seed=19)
-        assert rep.lhs > 0 and rhs_ok(rep)
-
-
-def rhs_ok(rep):
-    return rep.rhs > 0 and np.isfinite(rep.rhs)
+    @pytest.mark.parametrize("p", [-math.inf, math.inf, math.nan, 0.0])
+    def test_order_must_be_finite_and_nonzero(self, p):
+        values = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            dm.moment_report(values, values, p)

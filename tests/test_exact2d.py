@@ -8,7 +8,7 @@ import pytest
 import ballpoly.exact2d as e2
 from ballpoly.config import build_body
 from ballpoly.errors import DegenerateTangency, EmptyIntersection
-from ballpoly.geometry import BallPolyhedron, support_function
+from ballpoly.geometry import BallPolyhedron, _support_function
 from ballpoly.intrinsic import mc_volume
 from ballpoly.rng import stream
 from ballpoly.wulff import ballpoly_approx
@@ -187,7 +187,7 @@ class TestNearTangentCorpus:
             dirs = np.array([[math.cos(t + m * math.pi / 3), math.sin(t + m * math.pi / 3)]
                              for m in range(6)])
             try:
-                want = [support_function(P, v) for v in dirs]
+                want = [_support_function(P, v) for v in dirs]
             except EmptyIntersection:
                 want = None
             if reg.empty or want is None:

@@ -12,7 +12,7 @@ from ballpoly.geometry import (
     SupportBody,
     distances_to_ballpoly,
     project_points_onto_ballpoly,
-    support_function,
+    _support_function,
 )
 
 SQRT3 = np.sqrt(3.0)
@@ -106,7 +106,7 @@ class TestDistance:
 class TestSupportFunction:
     def test_single_ball_formula(self):
         P = BallPolyhedron.from_arrays([[1.0, 0.0]], 2.0)
-        h = support_function(P, np.array([0.0, 1.0]))
+        h = _support_function(P, np.array([0.0, 1.0]))
         assert h == pytest.approx(2.0, abs=1e-7)
 
     def test_lens_vertical_brute_force_oracle(self):
@@ -119,21 +119,21 @@ class TestSupportFunction:
         inside = ((x - 0.5) ** 2 + y**2 <= 1.0) & ((x + 0.5) ** 2 + y**2 <= 1.0)
         brute = np.max(y[inside])
         assert brute == pytest.approx(SQRT3 / 2, abs=2e-3)
-        h = support_function(lens(), np.array([0.0, 1.0]))
+        h = _support_function(lens(), np.array([0.0, 1.0]))
         assert h == pytest.approx(SQRT3 / 2, abs=1e-7)
 
     def test_lens_horizontal(self):
-        h = support_function(lens(), np.array([1.0, 0.0]))
+        h = _support_function(lens(), np.array([1.0, 0.0]))
         assert h == pytest.approx(0.5, abs=1e-7)
 
     def test_zero_direction_raises(self):
         with pytest.raises(ZeroVector):
-            support_function(lens(), np.zeros(2))
+            _support_function(lens(), np.zeros(2))
 
     def test_empty_raises(self):
         P = BallPolyhedron.from_arrays([[2.0, 0.0], [-2.0, 0.0]], 1.0)
         with pytest.raises(EmptyIntersection):
-            support_function(P, np.array([1.0, 0.0]))
+            _support_function(P, np.array([1.0, 0.0]))
 
     def test_subadditivity(self):
         rng = np.random.default_rng(5)
@@ -147,9 +147,9 @@ class TestSupportFunction:
             ns = np.linalg.norm(s)
             if ns < 1e-6:
                 continue
-            h_sum = support_function(P, s / ns) * ns
-            h1 = support_function(P, t1)
-            h2 = support_function(P, t2)
+            h_sum = _support_function(P, s / ns) * ns
+            h1 = _support_function(P, t1)
+            h2 = _support_function(P, t2)
             assert h_sum <= h1 + h2 + 4e-6
 
     def test_reflection_symmetry(self):
@@ -160,8 +160,8 @@ class TestSupportFunction:
         for _ in range(5):
             t = rng.normal(size=2)
             t /= np.linalg.norm(t)
-            h1 = support_function(P, t)
-            h2 = support_function(P, t - 2.0 * np.dot(t, u) * u)
+            h1 = _support_function(P, t)
+            h2 = _support_function(P, t - 2.0 * np.dot(t, u) * u)
             assert h1 == pytest.approx(h2, abs=1e-6)
 
 
@@ -194,11 +194,11 @@ class TestCandidateOracle:
             if region.empty:
                 empty += 1
                 with pytest.raises(EmptyIntersection):
-                    support_function(P, np.array([1.0, 0.0]))
+                    _support_function(P, np.array([1.0, 0.0]))
                 continue
             dirs = rng.normal(size=(3, 2))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            got = [support_function(P, t) for t in dirs]
+            got = [_support_function(P, t) for t in dirs]
             assert np.allclose(got, exact2d.support_from_region(region, dirs), rtol=0, atol=1e-12)
         assert empty >= 100
 
@@ -212,7 +212,7 @@ class TestCandidateOracle:
         assert not P.certainly_empty()
         assert P.is_empty()
         with pytest.raises(EmptyIntersection):
-            support_function(P, np.array([0.0, 1.0]))
+            _support_function(P, np.array([0.0, 1.0]))
         V = fit_intrinsic_volumes(P, seed=1)
         assert np.all(V.values == 0.0)
 
@@ -226,18 +226,18 @@ class TestCandidateOracle:
         P = BallPolyhedron.from_arrays(touching_pair().centers @ Q.T, 1.0)
         assert not P.is_empty()
         for u in (Q[:, 0], Q[:, 1], -Q[:, 1], (Q[:, 0] + Q[:, 1]) / np.sqrt(2.0)):
-            assert support_function(P, u) == pytest.approx(0.0, abs=1e-7)
+            assert _support_function(P, u) == pytest.approx(0.0, abs=1e-7)
 
     @pytest.mark.parametrize("R, d", [(1.0, 1.0), (1.3, 0.4)])
     def test_3d_lens_equal_radii(self, R, d):
         P = BallPolyhedron.from_arrays([[-d / 2, 0.0, 0.0], [d / 2, 0.0, 0.0]], R)
         rim = np.sqrt(R**2 - d**2 / 4)
-        assert support_function(P, np.array([0.0, 0.0, 1.0])) == pytest.approx(rim, abs=1e-12)
-        assert support_function(P, np.array([1.0, 0.0, 0.0])) == pytest.approx(R - d / 2, abs=1e-12)
+        assert _support_function(P, np.array([0.0, 0.0, 1.0])) == pytest.approx(rim, abs=1e-12)
+        assert _support_function(P, np.array([1.0, 0.0, 0.0])) == pytest.approx(R - d / 2, abs=1e-12)
         rng = np.random.default_rng(31)
         for t in rng.normal(size=(20, 3)):
             t /= np.linalg.norm(t)
-            assert support_function(P, t) == pytest.approx(lens_support(t, R, d), abs=1e-12)
+            assert _support_function(P, t) == pytest.approx(lens_support(t, R, d), abs=1e-12)
 
     def test_3d_lens_unequal_radii(self):
         r1, r2, d = 1.0, 1.5, 1.2
@@ -245,9 +245,9 @@ class TestCandidateOracle:
         plane = (d**2 + r1**2 - r2**2) / (2 * d)  # the rim's x1
         rim = np.sqrt(r1**2 - plane**2)
         for t in ([0.0, 0.0, 1.0], [0.0, -0.6, 0.8]):
-            assert support_function(P, np.array(t)) == pytest.approx(rim, abs=1e-12)
-        assert support_function(P, np.array([1.0, 0.0, 0.0])) == pytest.approx(r1, abs=1e-12)
-        assert support_function(P, np.array([-1.0, 0.0, 0.0])) == pytest.approx(r2 - d, abs=1e-12)
+            assert _support_function(P, np.array(t)) == pytest.approx(rim, abs=1e-12)
+        assert _support_function(P, np.array([1.0, 0.0, 0.0])) == pytest.approx(r1, abs=1e-12)
+        assert _support_function(P, np.array([-1.0, 0.0, 0.0])) == pytest.approx(r2 - d, abs=1e-12)
 
     def test_3d_matches_constrained_optimizer(self):
         from scipy.optimize import minimize
@@ -269,7 +269,7 @@ class TestCandidateOracle:
             # SLSQP may stop on a line-search flag near the optimum, so
             # its point is checked for feasibility instead of its flag.
             assert np.max(np.linalg.norm(res.x - C, axis=1) - R) < 1e-8
-            assert support_function(P, t) == pytest.approx(-res.fun, abs=1e-7)
+            assert _support_function(P, t) == pytest.approx(-res.fun, abs=1e-7)
             checked += 1
         assert checked >= 8
 
@@ -281,8 +281,8 @@ class TestCandidateOracle:
         lens4 = BallPolyhedron.from_arrays([[-d / 2, 0, 0, 0], [d / 2, 0, 0, 0]], R)
         for t in rng.normal(size=(20, 4)):
             t /= np.linalg.norm(t)
-            assert support_function(ball, t) == pytest.approx(c @ t + 0.7, abs=1e-12)
-            assert support_function(lens4, t) == pytest.approx(lens_support(t, R, d), abs=1e-12)
+            assert _support_function(ball, t) == pytest.approx(c @ t + 0.7, abs=1e-12)
+            assert _support_function(lens4, t) == pytest.approx(lens_support(t, R, d), abs=1e-12)
         assert not lens4.is_empty()
         assert BallPolyhedron.from_arrays([[-1.0, 0, 0, 0], [1.0, 0, 0, 0]], 0.9).is_empty()
 

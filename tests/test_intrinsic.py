@@ -16,7 +16,6 @@ from ballpoly.intrinsic import (
     mc_volume,
     omega,
     steiner_fit_from_distances,
-    unit_ball_intrinsic,
 )
 
 LENS = BallPolyhedron.from_arrays([[0.5, 0.0], [-0.5, 0.0]], 1.0)
@@ -31,24 +30,6 @@ class TestClosedForms:
         assert omega(2) == pytest.approx(math.pi)
         assert omega(3) == pytest.approx(4 * math.pi / 3)
 
-    def test_unit_ball_intrinsic_2d(self):
-        # Matching coefficients of pi*(1+eps)^2 gives V_1 = pi.
-        assert unit_ball_intrinsic(2, 1) == pytest.approx(math.pi)
-        assert unit_ball_intrinsic(2, 2) == pytest.approx(math.pi)
-        assert unit_ball_intrinsic(2, 0) == 1.0
-
-    def test_unit_ball_intrinsic_scaling(self):
-        assert unit_ball_intrinsic(2, 2, 1.5) == pytest.approx(math.pi * 2.25)
-        assert unit_ball_intrinsic(3, 1, 2.0) == pytest.approx(unit_ball_intrinsic(3, 1) * 2.0)
-
-    def test_steiner_polynomial_consistency(self):
-        # vol(B(0,1) + eps B) must match the coefficient expansion.
-        n = 3
-        for eps in (0.1, 0.7):
-            direct = omega(n) * (1 + eps) ** n
-            series = sum(omega(n - j) * unit_ball_intrinsic(n, j) * eps ** (n - j)
-                         for j in range(n + 1))
-            assert series == pytest.approx(direct, rel=1e-12)
 
 
 class TestMonteCarloVolume:
@@ -105,8 +86,9 @@ class TestSteinerFit:
     def test_3d_ball(self):
         P = BallPolyhedron.from_arrays([[0.0, 0.0, 0.0]], 1.0)
         V = fit_intrinsic_volumes(P, EpsilonGrid.default_for(P, samples=300_000), seed=13)
-        for j in range(1, 4):
-            assert V.values[j] == pytest.approx(unit_ball_intrinsic(3, j), rel=0.05)
+        # V_j of the unit ball in R^3: C(3, j) omega_3 / omega_{3-j}.
+        for j, exact in zip(range(1, 4), (4.0, 2 * math.pi, 4 * math.pi / 3)):
+            assert V.values[j] == pytest.approx(exact, rel=0.05)
 
     def test_ill_conditioned_grid(self):
         dists = np.linspace(0, 1, 1000)

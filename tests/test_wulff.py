@@ -39,6 +39,14 @@ class TestVrAsymptotics:
         assert rep.scaled[-1] == pytest.approx(limit, rel=0.02)
 
 
+class TestWulffShape:
+    def test_cube_is_the_wulff_shape_of_its_support_function(self):
+        K = square(2048)
+        probe = DirectionGrid.uniform_2d(256).directions
+        W = wulff.wulff_shape(K)
+        assert np.max(np.abs(W.support(probe) - K.support(probe))) < 1e-9
+
+
 class TestConvergenceRate:
     def test_square_converges_at_order_one_over_R(self):
         rep = wulff.convergence_rate(square(720), [2.0, 4.0, 8.0, 16.0, 32.0], probe_size=1024)
