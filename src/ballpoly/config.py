@@ -22,11 +22,7 @@ function of the ``SupportBody`` it builds, on the spec's ``grid_size``
 or else on the run's default grid (``WULFF_GRID_SIZE``). One rule checks
 that f, or a ``moments`` body, is positive and below R;
 ``wulff-convergence`` also needs a planar f on at least three
-directions, while ``vr-asymptotics`` takes f in any dimension. (The
-boundary-function family ``FUNCTIONS`` is gone: its ``constant`` and
-``support-ball`` types are ``ball`` bodies, ``support-cube`` is a
-``cube`` and ``support-segment`` a ``segment``. An f of an old type is
-rejected, so an archived summary with one exits 2.)
+directions, while ``vr-asymptotics`` takes f in any dimension.
 Validation then builds the object the run executes, an
 ``ExperimentConfig`` or a ``CircumscriptionProblem``: its constructor is
 the one place that checks the rules between its keys and fills in the

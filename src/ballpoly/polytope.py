@@ -5,17 +5,17 @@ intersections of touching halfspaces {<x, n_i> <= c_i}. In 2D they are
 clipped out of a large box by Sutherland-Hodgman, which keeps unbounded
 configurations finite (the box acts as the continuous penalty); in 3D
 the vertex enumeration is delegated to Qhull, and the intrinsic volumes
-of the resulting polytope come from its convex hull. (Wulff shapes are
-not built here: ``wulff.wulff_shape`` takes them from a polar-dual
-convex hull.)
+of the resulting polytope come from its convex hull. The planar Wulff
+shape (``wulff.wulff_shape``) is the same clip, of the halfspaces of f
+on its grid.
 
 Importing this module does not import scipy: the two Qhull calls import
 ``scipy.spatial`` when they run, and the circumscription search
 (``extremal.minimize_mjN``) is plain Python. So of the CLI kinds only
-3-D ``minimize`` and ``schneider`` (Qhull) and ``wulff-convergence``
-(the Wulff hull) load scipy; planar circumscription,
-``dominance-ball``, ``dominance-cube``, ``moments``, ``gorbovickis``,
-``hull-bridge`` and ``vr-asymptotics`` run without it.
+3-D ``minimize`` and ``schneider`` (Qhull) load scipy; planar
+circumscription, ``dominance-ball``, ``dominance-cube``, ``moments``,
+``wulff-convergence``, ``gorbovickis``, ``hull-bridge`` and
+``vr-asymptotics`` run without it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import UnboundedConfiguration
 
-# Numerical slack for the clipping predicate, relative to the offset scale.
+# Numerical slack for the clipping predicate, relative to the larger of
+# the offsets and the box, so a polygon clips the same at every scale.
 CLIP_EPS = 1e-12
 
 # Normals of the six faces of the 3D box [-bound, bound]^3.
@@ -47,7 +48,7 @@ def clip_vertices(normals, offsets, bound: float) -> list:
         offsets = np.asarray(offsets, dtype=float).tolist()
     b = float(bound)
     poly = [(-b, -b), (b, -b), (b, b), (-b, b)]
-    eps = CLIP_EPS * max(1.0, max(map(abs, offsets)), b)
+    eps = CLIP_EPS * max(max(map(abs, offsets)), b)
     for (nx, ny), c in zip(normals, offsets):
         if not poly:
             break

@@ -7,7 +7,9 @@ centered at -(R - f(theta)) * theta, gives a ball-polyhedron that
 converges to W(f) at rate O(1/R). The tangent centers sweep out the
 star body A(f, R) with radial function rho(-theta) = R - f(theta),
 whose volume radius behaves like R - mean(f) + O(1/R). This module
-builds those objects and measures the convergence claims.
+builds those objects and measures the convergence claims. W(f) is built
+in the plane only, by ``polytope.clip_polygon``; A(f, R) in any
+dimension.
 
 f is a ``SupportBody``: its oracle evaluates f, ``values`` holds f on
 its grid, and ``mean_width() / 2`` is the sphere mean of f.
@@ -21,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import exact2d
+from . import exact2d, polytope
 from .errors import RadiusTooSmall, UnsupportedDimension
 from .geometry import (
     BallPolyhedron,
@@ -33,8 +35,7 @@ from .geometry import (
 # by name, so the binding must exist.
 from .rng import stream
 
-# f is positive when min f > POSITIVE_RTOL * max f on its grid (here and
-# for the offsets of the polar-dual hull): where f
+# f is positive when min f > POSITIVE_RTOL * max f on its grid: where f
 # vanishes it reads a few ulps (a centred segment's support function
 # reads 3e-17), which passes "> 0" but leaves W(f) without interior.
 POSITIVE_RTOL = 1e-12
@@ -50,7 +51,8 @@ class SphericalFunction:
 
 def _check_boundary(K: SupportBody, R: float) -> None:
     """Raise ValueError unless K is positive on its grid (the origin
-    interior to the body), and RadiusTooSmall unless R > max K."""
+    interior to the body), and RadiusTooSmall unless R > max K; R = inf
+    checks positivity alone."""
     lo, hi = float(np.min(K.values)), float(np.max(K.values))
     if not lo > POSITIVE_RTOL * hi:
         raise ValueError(f"the body must contain the origin in its interior: min h = {lo:.6g} "
@@ -89,38 +91,25 @@ def volume_radius(S: StarBody) -> float:
 # Wulff shape and ball approximation
 
 
-def _polar_dual_vertices(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Vertices of {x : <x, n_i> <= c_i} with all c_i > 0 (origin
-    interior) via the polar-dual convex hull: hull facets of the dual
-    points n_i/c_i correspond to primal vertices."""
-    # Deferred: importing scipy.spatial more than doubles a cold start's
-    # time and resident memory, and of the CLI kinds only
-    # wulff-convergence builds Wulff shapes.
-    from scipy.spatial import ConvexHull
-
-    if not np.min(offsets) > POSITIVE_RTOL * np.max(offsets):
-        raise ValueError("polar-dual construction needs the origin in its interior")
-    dual = normals / offsets[:, None]
-    hull = ConvexHull(dual)
-    n = normals.shape[1]
-    verts = []
-    for simplex in hull.simplices:
-        A = dual[simplex]
-        try:
-            v = np.linalg.solve(A, np.ones(n))
-        except np.linalg.LinAlgError:
-            continue
-        verts.append(v)
-    V = np.array(verts)
-    # Deduplicate (facet triangulation repeats vertices in 3D).
-    V = np.unique(np.round(V, 12), axis=0)
-    return V
-
-
 def wulff_shape(K: SupportBody) -> SupportBody:
-    """Wulff shape of f = h_K on its grid: the halfspace intersection
-    represented by its vertices (exact support oracle)."""
-    verts = _polar_dual_vertices(K.grid.directions, K.values)
+    """Wulff shape of f = h_K on its planar grid: the halfspace
+    intersection {x : <x, theta> <= f(theta)}, clipped out of the box
+    [-4 max f, 4 max f]^2 and represented by its vertices (exact
+    support oracle).
+
+    W(f) lies in B(0, max f / cos(g/2)) for the largest angular gap g
+    of the grid, so in B(0, 2 max f) on any uniform grid of at least
+    three directions. A vertex on the box means W(f) is unbounded on
+    its grid (or reaches past 4 max f, when g > 2 acos(1/4)): a
+    ValueError."""
+    if K.dimension != 2:
+        raise UnsupportedDimension("Wulff shapes are built in the plane only")
+    _check_boundary(K, np.inf)
+    bound = 4.0 * float(np.max(K.values))
+    verts = polytope.clip_polygon(K.grid.directions, K.values, bound)
+    if np.max(np.abs(verts)) >= bound:
+        raise ValueError(f"W(f) is unbounded on its grid of {len(K.grid)} directions: "
+                         f"a vertex lies on the box [-{bound:.6g}, {bound:.6g}]^2")
     return SupportBody.polytope(verts, K.grid)
 
 
@@ -177,11 +166,14 @@ class VrReport:
 def vr_asymptotics(K: SupportBody, R_list: Sequence[float]) -> VrReport:
     """Residuals vr(A(f,R)) - (R - mean f) over ascending radii.
 
-    The residual is nonnegative (power-mean inequality) and decays like
-    1/R; ``scaled`` exposes residual * R for the boundedness check."""
+    The residual is nonnegative (power-mean inequality), zero for a
+    constant f, and decays like 1/R; ``scaled`` exposes residual * R for
+    the boundedness check. A residual within 64 ulps of R is rounding
+    noise and reads 0. ``slope`` is the log-log fit of the residuals,
+    NaN unless all of them are positive."""
     R_list = np.asarray(sorted(R_list), dtype=float)
     l1 = K.mean_width() / 2.0
     res = np.array([volume_radius(build_A(K, R)) - (R - l1) for R in R_list])
-    with np.errstate(divide="ignore"):
-        slope = float(np.polyfit(np.log(R_list), np.log(np.maximum(res, 1e-300)), 1)[0])
+    res[np.abs(res) <= 64.0 * np.spacing(R_list)] = 0.0
+    slope = float(np.polyfit(np.log(R_list), np.log(res), 1)[0]) if np.all(res > 0) else np.nan
     return VrReport(R_list, res, res * R_list, slope)

@@ -610,14 +610,14 @@ class TestSmoke:
 
 # Kinds that call no Qhull, so a run of one must not import scipy, which
 # more than doubles a cold start's time and memory. The circumscription
-# search is plain floats, so the planar circumscription kinds qualify.
+# search and the planar clipper are plain floats, so the planar
+# circumscription kinds and the Wulff shape qualify.
 SCIPY_FREE = ["dominance-ball", "dominance-cube", "moments", "gorbovickis", "hull-bridge",
               "vr-asymptotics", "vr-asymptotics/constant", "vr-asymptotics/3d", "minimize",
-              "minimize/lockstep", "schneider", "schneider/simplex"]
+              "minimize/lockstep", "schneider", "schneider/simplex", "wulff-convergence"]
 
-# Configs that build a hull with Qhull: 3-D circumscription and the
-# Wulff shape.
-QHULL = ["minimize/exact-hull-3d", "minimize/3d-j2", "schneider/3d", "wulff-convergence"]
+# Configs that build a hull with Qhull: 3-D circumscription.
+QHULL = ["minimize/exact-hull-3d", "minimize/3d-j2", "schneider/3d"]
 
 SCIPY_PROBE = textwrap.dedent("""
     import importlib, json, pkgutil, sys

@@ -98,6 +98,18 @@ class TestClipPolygon:
         want = qhull_area_perimeter(normals, offsets, 1.0, np.zeros(2))
         assert polygon_area_perimeter(verts) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-9, 2.0**-30])
+    def test_slack_is_relative(self, scale):
+        # The square with its corner (1, 1) cut 1e-4 deep: the cut is far
+        # above the slack at any scale, so the clipped polygon scales
+        # with its inputs (bit for bit at a power of two).
+        normals = np.array([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]], float)
+        offsets = np.array([1.0, 1.0, 1.0, 1.0, 2.0 - 1e-4])
+        verts = clip_polygon(normals, offsets, self.BOUND)
+        small = clip_polygon(normals, scale * offsets, scale * self.BOUND)
+        assert len(verts) == 5 and small.shape == verts.shape
+        assert np.max(np.abs(small - scale * verts)) <= 8 * np.spacing(scale * np.max(np.abs(verts)))
+
     def test_infeasible_is_empty(self):
         verts = clip_polygon([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0], 5.0)
         assert verts.shape == (0, 2)

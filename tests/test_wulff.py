@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ballpoly import wulff
-from ballpoly.errors import RadiusTooSmall
+from ballpoly.errors import RadiusTooSmall, UnsupportedDimension
 from ballpoly.geometry import DirectionGrid, SupportBody
 
 
@@ -28,6 +28,16 @@ class TestVrAsymptotics:
         assert np.all(np.diff(rep.scaled) < 0)
         assert -1.2 <= rep.slope <= -0.9
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_constant_f_has_zero_residuals_and_no_slope(self, n):
+        # vr(A(f, R)) = R - f exactly for a constant f; the rounding
+        # noise left over (about 1e-15, of either sign) reads 0, and
+        # no slope is fitted through it.
+        K = SupportBody.ball(np.zeros(n), 1.0, DirectionGrid.for_dimension(n, 1000))
+        rep = wulff.vr_asymptotics(K, [5.0, 10.0, 20.0])
+        assert np.all(rep.residuals == 0.0) and np.all(rep.scaled == 0.0)
+        assert np.isnan(rep.slope)
+
     def test_scaled_residual_tends_to_the_variance_in_3d(self):
         # In R^3 the limit of R * residual is (n - 1) Var f / 2 = Var f.
         K = SupportBody.cube(1.0, 3, DirectionGrid.for_dimension(3, 4096))
@@ -45,6 +55,32 @@ class TestWulffShape:
         probe = DirectionGrid.uniform_2d(256).directions
         W = wulff.wulff_shape(K)
         assert np.max(np.abs(W.support(probe) - K.support(probe))) < 1e-9
+
+    @pytest.mark.parametrize("r", [1.0, 1e-6, 1e-9])
+    @pytest.mark.parametrize("m", [180, 720])
+    def test_disk_gives_the_circumscribed_regular_polygon(self, m, r):
+        # The shape is exact at every scale: no absolute rounding or
+        # slack removes vertices of a small disk's polygon.
+        disk = SupportBody.ball(np.zeros(2), r, DirectionGrid.uniform_2d(m))
+        angles = 2.0 * np.pi * np.arange(m) / m + np.pi / m
+        polygon = SupportBody.polytope(
+            (r / np.cos(np.pi / m)) * np.column_stack([np.cos(angles), np.sin(angles)]),
+            disk.grid)
+        probe = DirectionGrid.uniform_2d(1024).directions
+        W = wulff.wulff_shape(disk)
+        assert np.max(np.abs(W.support(probe) - polygon.support(probe))) <= 1e-15 * r
+
+    def test_unbounded_on_its_grid_raises(self):
+        # Three directions spanning 1 rad bound W(f) on one side only.
+        angles = np.array([0.0, 0.5, 1.0])
+        grid = DirectionGrid(np.column_stack([np.cos(angles), np.sin(angles)]), np.full(3, 1 / 3))
+        with pytest.raises(ValueError, match="unbounded on its grid"):
+            wulff.wulff_shape(SupportBody.ball(np.zeros(2), 1.0, grid))
+
+    def test_planar_only(self):
+        K = SupportBody.cube(1.0, 3, DirectionGrid.for_dimension(3, 256))
+        with pytest.raises(UnsupportedDimension):
+            wulff.wulff_shape(K)
 
 
 class TestConvergenceRate:
