@@ -6,7 +6,7 @@ Library layout:
   their exact nearest-point map, support function and emptiness,
   support oracles (also Wulff boundary functions) and radial oracles
 * ``exact2d``    exact circular-arc decomposition of planar disk
-  intersections (area, perimeter, support, distance)
+  intersections (area, perimeter, support)
 * ``intrinsic``  intrinsic volumes: Monte-Carlo volume and
   expansion-volume fits
 * ``densities``  closed-form sampling densities

@@ -6,15 +6,16 @@ at a time, in plain floats: the part of circle i inside disk j is a
 single arc, all of the circle or none of it, and the part of circle i
 on the boundary is what every other disk leaves of it. Area and
 perimeter follow from Green's theorem on the arcs. The module also
-gives the region's support function and point-to-region distance. It
-is the independent oracle against which the Monte-Carlo estimators are
-checked, and the fast path for planar experiments.
+gives the region's support function. It is the independent oracle
+against which the Monte-Carlo estimators are checked, and the fast
+path for planar experiments. Distances to the region come from the
+nearest-point map of ``geometry``, which is exact in every dimension.
 
 ``disk_region`` takes the centres as an (N, 2) array or as a list of N
 (x, y) pairs, the form in which a planar trial passes its row of
 floats, and the radii as an array or a list; both forms give the same
 bits. A trial does no numpy work: the ``DiskRegion`` it returns builds
-its ``centers``, ``radii`` and ``arcs`` arrays only when they are read.
+its ``arcs`` array only when it is read.
 
 Two circles that do not cross are the same disk (centres and radii
 agree within ``TANGENCY_RTOL`` of the largest radius), disjoint or
@@ -47,45 +48,24 @@ class DiskRegion:
     region has no arcs and zero area/perimeter; a region bounded by one
     whole circle is a single arc with da = 2*pi.
 
-    ``empty``, ``area`` and ``perimeter`` are plain floats. The arrays
-    ``centers`` (N, 2), ``radii`` (N,) and ``arcs`` are built from the
-    decomposition's floats the first time they are read, so a caller
-    that needs only the area or the perimeter builds none of them:
-    ``disks`` holds the input's x, y and r as three sequences, and
-    ``boundary`` the boundary circles as (cx, cy, r, pieces), each piece
-    an angle interval (a0, a1) with a0 < a1.
+    ``empty``, ``area`` and ``perimeter`` are plain floats. ``arcs`` is
+    built from ``boundary``, the boundary circles as (cx, cy, r, pieces)
+    with each piece an angle interval (a0, a1), a0 < a1, the first time
+    it is read, so a caller that needs only the area or the perimeter
+    builds no array.
     """
 
-    def __init__(self, disks, empty: bool, area: float, perimeter: float, boundary=()):
-        self._disks = disks
+    def __init__(self, empty: bool, area: float, perimeter: float, boundary=()):
         self._boundary = boundary
         self.empty = empty
         self.area = area
         self.perimeter = perimeter
 
     @cached_property
-    def centers(self) -> np.ndarray:
-        xs, ys, _ = self._disks
-        return np.array([xs, ys], dtype=float).T.copy()
-
-    @cached_property
-    def radii(self) -> np.ndarray:
-        return np.array(self._disks[2], dtype=float)
-
-    @cached_property
     def arcs(self) -> np.ndarray:
         return np.array([(cx, cy, r, a0 % TWO_PI, a1 - a0)
                          for cx, cy, r, pieces in self._boundary
                          for a0, a1 in pieces], dtype=float).reshape(-1, 5)
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        if self.empty:
-            return np.zeros(pts.shape[0], dtype=bool)
-        inside = np.ones(pts.shape[0], dtype=bool)
-        for c, r in zip(self.centers, self.radii):
-            inside &= np.sum((pts - c) ** 2, axis=1) <= r ** 2
-        return inside
 
 
 def _clip(pieces, a, b):
@@ -110,7 +90,7 @@ def disk_region(centers, radii) -> DiskRegion:
     ``centers`` is an (N, 2) array or a list of N (x, y) pairs of
     floats, as ``dominance`` passes one trial's row; ``radii`` is an
     (N,) array or a list. Both forms give the same bits, and the
-    region builds its arrays only when they are read.
+    region builds its arc array only when it is read.
 
     For each circle i the other disks are compared in turn: disk j at
     distance d keeps the arc of circle i centred on the direction of
@@ -149,7 +129,6 @@ def disk_region(centers, radii) -> DiskRegion:
     except (TypeError, ValueError):
         raise ValueError("exact arc decomposition is 2D only: "
                          "every centre must be an (x, y) pair") from None
-    given = (xs, ys, rs)
     mx, my = sum(xs) / n, sum(ys) / n
     if not (isfinite(mx) and isfinite(my)):
         raise ValueError("disk centres must be finite")
@@ -200,7 +179,7 @@ def disk_region(centers, radii) -> DiskRegion:
                 pieces = []
                 break
             if d >= ri + rj:
-                return DiskRegion(given, True, 0.0, 0.0)
+                return DiskRegion(True, 0.0, 0.0)
             if ri < rj:  # disk k lies inside disk j
                 continue
             pieces = []
@@ -236,14 +215,14 @@ def disk_region(centers, radii) -> DiskRegion:
                 left[j] = []
                 continue
             if d >= ri + rj:
-                return DiskRegion(given, True, 0.0, 0.0)
+                return DiskRegion(True, 0.0, 0.0)
             if ri < rj:  # disk k lies inside disk j and leaves circle j nothing
                 left[j] = []
                 continue
             pieces = []
             break
         if pieces is None:  # no other disk cuts circle k
-            return DiskRegion(given, False, pi * ri * ri, TWO_PI * ri,
+            return DiskRegion(False, pi * ri * ri, TWO_PI * ri,
                               [(xi, yi, ri, [(0.0, TWO_PI)])])
         if not pieces:  # circle k stopped at circle j
             short.append((j + 1, xi, yi, ri))
@@ -259,8 +238,8 @@ def disk_region(centers, radii) -> DiskRegion:
             perimeter += ri * da
 
     if not boundary:
-        return DiskRegion(given, True, 0.0, 0.0)
-    return DiskRegion(given, False, max(area, 0.0), perimeter, boundary)
+        return DiskRegion(True, 0.0, 0.0)
+    return DiskRegion(False, max(area, 0.0), perimeter, boundary)
 
 
 def support_from_region(region: DiskRegion, dirs: np.ndarray) -> np.ndarray:
@@ -284,30 +263,3 @@ def support_from_region(region: DiskRegion, dirs: np.ndarray) -> np.ndarray:
             + dirs[:, 1][:, None] * np.sin(a1)[None, :]) * r[None, :]
     best = np.where(on_arc, r[None, :], np.maximum(end0, end1))
     return np.max(proj_c + best, axis=1)
-
-
-def distance_from_region(region: DiskRegion, points: np.ndarray) -> np.ndarray:
-    """Euclidean distance from points to the region (0 inside)."""
-    if region.empty:
-        raise EmptyIntersection("distance to an empty region")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dist = np.zeros(pts.shape[0])
-    outside = ~region.contains(pts)
-    if not np.any(outside):
-        return dist
-    Q = pts[outside]
-    best = np.full(Q.shape[0], np.inf)
-    for cx, cy, r, a0, da in region.arcs:
-        rel = Q - np.array([cx, cy])
-        rho = np.linalg.norm(rel, axis=1)
-        ang = np.arctan2(rel[:, 1], rel[:, 0]) % TWO_PI
-        on_arc = ((ang - a0) % TWO_PI) <= da
-        d_arc = np.abs(rho - r)
-        p0 = np.array([cx + r * np.cos(a0), cy + r * np.sin(a0)])
-        p1 = np.array([cx + r * np.cos(a0 + da), cy + r * np.sin(a0 + da)])
-        d_end = np.minimum(
-            np.linalg.norm(Q - p0, axis=1), np.linalg.norm(Q - p1, axis=1)
-        )
-        best = np.minimum(best, np.where(on_arc, d_arc, d_end))
-    dist[outside] = best
-    return dist

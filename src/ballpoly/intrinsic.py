@@ -12,7 +12,9 @@ recovered by a generalized-least-squares fit of Monte-Carlo
 expansion-volume estimates on an epsilon grid. One point cloud is
 reused across all epsilon values, so the estimates are nested and their
 full covariance is known in closed form, which is what makes the fit
-stable.
+stable. The distances of the cloud to the body come from the one exact
+nearest-point map, ``geometry.distances_to_ballpoly``, in every
+dimension, the plane included.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import exact2d
 from .errors import IllConditioned
 from .geometry import BallPolyhedron, distances_to_ballpoly
 from .rng import stream, uniform_in_ball
@@ -119,14 +120,6 @@ def mc_volume(P: BallPolyhedron, samples: int, seed: int):
     return v_ref * p, v_ref * math.sqrt(p * (1.0 - p) / samples)
 
 
-def _distances_for_expansion(P: BallPolyhedron, pts: np.ndarray) -> np.ndarray:
-    """Distance from sample points to the body: exact arcs in the
-    plane, the exact nearest-point map otherwise."""
-    if P.dimension == 2:
-        return exact2d.distance_from_region(exact2d.disk_region(P.centers, P.radii), pts)
-    return distances_to_ballpoly(P, pts)[0]
-
-
 # ---------------------------------------------------------------------------
 # Expansion-polynomial fit
 
@@ -204,7 +197,7 @@ def fit_intrinsic_volumes(
     v_bb = omega(n) * grid.bounding_radius**n
     rng = stream(seed, 0)
     pts = grid.bounding_center + grid.bounding_radius * uniform_in_ball(rng, n, grid.samples)
-    dists = _distances_for_expansion(P, pts)
+    dists = distances_to_ballpoly(P, pts)[0]
     values, stderr = steiner_fit_from_distances(dists, v_bb, grid.eps, n)
     crosscheck = mc_volume(P, grid.samples, seed + 1)
     return IntrinsicVolumeVector(values, stderr, vn_crosscheck=crosscheck)

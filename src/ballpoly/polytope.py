@@ -39,7 +39,13 @@ def clip_vertices(normals, offsets, bound: float) -> list:
     ``normals`` is an (N, 2) array or a list of N (x, y) pairs of
     floats, ``offsets`` an (N,) array or a list of floats; lists are
     used as given (the circumscription search passes them so), and both
-    forms give the same bits."""
+    forms give the same bits.
+
+    A vertex within the slack ``eps`` of a line counts as inside it and
+    is kept. An edge adds its intersection with the line only when one
+    endpoint lies more than ``eps`` inside and the other more than
+    ``eps`` outside, so a line through a vertex adds no near-copy of it
+    and a polygonal f's Wulff shape keeps its corners only."""
     # Plain floats: a polygon has a handful of vertices, so per-vertex
     # numpy arithmetic would cost more than the clipping itself.
     if type(normals) is not list:
@@ -60,7 +66,7 @@ def clip_vertices(normals, offsets, bound: float) -> list:
             a_in = da <= eps
             if a_in:
                 out.append((ax, ay))
-            if a_in != (db <= eps):
+            if a_in != (db <= eps) and abs(da) > eps and abs(db) > eps:
                 t = da / (da - db)
                 out.append((ax + t * (bx - ax), ay + t * (by - ay)))
             ax, ay, da = bx, by, db
@@ -74,50 +80,27 @@ def clip_polygon(normals: np.ndarray, offsets: np.ndarray, bound: float) -> np.n
     return np.array(poly) if poly else np.empty((0, 2))
 
 
-def _pairwise_sum(terms: list) -> float:
-    """Sum of floats in the order numpy's ``sum`` adds a float64 array:
-    sequential below 8 terms, 8 strided accumulators combined pairwise
-    up to 128, halves (at a multiple of 8) beyond."""
-    n = len(terms)
-    if n < 8:
-        total = 0.0
-        for t in terms:
-            total += t
-        return total
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-    r = terms[:8]
-    tail = n - n % 8
-    for i in range(8, tail, 8):
-        for k in range(8):
-            r[k] += terms[i + k]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for t in terms[tail:]:
-        total += t
-    return total
-
-
 def polygon_area_perimeter(vertices):
     """(area, perimeter) of a simple polygon given as (x, y) pairs, an
     array or the list ``clip_vertices`` returns (shoelace); the area is
     unsigned, so either orientation serves.
 
-    Plain floats, yet bit for bit the numpy sums over the vertex array:
-    ``_pairwise_sum`` adds in numpy's order, and ``abs(complex(dx, dy))``
-    is the C library's ``hypot``, as ``np.hypot`` is (``math.hypot`` is
-    CPython's own and differs by an ulp on some edges)."""
+    Plain floats, summed in vertex order by an explicit loop (``sum``
+    compensates its rounding from Python 3.12 on, so its bits would
+    depend on the interpreter). ``abs(complex(dx, dy))`` is the C
+    library's ``hypot``, as ``np.hypot`` is (``math.hypot`` is CPython's
+    own and differs by an ulp on some edges)."""
     if isinstance(vertices, np.ndarray):
         vertices = vertices.tolist()
     if len(vertices) < 3:
         return 0.0, 0.0
-    cross, edges = [], []
+    cross = perimeter = 0.0
     x, y = vertices[0]
     for xr, yr in vertices[1:] + vertices[:1]:
-        cross.append(x * yr - xr * y)
-        edges.append(abs(complex(xr - x, yr - y)))
+        cross += x * yr - xr * y
+        perimeter += abs(complex(xr - x, yr - y))
         x, y = xr, yr
-    return abs(0.5 * _pairwise_sum(cross)), _pairwise_sum(edges)
+    return abs(0.5 * cross), perimeter
 
 
 def halfspace_vertices_3d(normals: np.ndarray, offsets: np.ndarray,

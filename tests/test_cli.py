@@ -47,9 +47,9 @@ UNIT_BOX = {"type": "box1d-step", "breaks": [-0.5, 0.5], "heights": [1.0]}
 
 # One tiny config per kind, plus the 3-D circumscription kinds, the
 # simplex case of ``schneider``, a constant boundary function (a ball's
-# support function), a 3-D boundary function and a circumscription
-# search whose restarts end in different rounds, each run through
-# ``cli.main``.
+# support function), a 3-D boundary function, a 3-D ``gorbovickis`` and
+# a circumscription search whose restarts end in different rounds, each
+# run through ``cli.main``.
 SMOKE = {
     "dominance-ball": {"n": 2, "N": 3, "R": 3.0, "j": 2, "trials": 100,
                        "density": {"type": "uniform-box", "side": 1.0}},
@@ -66,6 +66,10 @@ SMOKE = {
     "minimize/lockstep": {"body": SQUARE, "j": 1, "N": 4, "restarts": 6, "max_fev": 400},
     "schneider": {"body": SQUARE, "j": 2, "N": 4, "restarts": 1},
     "gorbovickis": {"points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], "R_list": [10.0, 20.0]},
+    # In 3-D the volume is a hit-or-miss estimate.
+    "gorbovickis/3d": {"points": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                  [0.0, 0.0, 1.0]],
+                       "R_list": [10.0, 20.0], "samples": 20000},
     "hull-bridge": {"N": 3, "trials": 100, "R": 10.0, "grid_size": 64,
                     "density_a": {"type": "uniform-box", "side": 1.0},
                     "density_b": {"type": "uniform-ball", "radius": 0.5}},
@@ -612,9 +616,10 @@ class TestSmoke:
 # more than doubles a cold start's time and memory. The circumscription
 # search and the planar clipper are plain floats, so the planar
 # circumscription kinds and the Wulff shape qualify.
-SCIPY_FREE = ["dominance-ball", "dominance-cube", "moments", "gorbovickis", "hull-bridge",
-              "vr-asymptotics", "vr-asymptotics/constant", "vr-asymptotics/3d", "minimize",
-              "minimize/lockstep", "schneider", "schneider/simplex", "wulff-convergence"]
+SCIPY_FREE = ["dominance-ball", "dominance-cube", "moments", "gorbovickis", "gorbovickis/3d",
+              "hull-bridge", "vr-asymptotics", "vr-asymptotics/constant", "vr-asymptotics/3d",
+              "minimize", "minimize/lockstep", "schneider", "schneider/simplex",
+              "wulff-convergence"]
 
 # Configs that build a hull with Qhull: 3-D circumscription.
 QHULL = ["minimize/exact-hull-3d", "minimize/3d-j2", "schneider/3d"]

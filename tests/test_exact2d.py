@@ -345,6 +345,33 @@ class TestReference:
         assert whole.area == pytest.approx(4 * math.pi, abs=1e-14)
         assert whole.perimeter == pytest.approx(4 * math.pi, abs=1e-14)
 
+    @staticmethod
+    def assert_support_matches_candidates(C, R):
+        reg = e2.disk_region(np.array(C), np.array(R))
+        P = BallPolyhedron.from_arrays(C, R)
+        a = 2.0 * np.pi * np.arange(64) / 64
+        dirs = np.column_stack([np.cos(a), np.sin(a)])
+        got = e2.support_from_region(reg, dirs)
+        assert np.allclose(got, [_support_function(P, t) for t in dirs], rtol=0, atol=1e-12)
+        return reg
+
+    def test_later_disk_lies_inside_a_stopped_circle(self):
+        # A circle that stopped short is compared again on a later
+        # circle's turn, whose disk lies inside the stopped one's and so
+        # keeps all of its circle.
+        self.assert_support_matches_candidates(
+            [[-0.7, 1.2], [0.2, 0.3], [-0.8, 0.7], [0.7, 0.6], [-0.15, 0.7]],
+            [0.4, 2.4, 1.3, 1.6, 0.65])
+
+    def test_visiting_circle_encloses_a_later_disk(self):
+        # Disk (0.5, 0) of radius 0.2 touches the first circle visited
+        # from inside, at (0.7, 0), so that circle stops with nothing
+        # left: the region is the small disk.
+        reg = self.assert_support_matches_candidates(
+            [[0.3, 0.0], [0.5, 0.0], [0.7, 0.0]], [0.4, 0.2, 2.9])
+        assert reg.area == pytest.approx(0.04 * math.pi, abs=1e-15)
+        assert reg.perimeter == pytest.approx(0.4 * math.pi, abs=1e-15)
+
     @pytest.mark.parametrize("spec, area, perimeter", [
         ({"type": "cube", "side": 1.0}, 0.9800757888763321, 3.884533346151736),
         ({"type": "ball", "radius": 1.0}, 3.1416100987165456, 6.283218016771787),
@@ -400,29 +427,6 @@ class TestSupportAndDistance:
         h = e2.support_from_region(reg, dirs)
         inner = pts @ dirs.T
         assert np.all(inner.max(axis=0) <= h + 1e-9)
-
-    def test_distance_zero_inside_positive_outside(self):
-        reg = e2.disk_region(np.array([[0.5, 0.0], [-0.5, 0.0]]), np.array([1.0, 1.0]))
-        d = e2.distance_from_region(reg, np.array([[0.0, 0.0], [0.0, 2.0], [3.0, 0.0]]))
-        assert d[0] == 0.0
-        # Highest lens point is (0, sqrt(3)/2).
-        assert d[1] == pytest.approx(2.0 - math.sqrt(3) / 2, abs=1e-12)
-
-    def test_distance_matches_dykstra(self):
-        from ballpoly.geometry import distances_to_ballpoly
-
-        rng = np.random.default_rng(10)
-        C = rng.normal(0, 0.4, (3, 2))
-        R = rng.uniform(0.9, 1.5, 3)
-        reg = e2.disk_region(C, R)
-        if reg.empty:
-            pytest.skip("empty draw")
-        P = BallPolyhedron.from_arrays(C, R)
-        pts = rng.normal(0, 1.5, (200, 2))
-        d_arc = e2.distance_from_region(reg, pts)
-        d_dyk, ok = distances_to_ballpoly(P, pts)
-        assert np.all(ok)
-        assert np.max(np.abs(d_arc - d_dyk)) < 1e-12
 
     def test_eccentric_small_disk_support(self):
         # Region equals the small off-center disk; support must follow it.

@@ -12,11 +12,11 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from ballpoly import extremal as ex
 from ballpoly.config import build_body
-from ballpoly.errors import UnsupportedDimension
+from ballpoly.errors import UnboundedConfiguration, UnsupportedDimension
 from ballpoly.geometry import DirectionGrid, SupportBody
 from ballpoly.neldermead import _nelder_mead
-from ballpoly.polytope import (CLIP_EPS, clip_polygon, hull_intrinsic_volumes,
-                               polygon_area_perimeter)
+from ballpoly.polytope import (CLIP_EPS, clip_polygon, halfspace_vertices_3d,
+                               hull_intrinsic_volumes, polygon_area_perimeter)
 from ballpoly.rng import stream, uniform_on_sphere
 
 UNIT_CUBE = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
@@ -46,6 +46,12 @@ class TestHullIntrinsicVolumes:
         assert V[1] == pytest.approx(v1, rel=1e-14)
         assert V[2] == pytest.approx(4 * math.sqrt(3), rel=1e-14)
         assert V[3] == pytest.approx(8 / 3, rel=1e-14)
+
+    @pytest.mark.parametrize("points", [np.eye(3), UNIT_CUBE[:4]],
+                             ids=["three-points", "four-coplanar"])
+    def test_too_few_or_flat_points_raise(self, points):
+        with pytest.raises(UnboundedConfiguration, match="cannot build the hull"):
+            hull_intrinsic_volumes(points)
 
 
 def touching_config(seed):
@@ -176,6 +182,17 @@ class TestObjective:
         grid = DirectionGrid.fibonacci_3d(512)
         K = SupportBody.polytope(UNIT_CUBE - 0.5 + offset, grid)
         assert objective(K, CORNER_TETRAHEDRON, 3) == pytest.approx(4.5, rel=1e-12)
+
+    def test_interior_point_on_a_face_raises(self):
+        with pytest.raises(UnboundedConfiguration, match="not strictly feasible"):
+            halfspace_vertices_3d(AXES_3D, np.full(6, 0.5), 40.0, np.array([0.5, 0.0, 0.0]))
+
+    def test_3d_infeasible_configuration_scores_the_box_penalty(self):
+        # x <= -1 and -x <= -1 leave no point: the score is (2 * bound)^3
+        # with bound = 40 for the unit cube.
+        K = SupportBody.cube(1.0, 3, DirectionGrid.fibonacci_3d(512))
+        prob = ex.CircumscriptionProblem(K, j=3, N=6)
+        assert ex._Objective(prob)(AXES_3D, np.full(6, -1.0)) == 512000.0
 
     @pytest.mark.parametrize("n, estimator", [(2, "exact-hull-3d"), (3, "exact-2d")])
     def test_estimator_must_match_dimension(self, n, estimator):

@@ -306,6 +306,10 @@ class TestNearestPointMap:
     spheres as the support function."""
 
     def test_planar_matches_arcs(self):
+        # y is the metric projection of x exactly when y lies in P and
+        # the line through y normal to u = (x - y)/|x - y| supports P,
+        # so each projection is checked against the arcs' support
+        # function, with no second distance implementation.
         rng = np.random.default_rng(2025)
         empty = 0
         for _ in range(1300):
@@ -313,14 +317,29 @@ class TestNearestPointMap:
             P = BallPolyhedron.from_arrays(rng.normal(0, 0.6, (k, 2)), rng.uniform(0.8, 1.5, k))
             pts = rng.normal(0, 1.5, (20, 2))
             d, ok = distances_to_ballpoly(P, pts)
+            y, converged = project_points_onto_ballpoly(P, pts)
             region = exact2d.disk_region(P.centers, P.radii)
             if region.empty:
                 empty += 1
-                assert not np.any(ok)
+                assert not np.any(ok) and not np.any(converged)
                 continue
-            assert np.all(ok)
-            assert np.allclose(d, exact2d.distance_from_region(region, pts), rtol=0, atol=1e-12)
+            assert np.all(ok) and np.all(converged)
+            gap = np.linalg.norm(y[:, None, :] - P.centers[None, :, :], axis=2) - P.radii
+            assert np.max(gap) <= 1e-12
+            assert np.array_equal(d, np.linalg.norm(pts - y, axis=1))
+            out = d > 0
+            assert np.array_equal(y[~out], pts[~out])
+            u = (pts[out] - y[out]) / d[out, None]
+            h = exact2d.support_from_region(region, u)
+            assert np.allclose(np.sum(y[out] * u, axis=1), h, rtol=0, atol=1e-12)
         assert 1300 - empty >= 1000
+
+    def test_distance_zero_inside_positive_outside(self):
+        d, ok = distances_to_ballpoly(lens(), np.array([[0.0, 0.0], [0.0, 2.0], [3.0, 0.0]]))
+        assert np.all(ok)
+        assert d[0] == 0.0
+        # Highest lens point is (0, sqrt(3)/2).
+        assert d[1] == pytest.approx(2.0 - np.sqrt(3) / 2, abs=1e-12)
 
     def test_3d_matches_constrained_optimizer(self):
         from scipy.optimize import minimize

@@ -5,7 +5,7 @@ approximation, and the checks on f and R."""
 import numpy as np
 import pytest
 
-from ballpoly import wulff
+from ballpoly import polytope, wulff
 from ballpoly.errors import RadiusTooSmall, UnsupportedDimension
 from ballpoly.geometry import DirectionGrid, SupportBody
 
@@ -69,6 +69,18 @@ class TestWulffShape:
         probe = DirectionGrid.uniform_2d(1024).directions
         W = wulff.wulff_shape(disk)
         assert np.max(np.abs(W.support(probe) - polygon.support(probe))) <= 1e-15 * r
+
+    @pytest.mark.parametrize("m", [720, 2048])
+    def test_square_has_four_distinct_vertices(self, m):
+        # Lines through a corner within the clip's slack add no copy of
+        # it: a square f has its four corners (one may come twice, an
+        # ulp-level near-copy), not hundreds of zero-length edges.
+        K = square(m)
+        verts = polytope.clip_polygon(K.grid.directions, K.values, 4.0 * float(np.max(K.values)))
+        assert len(verts) <= 5
+        corner = np.sign(verts) / 2
+        assert np.max(np.abs(verts - corner)) < 1e-9
+        assert len(np.unique(corner, axis=0)) == 4
 
     def test_unbounded_on_its_grid_raises(self):
         # Three directions spanning 1 rad bound W(f) on one side only.
