@@ -121,7 +121,7 @@ def build_body(spec: dict):
         a = np.asarray(spec["a"], dtype=float)
         b = np.asarray(spec["b"], dtype=float)
         grid = DirectionGrid.for_dimension(a.shape[0], size)
-        return SupportBody.segment(a, b, grid)
+        return SupportBody.polytope(np.vstack([a, b]), grid)
     raise SchemaError(f"unknown body type {t!r}")
 
 
@@ -357,6 +357,8 @@ def _relations(kind: str, p: dict, built: dict) -> List[str]:
     for key, want in (("density", p.get("n")), ("density_a", 2), ("density_b", 2)):
         if key in built and built[key].dimension != want:
             errors.append(f"params.{key}: dimension {built[key].dimension}, the run needs {want}")
+    if "s_grid" in p and "s_points" in p:
+        errors.append("params: keys 's_grid' and 's_points' exclude each other")
     if kind == "dominance-cube" and not isinstance(built["density"], Product1D):
         errors.append("params.density: dominance-cube needs a product density")
     if kind == "gorbovickis":

@@ -104,14 +104,11 @@ class UniformBody(Density):
     def __init__(self, region: Region):
         self.region = region
         self.dimension = region.dimension
-        if isinstance(region, Box):
-            self._volume = region.volume
-        elif isinstance(region, BallRegion):
+        if isinstance(region, (Box, BallRegion)):
             self._volume = region.volume
         elif isinstance(region, StarBody):
-            g = region.grid
             n = region.dimension
-            self._volume = omega(n) * float(np.dot(g.weights, region.radial(g.directions) ** n))
+            self._volume = omega(n) * float(np.dot(region.grid.weights, region.values ** n))
         else:
             raise UnsupportedTag(f"unsupported region type {type(region).__name__}")
         if self._volume <= 0:

@@ -30,20 +30,19 @@ from __future__ import annotations
 
 import math
 import multiprocessing as mp
+import os
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
 import numpy as np
 
 from . import exact2d
-from .densities import (
-    BallRegion, Density, Product1D, UniformBody, ball_extremizer, cube_extremizer,
-)
+from .densities import Density, Product1D, UniformBody, ball_extremizer, cube_extremizer
 from .errors import BallPolyError, NonIntegrable, UnsupportedDimension
 from .geometry import BallPolyhedron
 from .intrinsic import EpsilonGrid, fit_intrinsic_volumes
 from .rng import TRIAL_BLOCK, stream
-from .wulff import build_A, volume_radius
+from .wulff import build_A
 # Unused here, but the benchmark's span tracer patches
 # ``dominance.uniform_on_sphere`` by name, so the binding must exist.
 from .rng import uniform_on_sphere  # noqa: F401
@@ -167,7 +166,8 @@ def run_trials(cfg: ExperimentConfig, density: Optional[Density] = None) -> Tria
     """Evaluate V_j over cfg.trials independent ball-polyhedra.
 
     ``density`` overrides cfg.density for every centre (used to run the
-    extremizer with the same trial seeds). Empty intersections score 0;
+    extremizer with the same trial seeds). The pool is no larger than
+    the chunks or this process's CPUs. Empty intersections score 0;
     estimator failures (``BallPolyError``) mark the trial FAILED, and the
     run aborts if failures exceed 0.1% of the trials. Any other
     exception, and any sampler error while drawing a block, propagates.
@@ -183,8 +183,9 @@ def run_trials(cfg: ExperimentConfig, density: Optional[Density] = None) -> Tria
     else:
         chunk = TRIAL_BLOCK * max(1, m // (workers * 8 * TRIAL_BLOCK))
         bounds = [(lo, min(lo + chunk, m)) for lo in range(0, m, chunk)]
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         ctx = mp.get_context("fork")
-        with ctx.Pool(min(workers, len(bounds))) as pool:
+        with ctx.Pool(min(workers, len(bounds), cpus or 1)) as pool:
             parts = pool.map(_chunk_worker, bounds)
         vals = np.concatenate([p[0] for p in parts])
         failed = [t for p in parts for t in p[1]]
@@ -344,10 +345,11 @@ def moment_experiment(K, R: float, N: int, j: int, trials: int, seed: int,
 
 def moment_samples(cfg: ExperimentConfig):
     """Trials of both sides of the moment comparison: a
-    ``moment_experiment`` (lhs) against centres uniform on the ball of its
-    star body's volume (rhs). Returns the two TrialBatches, from which
-    ``moment_report`` scores any number of p."""
-    ball = UniformBody(BallRegion(np.zeros(cfg.n), volume_radius(cfg.density.region)))
+    ``moment_experiment`` (lhs) against the ball extremizer at the
+    density's sup (rhs), the uniform ball of the star body's volume.
+    Returns the two TrialBatches, from which ``moment_report`` scores
+    any number of p."""
+    ball = ball_extremizer(cfg.n, cfg.density.sup_bound)
     return run_trials(cfg), run_trials(cfg, density=ball)
 
 

@@ -180,16 +180,21 @@ def project_points_onto_ballpoly(P: BallPolyhedron, points: np.ndarray):
     """Nearest points of the ball intersection, exactly, in any dimension.
 
     Returns ``(projections (m, n), converged (m,) bool)``. A point of P
-    is its own projection. For a point x outside, the KKT conditions
-    give x - y = sum_{i in S} lambda_i (y - c_i) with lambda_i > 0 for
-    some S of at most n balls with affinely independent centres, so the
-    nearest point y lies on the sphere of S (``_spheres``) on the side
+    is its own projection. For a point x outside, d(x, P) >= d(x, B_i)
+    for every ball, so the projection onto the farthest ball is the
+    nearest point y whenever it is feasible. A y on one sphere only is
+    the projection onto that ball, which is then a farthest ball; a tied
+    B_j holds y at distance d(x, B_j), and its nearest point is unique,
+    so it projects to y too. Otherwise the KKT conditions give
+    x - y = sum_{i in S} lambda_i (y - c_i) with lambda_i > 0 for some S
+    of at most n balls with affinely independent centres, two or more
+    unless n = 1, so y lies on the sphere of S (``_spheres``) on the side
     of x: y = z + rho * w, w the normalized projection of x - z onto the
     complement of the centres' span. At |S| = n both points z +- rho * nu
-    are kept, and they do not depend on x. y is the nearest candidate
-    that lies in every ball within CANDIDATE_RTOL of the largest radius;
-    it is the projection onto the ball farthest from x whenever that
-    projection is feasible, which is checked first.
+    are kept, and they do not depend on x. y is the nearest of these
+    candidates that lies in every ball within CANDIDATE_RTOL of the
+    largest radius; in a near tie, within rounding, that is the
+    candidate on the tied balls' common sphere.
     A row is unconverged, and NaN, only when no candidate is feasible,
     which is when P is empty. Points go through in batches of at most
     CANDIDATE_BATCH (point, candidate) pairs, which bounds the memory.
@@ -203,23 +208,18 @@ def project_points_onto_ballpoly(P: BallPolyhedron, points: np.ndarray):
     slack = CANDIDATE_RTOL * float(np.max(r))
     spheres, vertices = [], [np.empty((0, n))]
     for k, q, z, rho in _spheres(P):
-        if k < n:
-            spheres.append((q[:, :, : k - 1], z, rho))
-        else:
+        if k == n:
             nu = rho[:, None] * q[:, :, n - 1]
             vertices += [z + nu, z - nu]
+        elif k > 1:
+            spheres.append((q[:, :, : k - 1], z, rho))
     vertices = np.concatenate(vertices)
     vertices = vertices[P.contains(vertices, slack)]
     moving = sum(z.shape[0] for _, z, _ in spheres)  # candidates that depend on x
     width = moving + vertices.shape[0]
-    if width == 0:  # only in one dimension, where every candidate is a vertex
-        proj[outside], converged[outside] = np.nan, False
-        return proj, converged
-    step = max(1, CANDIDATE_BATCH // width)
+    step = max(1, CANDIDATE_BATCH // max(width, 1))
     for lo in range(0, outside.size, step):
         rows = outside[lo : lo + step]
-        # d(x, P) >= d(x, B_i) for every ball, so where the projection
-        # onto the farthest ball is feasible, it is the nearest point.
         i = np.argmax(np.stack([np.linalg.norm(x[rows] - ci, axis=1) - ri
                                 for ci, ri in zip(c, r)], axis=1), axis=1)
         d = x[rows] - c[i]
@@ -227,6 +227,9 @@ def project_points_onto_ballpoly(P: BallPolyhedron, points: np.ndarray):
         face = P.contains(y, slack)
         proj[rows[face]] = y[face]
         rows = rows[~face]
+        if width == 0:  # no candidate on two or more spheres: P is empty
+            proj[rows], converged[rows] = np.nan, False
+            continue
         xb, at = x[rows], np.arange(rows.size)
         y = [z + rho[:, None] * _toward(q, xb[:, None, :] - z) for q, z, rho in spheres]
         y = np.concatenate(y + [np.broadcast_to(vertices, (rows.size,) + vertices.shape)], axis=1)
@@ -343,7 +346,7 @@ class DirectionGrid:
 
 class SupportBody:
     """Convex body represented by an exact support-function oracle
-    (balls, polytopes, segments, cubes). ``values`` caches the oracle
+    (balls, polytopes, cubes). ``values`` caches the oracle
     on the grid. It is also the boundary function f of ``wulff``: any
     positive oracle serves as f.
     """
@@ -380,10 +383,6 @@ class SupportBody:
             return np.max(np.atleast_2d(dirs) @ v.T, axis=1)
 
         return cls(v.shape[1], grid, oracle=h)
-
-    @classmethod
-    def segment(cls, a: np.ndarray, b: np.ndarray, grid: DirectionGrid) -> "SupportBody":
-        return cls.polytope(np.vstack([a, b]), grid)
 
     @classmethod
     def cube(cls, side: float, n: int, grid: DirectionGrid) -> "SupportBody":

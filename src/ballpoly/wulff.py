@@ -136,11 +136,9 @@ def convergence_rate(K: SupportBody, R_list: Sequence[float],
     the Wulff shape over ascending radii, with the fitted log-log slope
     (the tangent construction predicts order 1/R).
 
-    2D only: the ball-polyhedron support function is evaluated exactly
-    from the arc decomposition.
+    2D only, as ``wulff_shape`` checks: the ball-polyhedron support
+    function is evaluated exactly from the arc decomposition.
     """
-    if K.dimension != 2:
-        raise UnsupportedDimension("convergence experiments are 2D only")
     R_list = np.asarray(sorted(R_list), dtype=float)
     W = wulff_shape(K)
     probe = DirectionGrid.uniform_2d(probe_size).directions

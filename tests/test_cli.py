@@ -133,6 +133,9 @@ BAD_CONFIGS = [
     pytest.param(smoke_with("moments", body={**SQUARE, "grid_size": True}), "grid_size",
                  id="body-grid-size-bool"),
     pytest.param(smoke_with("dominance-ball", s_grid=[3, 1]), "s_grid", id="s-grid-descending"),
+    # s_points used to be ignored silently whenever s_grid was set.
+    pytest.param(smoke_with("dominance-ball", s_grid=[1.0, 2.0], s_points=5),
+                 "'s_grid' and 's_points' exclude each other", id="s-grid-and-s-points"),
     pytest.param(smoke_with("dominance-ball", density={
         "type": "radial-step", "radii": [1.0], "heights": [1.0]}), "params.density: density mass",
         id="radial-step-mass"),

@@ -1,6 +1,7 @@
 """Dominance experiments: survival curves, extremizer checks, moments."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from ballpoly import dominance as dm
 from ballpoly.errors import DegenerateTangency
 from ballpoly.geometry import BallPolyhedron, DirectionGrid, SupportBody
 from ballpoly.intrinsic import EpsilonGrid, fit_intrinsic_volumes
-from ballpoly.rng import stream
+from ballpoly.rng import TRIAL_BLOCK, stream
 
 
 def unit_area_square():
@@ -81,8 +82,12 @@ class TestRunTrials:
         assert np.array_equal(one[:300], short)
 
     def test_pool_no_larger_than_its_chunks(self, monkeypatch):
-        # 300 trials make two chunks, so 64 workers need a pool of two.
-        # The fake context maps serially and starts no process.
+        # 300 trials make two chunks, so 64 workers need a pool of two
+        # (one per CPU if there are fewer). 5000 workers make one chunk
+        # per block, one chunk more than there are CPUs here, and get one
+        # process per CPU. The fake context maps serially and starts no
+        # process.
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         sizes = []
 
         class SerialPool:
@@ -102,10 +107,13 @@ class TestRunTrials:
             Pool = SerialPool
 
         monkeypatch.setattr(dm.mp, "get_context", lambda method: SerialContext)
-        kw = dict(n=2, N=3, R=3.0, j=2, density=unit_area_square(), trials=300, seed=29)
-        pooled = dm.run_trials(dm.ExperimentConfig(workers=64, **kw)).values
-        assert sizes == [2]
-        assert np.array_equal(pooled, dm.run_trials(dm.ExperimentConfig(**kw)).values)
+        for workers, trials, size in ((64, 300, min(2, cpus)),
+                                      (5000, cpus * TRIAL_BLOCK + 1, cpus)):
+            sizes.clear()
+            kw = dict(n=2, N=3, R=3.0, j=2, density=unit_area_square(), trials=trials, seed=29)
+            pooled = dm.run_trials(dm.ExperimentConfig(workers=workers, **kw)).values
+            assert sizes == [size]
+            assert np.array_equal(pooled, dm.run_trials(dm.ExperimentConfig(**kw)).values)
 
     def test_unknown_estimator_is_rejected(self):
         # Anything but 'exact-2d' used to run the trials through the fit.

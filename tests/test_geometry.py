@@ -402,6 +402,129 @@ class TestNearestPointMap:
         assert np.all(ok)
         assert np.allclose(proj, [[0.0, 0.0, h], [0.0, 0.0, -h]], rtol=0, atol=1e-12)
 
+    def test_3d_matches_candidate_support(self):
+        # The 3-D twin of test_planar_matches_arcs: y is the metric
+        # projection of x exactly when y lies in P and the plane through y
+        # normal to u = (x - y)/|x - y| supports P, checked against
+        # _support_function, which builds its candidates apart from the map.
+        rng = np.random.default_rng(2026)
+        outside = 0
+        for _ in range(150):
+            k = int(rng.integers(1, 7))
+            P = BallPolyhedron.from_arrays(rng.normal(0, 0.5, (k, 3)), rng.uniform(0.8, 1.5, k))
+            pts = rng.normal(0, 1.5, (10, 3))
+            d, ok = distances_to_ballpoly(P, pts)
+            y, converged = project_points_onto_ballpoly(P, pts)
+            if P.is_empty():
+                assert not np.any(ok) and not np.any(converged)
+                continue
+            assert np.all(ok) and np.all(converged)
+            gap = np.linalg.norm(y[:, None, :] - P.centers[None, :, :], axis=2) - P.radii
+            assert np.max(gap) <= 1e-12
+            assert np.array_equal(d, np.linalg.norm(pts - y, axis=1))
+            for x, yx, dx in zip(pts[d > 0], y[d > 0], d[d > 0]):
+                u = (x - yx) / dx
+                assert yx @ u == pytest.approx(_support_function(P, u), rel=0, abs=1e-12)
+                outside += 1
+        assert outside >= 700
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tied_farthest_balls(self, n):
+        # Ball 0 given twice more, exactly and moved by 1e-15, ties the
+        # farthest-ball check and adds a near-degenerate common sphere;
+        # neither may move a projection.
+        rng = np.random.default_rng(37 + n)
+        C, R = rng.normal(0, 0.4, (3, n)), rng.uniform(0.9, 1.3, 3)
+        shift = rng.normal(size=n)
+        moved = C[0] + 1e-15 * shift / np.linalg.norm(shift)
+        P = BallPolyhedron.from_arrays(C, R)
+        Q = BallPolyhedron.from_arrays(np.vstack([C, C[0], moved]), np.concatenate([R, R[:1], R[:1]]))
+        pts = rng.normal(0, 1.5, (400, n))
+        want, ok = project_points_onto_ballpoly(P, pts)
+        got, ok_q = project_points_onto_ballpoly(Q, pts)
+        assert np.all(ok) and np.all(ok_q)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+# Property checks of the exact oracles need no reference value: with
+# c'' = lam c + (1 - lam) c', P(c'') contains lam P(c) + (1 - lam) P(c'),
+# and every comparison holds within PROPERTY_RTOL of max(1, |value|).
+PROPERTY_RTOL = 1e-12
+
+
+def centre_pairs(rng, n, count):
+    """(c, c', radii, lam) with both bodies nonempty; about 30% of the
+    pairs are translations up to noise of 1e-3 on the centres."""
+    while count:
+        k = int(rng.integers(1, 7))
+        c, radii = rng.normal(0, 0.5, (k, n)), rng.uniform(0.8, 1.5, k)
+        if rng.random() < 0.3:
+            c2 = c + rng.normal(0, 0.3, n) + rng.normal(0, 1e-3, (k, n))
+        else:
+            c2 = rng.normal(0, 0.5, (k, n))
+        if BallPolyhedron(c, radii).is_empty() or BallPolyhedron(c2, radii).is_empty():
+            continue
+        count -= 1
+        yield c, c2, radii, rng.uniform(0.05, 0.95)
+
+
+def at_most(lhs, rhs):
+    """lhs <= rhs within PROPERTY_RTOL of max(1, |rhs|)."""
+    return np.all(lhs <= rhs + PROPERTY_RTOL * np.maximum(1.0, np.abs(rhs)))
+
+
+class TestConvexityInCentres:
+    """The exact oracles against the inclusion above: (a) the support
+    function is concave in the centres, (b) sqrt(area) and the perimeter
+    are, (c) the distance from a fixed point is convex, (d) a mix of
+    nonempty configurations is nonempty, (e) translating every centre
+    translates the body."""
+
+    def test_planar(self):
+        rng = np.random.default_rng(120)
+        for c, c2, radii, lam in centre_pairs(rng, 2, 60):
+            mix = lam * c + (1 - lam) * c2
+            regions = [exact2d.disk_region(z, radii) for z in (c, c2, mix)]
+            assert not regions[2].empty and not BallPolyhedron(mix, radii).is_empty()  # (d)
+            u = rng.normal(size=(8, 2))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            h, h2, hm = (exact2d.support_from_region(r, u) for r in regions)
+            assert at_most(lam * h + (1 - lam) * h2, hm)  # (a)
+            for value in (lambda r: np.sqrt(r.area), lambda r: r.perimeter):  # (b)
+                v, v2, vm = map(value, regions)
+                assert at_most(lam * v + (1 - lam) * v2, vm)
+            x = rng.normal(0, 1.5, (8, 2))
+            d, d2, dm = (distances_to_ballpoly(BallPolyhedron(z, radii), x)[0]
+                         for z in (c, c2, mix))
+            assert at_most(dm, lam * d + (1 - lam) * d2)  # (c)
+            t = rng.normal(0, 0.5, 2)  # (e)
+            moved = exact2d.disk_region(c + t, radii)
+            assert np.allclose(exact2d.support_from_region(moved, u), h + u @ t,
+                               rtol=PROPERTY_RTOL, atol=PROPERTY_RTOL)
+            assert moved.area == pytest.approx(regions[0].area, rel=PROPERTY_RTOL,
+                                               abs=PROPERTY_RTOL)
+            assert np.allclose(distances_to_ballpoly(BallPolyhedron(c + t, radii), x + t)[0], d,
+                               rtol=PROPERTY_RTOL, atol=PROPERTY_RTOL)
+
+    def test_3d(self):
+        rng = np.random.default_rng(130)
+        for c, c2, radii, lam in centre_pairs(rng, 3, 40):
+            bodies = [BallPolyhedron(z, radii) for z in (c, c2, lam * c + (1 - lam) * c2)]
+            assert not bodies[2].is_empty()  # (d)
+            u = rng.normal(size=(3, 3))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            h, h2, hm = (np.array([_support_function(P, t) for t in u]) for P in bodies)
+            assert at_most(lam * h + (1 - lam) * h2, hm)  # (a)
+            x = rng.normal(0, 1.5, (8, 3))
+            d, d2, dm = (distances_to_ballpoly(P, x)[0] for P in bodies)
+            assert at_most(dm, lam * d + (1 - lam) * d2)  # (c)
+            t = rng.normal(0, 0.5, 3)  # (e)
+            moved = BallPolyhedron(c + t, radii)
+            assert np.allclose([_support_function(moved, v) for v in u], h + u @ t,
+                               rtol=PROPERTY_RTOL, atol=PROPERTY_RTOL)
+            assert np.allclose(distances_to_ballpoly(moved, x + t)[0], d,
+                               rtol=PROPERTY_RTOL, atol=PROPERTY_RTOL)
+
 
 class TestDirectionGrid:
     def test_weights_and_norms(self):

@@ -169,7 +169,7 @@ class TestMeanWidth:
     def test_segment(self):
         # Average of |cos| over the circle is 2/pi.
         d = 1.7
-        K = SupportBody.segment(np.array([-d / 2, 0.0]), np.array([d / 2, 0.0]), self.grid())
+        K = SupportBody.polytope(np.array([[-d / 2, 0.0], [d / 2, 0.0]]), self.grid())
         assert K.mean_width() == pytest.approx(2 * d / math.pi, rel=1e-6)
 
     def test_unit_square(self):

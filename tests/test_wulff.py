@@ -128,8 +128,7 @@ class TestBoundaryChecks:
         SupportBody.ball(np.array([2.0, 0.0]), 1.0, DirectionGrid.uniform_2d(64)),
         # A centred segment's support function vanishes at the normals,
         # where cos(pi/2) leaves about 3e-17 on the grid.
-        SupportBody.segment(np.array([-0.5, 0.0]), np.array([0.5, 0.0]),
-                            DirectionGrid.uniform_2d(64)),
+        SupportBody.polytope(np.array([[-0.5, 0.0], [0.5, 0.0]]), DirectionGrid.uniform_2d(64)),
     ], ids=["negative", "origin-outside", "segment"])
     def test_f_must_be_positive(self, build, K):
         with pytest.raises(ValueError, match="origin in its interior"):
