@@ -167,9 +167,10 @@ def run_trials(cfg: ExperimentConfig, density: Optional[Density] = None) -> Tria
 
     ``density`` overrides cfg.density for every centre (used to run the
     extremizer with the same trial seeds). The pool is no larger than
-    the chunks or this process's CPUs. Empty intersections score 0;
-    estimator failures (``BallPolyError``) mark the trial FAILED, and the
-    run aborts if failures exceed 0.1% of the trials. Any other
+    the chunks or this process's CPUs, and the chunks are sized for no
+    more workers than CPUs. Empty intersections score 0; estimator
+    failures (``BallPolyError``) mark the trial FAILED, and the run
+    aborts if failures exceed 0.1% of the trials. Any other
     exception, and any sampler error while drawing a block, propagates.
     """
     local = ExperimentConfig(**{**cfg.__dict__, "density": density}) if density is not None else cfg
@@ -181,11 +182,12 @@ def run_trials(cfg: ExperimentConfig, density: Optional[Density] = None) -> Tria
     if workers == 1:
         vals, failed = _chunk_worker((0, m))
     else:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        workers = min(workers, cpus or 1)
         chunk = TRIAL_BLOCK * max(1, m // (workers * 8 * TRIAL_BLOCK))
         bounds = [(lo, min(lo + chunk, m)) for lo in range(0, m, chunk)]
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         ctx = mp.get_context("fork")
-        with ctx.Pool(min(workers, len(bounds), cpus or 1)) as pool:
+        with ctx.Pool(min(workers, len(bounds))) as pool:
             parts = pool.map(_chunk_worker, bounds)
         vals = np.concatenate([p[0] for p in parts])
         failed = [t for p in parts for t in p[1]]

@@ -198,13 +198,28 @@ def project_points_onto_ballpoly(P: BallPolyhedron, points: np.ndarray):
     A row is unconverged, and NaN, only when no candidate is feasible,
     which is when P is empty. Points go through in batches of at most
     CANDIDATE_BATCH (point, candidate) pairs, which bounds the memory.
+    The outside test and the farthest ball read the same squared
+    distances |x - c_i|^2, one pass over the balls, and each row's
+    result depends on that row alone.
     """
     x = np.atleast_2d(np.asarray(points, dtype=float))
-    n = x.shape[1]
+    m, n = x.shape
     c, r = P.centers, P.radii
     proj = x.copy()
-    converged = np.ones(x.shape[0], dtype=bool)
-    outside = np.flatnonzero(~P.contains(x))
+    converged = np.ones(m, dtype=bool)
+    # One pass over the balls: each ball's squared distances give both the
+    # outside test, with the comparison of ``contains``, and the running
+    # farthest ball (the first of the largest |x - c_i| - r_i, as argmax).
+    inside, far = np.ones(m, dtype=bool), np.zeros(m, dtype=int)
+    gap, norm = np.full(m, -np.inf), np.full(m, np.nan)
+    for i in range(len(P)):
+        d2 = np.sum((x - c[i]) ** 2, axis=1)
+        inside &= d2 <= r[i] ** 2
+        dist = np.sqrt(d2)
+        g = dist - r[i]
+        better = g > gap
+        gap[better], far[better], norm[better] = g[better], i, dist[better]
+    outside = np.flatnonzero(~inside)
     slack = CANDIDATE_RTOL * float(np.max(r))
     spheres, vertices = [], [np.empty((0, n))]
     for k, q, z, rho in _spheres(P):
@@ -220,10 +235,8 @@ def project_points_onto_ballpoly(P: BallPolyhedron, points: np.ndarray):
     step = max(1, CANDIDATE_BATCH // max(width, 1))
     for lo in range(0, outside.size, step):
         rows = outside[lo : lo + step]
-        i = np.argmax(np.stack([np.linalg.norm(x[rows] - ci, axis=1) - ri
-                                for ci, ri in zip(c, r)], axis=1), axis=1)
-        d = x[rows] - c[i]
-        y = c[i] + d * (r[i] / np.linalg.norm(d, axis=1))[:, None]
+        i = far[rows]
+        y = c[i] + (x[rows] - c[i]) * (r[i] / norm[rows])[:, None]
         face = P.contains(y, slack)
         proj[rows[face]] = y[face]
         rows = rows[~face]

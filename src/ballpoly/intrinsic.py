@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import IllConditioned
-from .geometry import BallPolyhedron, distances_to_ballpoly
+from .geometry import CANDIDATE_RTOL, BallPolyhedron, distances_to_ballpoly
 from .rng import stream, uniform_in_ball
 
 # Batch size for Monte-Carlo splitting; totals are sums over batches
@@ -129,7 +129,9 @@ def steiner_fit_from_distances(dists: np.ndarray, v_bb: float, eps: np.ndarray, 
 
     ``dists`` are distances of v_bb-uniform samples to the body, so
     p_k = P(dist <= eps_k) are nested tail probabilities with
-    closed-form covariance Cov(p_k, p_l) = (p_min - p_k p_l)/m. V_0 is
+    closed-form covariance Cov(p_k, p_l) = (p_min - p_k p_l)/m. Only
+    ``dists <= eps_k`` and the sample count are read, so a distance
+    beyond the largest epsilon may be given as inf. V_0 is
     pinned at its known value 1 and the remaining coefficients
     omega_{n-j} V_j, j = 1..n, are solved by generalized least squares.
 
@@ -183,9 +185,14 @@ def fit_intrinsic_volumes(
 
     Uses one uniform cloud in the grid's bounding ball, distances to
     the body, and the nested-probability GLS of
-    ``steiner_fit_from_distances``. V_n is cross-checked against an
-    independent hit-or-miss volume estimate (stored on the result).
-    An empty intersection returns the all-zero vector by convention.
+    ``steiner_fit_from_distances``. Only the points that can count are
+    mapped: the map's nearest points lie within s = CANDIDATE_RTOL *
+    max r of every ball, so x is at least |x - c_i| - r_i - s from its
+    nearest point for every i, and a point outside some ball grown by
+    the largest epsilon plus 2s counts in no p_k, rounding included; it
+    gets distance inf. V_n is cross-checked against an independent
+    hit-or-miss volume estimate (stored on the result). An empty
+    intersection returns the all-zero vector by convention.
     """
     n = P.dimension
     if grid is None:
@@ -197,7 +204,10 @@ def fit_intrinsic_volumes(
     v_bb = omega(n) * grid.bounding_radius**n
     rng = stream(seed, 0)
     pts = grid.bounding_center + grid.bounding_radius * uniform_in_ball(rng, n, grid.samples)
-    dists = distances_to_ballpoly(P, pts)[0]
+    s = CANDIDATE_RTOL * float(np.max(P.radii))
+    near = P.contains(pts, float(grid.eps[-1]) + 2.0 * s)
+    dists = np.full(pts.shape[0], np.inf)
+    dists[near] = distances_to_ballpoly(P, pts[near])[0]
     values, stderr = steiner_fit_from_distances(dists, v_bb, grid.eps, n)
     crosscheck = mc_volume(P, grid.samples, seed + 1)
     return IntrinsicVolumeVector(values, stderr, vn_crosscheck=crosscheck)

@@ -16,6 +16,7 @@ points of all of them together.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -37,9 +38,11 @@ def _nelder_mead(simplex, maxfev: int, xatol: float, fatol: float, adaptive: boo
     only ``maxfev`` set: the centroid summed vertex by vertex, the same
     trial-point expressions and stopping test, a budget that can run out
     mid-shrink (the moved vertex keeps its old value), and the simplex
-    reordered twice at the start and once per step by ``np.argsort``,
-    which does not keep tied values in order (a stable sort would part
-    from scipy on ties in flat directions).
+    reordered twice at the start and once per step as ``np.argsort``
+    orders it. Distinct values have one order, which Python's ``sorted``
+    finds faster on a handful of floats; on a tie or a NaN the order is
+    ``np.argsort``'s, which does not keep tied values in order (a stable
+    sort would part from scipy on ties in flat directions).
     """
     n = len(simplex) - 1
     if adaptive:
@@ -58,8 +61,12 @@ def _nelder_mead(simplex, maxfev: int, xatol: float, fatol: float, adaptive: boo
         return (yield x)
 
     def reordered():
-        ind = np.argsort(fsim)
-        return [sim[i] for i in ind], [fsim[i] for i in ind]
+        ind = sorted(range(n + 1), key=fsim.__getitem__)
+        f = [fsim[i] for i in ind]
+        if not all(map(operator.lt, f, f[1:])):  # a tie or a NaN
+            ind = np.argsort(fsim).tolist()
+            f = [fsim[i] for i in ind]
+        return [sim[i] for i in ind], f
 
     try:
         for k in range(n + 1):

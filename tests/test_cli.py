@@ -53,6 +53,12 @@ UNIT_BOX = {"type": "box1d-step", "breaks": [-0.5, 0.5], "heights": [1.0]}
 SMOKE = {
     "dominance-ball": {"n": 2, "N": 3, "R": 3.0, "j": 2, "trials": 100,
                        "density": {"type": "uniform-box", "side": 1.0}},
+    # 3-D trials scored by the expansion-volume fit, centres uniform on
+    # the volume-one ball.
+    "dominance-ball/steiner-3d": {"n": 3, "N": 3, "R": 1.0, "j": 3, "trials": 100,
+                                  "estimator": "steiner-fit", "fit_samples": 2000,
+                                  "density": {"type": "uniform-ball", "n": 3,
+                                              "radius": (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)}},
     "dominance-cube": {"n": 2, "N": 3, "R": 3.0, "j": 2, "trials": 100,
                        "density": {"type": "product", "factors": [UNIT_BOX, UNIT_BOX]}},
     "moments": {"body": SQUARE, "R": 6.0, "N": 3, "j": 2, "p_list": [1, -1], "trials": 100},
@@ -619,10 +625,10 @@ class TestSmoke:
 # more than doubles a cold start's time and memory. The circumscription
 # search and the planar clipper are plain floats, so the planar
 # circumscription kinds and the Wulff shape qualify.
-SCIPY_FREE = ["dominance-ball", "dominance-cube", "moments", "gorbovickis", "gorbovickis/3d",
-              "hull-bridge", "vr-asymptotics", "vr-asymptotics/constant", "vr-asymptotics/3d",
-              "minimize", "minimize/lockstep", "schneider", "schneider/simplex",
-              "wulff-convergence"]
+SCIPY_FREE = ["dominance-ball", "dominance-ball/steiner-3d", "dominance-cube", "moments",
+              "gorbovickis", "gorbovickis/3d", "hull-bridge", "vr-asymptotics",
+              "vr-asymptotics/constant", "vr-asymptotics/3d", "minimize", "minimize/lockstep",
+              "schneider", "schneider/simplex", "wulff-convergence"]
 
 # Configs that build a hull with Qhull: 3-D circumscription.
 QHULL = ["minimize/exact-hull-3d", "minimize/3d-j2", "schneider/3d"]

@@ -86,9 +86,11 @@ class TestRunTrials:
         # (one per CPU if there are fewer). 5000 workers make one chunk
         # per block, one chunk more than there are CPUs here, and get one
         # process per CPU. The fake context maps serially and starts no
-        # process.
+        # process; with ``run`` off it returns zero parts without running
+        # a trial.
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        sizes = []
+        sizes, chunks = [], []
+        run = True
 
         class SerialPool:
             def __init__(self, size):
@@ -101,19 +103,31 @@ class TestRunTrials:
                 return False
 
             def map(self, fn, items):
-                return list(map(fn, items))
+                chunks.append(len(items))
+                if run:
+                    return list(map(fn, items))
+                return [(np.zeros(hi - lo), []) for lo, hi in items]
 
         class SerialContext:
             Pool = SerialPool
 
         monkeypatch.setattr(dm.mp, "get_context", lambda method: SerialContext)
+        kw = dict(n=2, N=3, R=3.0, j=2, density=unit_area_square(), seed=29)
         for workers, trials, size in ((64, 300, min(2, cpus)),
                                       (5000, cpus * TRIAL_BLOCK + 1, cpus)):
             sizes.clear()
-            kw = dict(n=2, N=3, R=3.0, j=2, density=unit_area_square(), trials=trials, seed=29)
-            pooled = dm.run_trials(dm.ExperimentConfig(workers=workers, **kw)).values
+            pooled = dm.run_trials(dm.ExperimentConfig(workers=workers, trials=trials, **kw))
             assert sizes == [size]
-            assert np.array_equal(pooled, dm.run_trials(dm.ExperimentConfig(**kw)).values)
+            assert np.array_equal(pooled.values,
+                                  dm.run_trials(dm.ExperimentConfig(trials=trials, **kw)).values)
+        # The chunks are sized for the pool, not for the workers asked
+        # for, which would make 5000 workers submit 3907 chunks of 10^6
+        # trials.
+        run = False
+        chunks.clear()
+        for workers in (max(2, cpus), 5000):
+            dm.run_trials(dm.ExperimentConfig(workers=workers, trials=10**6, **kw))
+        assert chunks[0] == chunks[1]
 
     def test_unknown_estimator_is_rejected(self):
         # Anything but 'exact-2d' used to run the trials through the fit.

@@ -388,6 +388,23 @@ class TestNearestPointMap:
             got = project_points_onto_ballpoly(P, pts)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rows_do_not_depend_on_the_others(self, n):
+        # A point's projection is the same bits whichever points share
+        # its call: the Steiner fit maps only part of its cloud.
+        rng = np.random.default_rng(38 + n)
+        for k in range(1, 7):
+            P = BallPolyhedron.from_arrays(rng.normal(0, 0.4, (k, n)), rng.uniform(0.8, 1.5, k))
+            if P.is_empty():
+                continue
+            pts = rng.normal(0, 1.0, (3000, n))
+            out = ~P.contains(pts)
+            assert 0 < np.count_nonzero(out) < pts.shape[0]
+            mixed, ok = project_points_onto_ballpoly(P, pts)
+            alone, ok_alone = project_points_onto_ballpoly(P, pts[out])
+            assert np.array_equal(mixed[out], alone) and np.array_equal(ok[out], ok_alone)
+            assert np.array_equal(mixed[~out], pts[~out]) and np.all(ok)
+
     def test_vertices_of_three_balls(self):
         # Centres on a circle of radius a in x3 = 0: the balls meet in
         # the vertices (0, 0, +-h), the nearest points to points far

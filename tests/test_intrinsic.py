@@ -9,7 +9,7 @@ import pytest
 
 from ballpoly.errors import IllConditioned
 from ballpoly.exact2d import disk_region
-from ballpoly.geometry import BallPolyhedron, DirectionGrid, SupportBody
+from ballpoly.geometry import BallPolyhedron, DirectionGrid, SupportBody, distances_to_ballpoly
 from ballpoly.intrinsic import (
     EpsilonGrid,
     fit_intrinsic_volumes,
@@ -17,6 +17,7 @@ from ballpoly.intrinsic import (
     omega,
     steiner_fit_from_distances,
 )
+from ballpoly.rng import stream, uniform_in_ball
 
 LENS = BallPolyhedron.from_arrays([[0.5, 0.0], [-0.5, 0.0]], 1.0)
 LENS_AREA = 2 * math.pi / 3 - math.sqrt(3) / 2
@@ -135,6 +136,33 @@ class TestSteinerFit:
         V = fit_intrinsic_volumes(P, EpsilonGrid.default_for(P, samples=20_000), seed=fit_seed)
         est, se = V.vn_crosscheck
         assert abs(V.values[3] - est) <= 4 * math.hypot(V.stderr[3], se)
+
+    def test_unmapped_points_keep_the_bits(self):
+        # The fit maps only the points within the largest epsilon plus
+        # twice the map's slack of every ball; the rest count in no p_k.
+        # So it must equal, bit for bit, the fit of the whole cloud's
+        # distances. One body has r_max / r_min = 7.5: the slack scales
+        # with the largest radius, epsilon with the smallest.
+        rng = np.random.default_rng(30)
+        bodies = [BallPolyhedron.from_arrays([[0.0, 0.0, 0.0], [0.9, 0.0, 0.0]], [6.0, 0.8])]
+        while len(bodies) < 20:
+            n, k = 2 + len(bodies) % 2, 1 + len(bodies) % 6
+            radii = 1.0 if len(bodies) % 3 else rng.uniform(0.7, 1.5, k)
+            P = BallPolyhedron.from_arrays(rng.normal(0, 0.5, (k, n)), radii)
+            if not P.is_empty():
+                bodies.append(P)
+        beyond = 0
+        for seed, P in enumerate(bodies):
+            n, grid = P.dimension, EpsilonGrid.default_for(P, samples=5000)
+            pts = grid.bounding_center + grid.bounding_radius * uniform_in_ball(
+                stream(seed, 0), n, grid.samples)
+            d = distances_to_ballpoly(P, pts)[0]
+            beyond += np.count_nonzero(d > grid.eps[-1])
+            values, stderr = steiner_fit_from_distances(
+                d, omega(n) * grid.bounding_radius**n, grid.eps, n)
+            V = fit_intrinsic_volumes(P, grid, seed=seed)
+            assert np.array_equal(V.values, values) and np.array_equal(V.stderr, stderr)
+        assert beyond > 10_000
 
     def test_traced_fit_reads_the_result(self, monkeypatch):
         # The benchmark's fit observer reads a real result's dimension,
