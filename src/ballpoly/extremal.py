@@ -33,7 +33,7 @@ import numpy as np
 
 from . import exact2d, polytope
 from .errors import UnboundedConfiguration, UnsupportedDimension
-from .geometry import BallPolyhedron, DirectionGrid, SupportBody
+from .geometry import BallPolyhedron, DirectionGrid, SupportBody, _sq_dist
 from .intrinsic import mc_volume, omega
 from .neldermead import _nelder_mead
 from .rng import stream, uniform_on_sphere
@@ -291,7 +291,7 @@ def gorbovickis_deficit(points: np.ndarray, R: float, samples: int = 0,
         raise ValueError(f"planar volumes are exact: samples must be 0, got {samples}")
     if n != 2 and samples <= 0:
         raise ValueError("n >= 3 needs a Monte-Carlo sample budget")
-    diam = float(np.max(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)))
+    diam = float(np.sqrt(np.max(_sq_dist(pts[:, None, :], pts[None, :, :]))))
     warning = None
     if R < 5.0 * diam and diam > 0:
         warning = f"R = {R} below 5*diam = {5 * diam}; asymptotics unreliable"

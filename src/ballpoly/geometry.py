@@ -10,6 +10,12 @@ halfspace approximation) builds on three primitives implemented here:
 * convex bodies represented by support oracles on a direction grid,
 * star bodies represented by radial oracles.
 
+Every squared distance and row norm over a coordinate axis goes through
+``_sq_dist``, which adds the squares one coordinate column at a time:
+numpy reduces a short last axis one row at a time, several times slower,
+and adds fewer than 8 terms in order, so for n <= 7 the column sums have
+its bits.
+
 All values are immutable after construction; every operation is a pure
 function of its inputs and safe to call concurrently.
 """
@@ -42,6 +48,25 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _sq_dist(x: np.ndarray, c: np.ndarray | float) -> np.ndarray:
+    """|x - c|^2 over the last axis of x (..., n), with c (..., n)
+    broadcasting against x, or c = 0 for |x|^2.
+
+    The sum runs one coordinate column at a time, s = d_0 d_0 + d_1 d_1
+    + ..., in whole-column operations: numpy reduces a last axis of 2 or
+    3 one row at a time, several times slower. For n <= 7 the value is
+    bit for bit that of ``np.sum((x - c) ** 2, axis=-1)``, whose pairwise
+    sum adds fewer than 8 terms in order; at n >= 8 numpy pairs the
+    terms, so values can differ by rounding. An empty last axis sums to
+    0.0.
+    """
+    s = 0.0
+    for j in range(x.shape[-1]):
+        d = x[..., j] - c[..., j] if np.ndim(c) else x[..., j]
+        s = d * d if j == 0 else s + d * d
+    return s
 
 
 def as_unit(v: np.ndarray) -> np.ndarray:
@@ -96,8 +121,7 @@ class BallPolyhedron:
     def certainly_empty(self) -> bool:
         """Fast certificate: some pair of balls is disjoint."""
         c, r = self.centers, self.radii
-        d2 = np.sum((c[:, None, :] - c[None, :, :]) ** 2, axis=-1)
-        gap = np.sqrt(d2) - (r[:, None] + r[None, :])
+        gap = np.sqrt(_sq_dist(c[:, None, :], c[None, :, :])) - (r[:, None] + r[None, :])
         return bool(np.any(gap > 0.0))
 
     def is_empty(self) -> bool:
@@ -111,8 +135,7 @@ class BallPolyhedron:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         inside = np.ones(pts.shape[0], dtype=bool)
         for c, r in zip(self.centers, self.radii):
-            d2 = np.sum((pts - c) ** 2, axis=1)
-            inside &= d2 <= (r + slack) ** 2
+            inside &= _sq_dist(pts, c) <= (r + slack) ** 2
         return inside
 
 
@@ -138,12 +161,13 @@ def _spheres(P: BallPolyhedron):
             q, R = np.linalg.qr(np.swapaxes(a, 1, 2), mode="complete")  # a^T = q R
             R = R[:, : k - 1]
             pivots = np.abs(np.diagonal(R, axis1=1, axis2=2))
-            scale = np.max(np.linalg.norm(a, axis=2), axis=1, keepdims=True, initial=0.0)
+            a2 = _sq_dist(a, 0.0)
+            scale = np.max(np.sqrt(a2), axis=1, keepdims=True, initial=0.0)
             ok = np.all(pivots > AFFINE_RTOL * scale, axis=1)
             R[~ok] = np.eye(k - 1)  # dependent centres: solvable, masked out below
-            beta = 0.5 * (np.sum(a * a, axis=2) + r0[:, None] ** 2 - r[idx[:, 1:]] ** 2)
+            beta = 0.5 * (a2 + r0[:, None] ** 2 - r[idx[:, 1:]] ** 2)
             g = np.linalg.solve(np.swapaxes(R, 1, 2), beta[:, :, None])[:, :, 0]  # u = q g
-            rho2 = r0**2 - np.sum(g * g, axis=1)
+            rho2 = r0**2 - _sq_dist(g, 0.0)
             ok &= rho2 >= -RHO2_ULPS * np.finfo(float).eps * r0**2
             z = c0 + np.einsum("snk,sk->sn", q[:, :, : k - 1], g)
             yield k, q[ok], z[ok], np.sqrt(np.maximum(rho2[ok], 0.0))
@@ -152,10 +176,12 @@ def _spheres(P: BallPolyhedron):
 def _toward(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """v (..., subsets, n) projected onto the complement of the span of
     q (subsets, n, k - 1) and normalized; 0 where v lies in the span
-    (projection norm at most 1e-12)."""
+    (projection norm at most 1e-12 |v|, so the test does not depend on
+    the scale of v)."""
     w = v - np.einsum("snk,...sk->...sn", q, np.einsum("snk,...sn->...sk", q, v))
-    wn = np.linalg.norm(w, axis=-1, keepdims=True)
-    return np.divide(w, wn, out=np.zeros_like(w), where=wn > 1e-12)
+    wn = np.sqrt(_sq_dist(w, 0.0))[..., None]
+    floor = 1e-12 * np.sqrt(_sq_dist(v, 0.0))[..., None]
+    return np.divide(w, wn, out=np.zeros_like(w), where=wn > floor)
 
 
 def _candidates(P: BallPolyhedron, theta: np.ndarray):
@@ -213,7 +239,7 @@ def project_points_onto_ballpoly(P: BallPolyhedron, points: np.ndarray):
     inside, far = np.ones(m, dtype=bool), np.zeros(m, dtype=int)
     gap, norm = np.full(m, -np.inf), np.full(m, np.nan)
     for i in range(len(P)):
-        d2 = np.sum((x - c[i]) ** 2, axis=1)
+        d2 = _sq_dist(x, c[i])
         inside &= d2 <= r[i] ** 2
         dist = np.sqrt(d2)
         g = dist - r[i]
@@ -249,7 +275,7 @@ def project_points_onto_ballpoly(P: BallPolyhedron, points: np.ndarray):
         feasible = np.ones((rows.size, width), dtype=bool)
         feasible[:, :moving] = P.contains(y[:, :moving].reshape(-1, n), slack).reshape(
             rows.size, moving)
-        d2 = np.where(feasible, np.sum((y - xb[:, None, :]) ** 2, axis=2), np.inf)
+        d2 = np.where(feasible, _sq_dist(y, xb[:, None, :]), np.inf)
         best = np.argmin(d2, axis=1)
         converged[rows] = feasible[at, best]
         proj[rows] = np.where(converged[rows, None], y[at, best], np.nan)
@@ -266,7 +292,7 @@ def distances_to_ballpoly(P: BallPolyhedron, points: np.ndarray):
     outside = ~inside
     if np.any(outside):
         proj, ok = project_points_onto_ballpoly(P, pts[outside])
-        dists[outside] = np.linalg.norm(pts[outside] - proj, axis=1)
+        dists[outside] = np.sqrt(_sq_dist(pts[outside], proj))
         converged[outside] = ok
     return dists, converged
 
@@ -303,7 +329,7 @@ class DirectionGrid:
         w = _readonly(np.atleast_1d(self.weights))
         object.__setattr__(self, "directions", d)
         object.__setattr__(self, "weights", w)
-        norms = np.linalg.norm(d, axis=1)
+        norms = np.sqrt(_sq_dist(d, 0.0))
         if np.max(np.abs(norms - 1.0)) > 1e-12:
             raise ValueError("grid directions must be unit vectors (1e-12)")
         if np.any(w <= 0) or abs(float(np.sum(w)) - 1.0) > 1e-12:
@@ -332,7 +358,7 @@ class DirectionGrid:
         z = 1.0 - 2.0 * i / size
         rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         dirs = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        dirs /= np.sqrt(_sq_dist(dirs, 0.0))[:, None]
         return cls(dirs, np.full(size, 1.0 / size))
 
     @classmethod
@@ -446,14 +472,15 @@ class StarBody:
         return np.asarray(self.oracle(dirs), dtype=float)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Membership mask: |x| <= rho(x/|x|) + 1e-12; the origin is in."""
+        """Membership mask: |x| <= rho(x/|x|) + 1e-12 * max_radius, a
+        slack relative to the body's scale; the origin is in."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        norms = np.linalg.norm(pts, axis=1)
+        norms = np.sqrt(_sq_dist(pts, 0.0))
         inside = np.ones(pts.shape[0], dtype=bool)
         nz = norms > 0
         if np.any(nz):
             rho = self.radial(pts[nz] / norms[nz, None])
-            inside[nz] = norms[nz] <= rho + 1e-12
+            inside[nz] = norms[nz] <= rho + 1e-12 * self.max_radius
         return inside
 
     @property

@@ -83,7 +83,7 @@ class EpsilonGrid:
     def validate_covers(self, P: BallPolyhedron) -> None:
         c, r = P.centers[P.smallest], float(np.min(P.radii))
         need = float(np.linalg.norm(self.bounding_center - c)) + r + float(self.eps[-1])
-        if self.bounding_radius < need - 1e-12:
+        if self.bounding_radius < need * (1.0 - 1e-12):
             raise ValueError(
                 f"bounding ball radius {self.bounding_radius} cannot cover the "
                 f"expanded body (needs >= {need})"

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UnboundedConfiguration
+from .geometry import _sq_dist
 
 # Numerical slack for the clipping predicate, relative to the larger of
 # the offsets and the box, so a polygon clips the same at every scale.
@@ -159,7 +160,7 @@ def hull_intrinsic_volumes(vertices: np.ndarray):
     once = s < t
     s, t, a, b = s[once], t[once], a[once], b[once]
     ns, nt = hull.equations[s, :3], hull.equations[t, :3]
-    angle = np.arctan2(np.linalg.norm(np.cross(ns, nt), axis=1), np.sum(ns * nt, axis=1))
-    length = np.linalg.norm(hull.points[a] - hull.points[b], axis=1)
+    angle = np.arctan2(np.sqrt(_sq_dist(np.cross(ns, nt), 0.0)), np.sum(ns * nt, axis=1))
+    length = np.sqrt(_sq_dist(hull.points[a], hull.points[b]))
     v1 = float(np.dot(length, angle)) / (2.0 * np.pi)
     return 1.0, v1, float(hull.area) / 2.0, float(hull.volume)

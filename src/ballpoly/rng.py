@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import _sq_dist
+
 # Version of the seed-to-sample mapping written into every result
 # record; bump it whenever the same seed stops giving the same samples.
 RNG_CONTRACT = 2
@@ -44,7 +46,7 @@ def uniform_in_ball(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     rejection.
     """
     g = rng.standard_normal((size, n))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    norms = np.sqrt(_sq_dist(g, 0.0))[:, None]
     # Guard the (measure-zero) all-zero draw.
     norms[norms == 0.0] = 1.0
     radii = rng.random(size) ** (1.0 / n)
@@ -54,6 +56,6 @@ def uniform_in_ball(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
 def uniform_on_sphere(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     """Sample ``size`` unit vectors uniformly on S^{n-1}."""
     g = rng.standard_normal((size, n))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    norms = np.sqrt(_sq_dist(g, 0.0))[:, None]
     norms[norms == 0.0] = 1.0
     return g / norms

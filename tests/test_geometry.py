@@ -1,5 +1,9 @@
 """Projection, support, and body-representation tests."""
 
+import ast
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,8 +16,10 @@ from ballpoly.geometry import (
     SupportBody,
     distances_to_ballpoly,
     project_points_onto_ballpoly,
+    _sq_dist,
     _support_function,
 )
+from ballpoly.rng import stream, uniform_in_ball, uniform_on_sphere
 
 SQRT3 = np.sqrt(3.0)
 
@@ -26,6 +32,105 @@ def touching_pair():
     # Intersection is exactly the single point (0, 0), where the two
     # boundary circles are tangent.
     return BallPolyhedron.from_arrays([[1.0, 0.0], [-1.0, 0.0]], 1.0)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestSqDist:
+    """The column-wise kernel against numpy's row sum, which adds fewer
+    than 8 terms in order: the same bits for n <= 7."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_bits_match_the_row_sum(self, n):
+        rng = np.random.default_rng(60 + n)
+        for scale in (1e-150, 1e-50, 1e-5, 1.0, 1e5, 1e50, 1e150):
+            # Coordinates of mixed magnitudes, so that the order of the
+            # additions shows in the last bits.
+            x = scale * rng.standard_normal((400, n)) * 10.0 ** rng.uniform(-2, 2, (400, n))
+            c = scale * rng.standard_normal(n)
+            y = scale * rng.standard_normal((40, 9, n))
+            xb = x[:40, None, :]
+            for got, want in [
+                (_sq_dist(x, c), np.sum((x - c) ** 2, axis=-1)),
+                (_sq_dist(x, 0.0), np.sum(x**2, axis=-1)),
+                (_sq_dist(y, c), np.sum((y - c) ** 2, axis=-1)),
+                (_sq_dist(y, xb), np.sum((y - xb) ** 2, axis=-1)),
+                (_sq_dist(x[:, None, :], x[None, :30, :]),
+                 np.sum((x[:, None, :] - x[None, :30, :]) ** 2, axis=-1)),
+            ]:
+                assert same_bits(got, want)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_samplers_match_the_norm_formulas(self, n):
+        rng = stream(61, n)
+        g = rng.standard_normal((500, n))
+        radii = rng.random(500) ** (1.0 / n)
+        want = g / np.linalg.norm(g, axis=1, keepdims=True) * radii[:, None]
+        assert same_bits(uniform_in_ball(stream(61, n), n, 500), want)
+        g = stream(62, n).standard_normal((500, n))
+        want = g / np.linalg.norm(g, axis=1, keepdims=True)
+        assert same_bits(uniform_on_sphere(stream(62, n), n, 500), want)
+
+
+def _is_square(node):
+    if isinstance(node, ast.Call):
+        return ast.unparse(node.func).endswith("square")
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return isinstance(node.right, ast.Constant) and node.right.value == 2
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return ast.dump(node.left) == ast.dump(node.right)
+    return False
+
+
+def row_reductions(source):
+    """Lines that let numpy reduce a coordinate axis of squares: a norm
+    or a sum of squares with an axis, as ``np.linalg.norm(x, axis=1)``,
+    ``np.sum(d ** 2, 1)`` or ``(d * d).sum(axis=-1)``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name, args = ast.unparse(node.func), node.args
+        norm = name.endswith("linalg.norm")
+        if not norm and name not in ("np.sum", "numpy.sum"):
+            if not (isinstance(node.func, ast.Attribute) and node.func.attr == "sum"):
+                continue
+            args = [node.func.value] + args  # x.sum(axis): the array comes first
+        axis = any(k.arg == "axis" for k in node.keywords) or len(args) > (2 if norm else 1)
+        if axis and (norm or _is_square(args[0])):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+class TestNoRowReductions:
+    """Squared distances and row norms over a coordinate axis go through
+    ``_sq_dist``; numpy reduces a short last axis one row at a time."""
+
+    def test_the_guard_flags_row_reductions_only(self):
+        slow = textwrap.dedent("""\
+            a = np.linalg.norm(x, axis=1)
+            b = np.sum((x - c) ** 2, axis=1)
+            c = np.sum(g * g, axis=-1)
+            d = (x ** 2).sum(axis=1)
+            e = np.sum(np.square(x), 1)
+            f = np.linalg.norm(x, None, 1)
+        """)
+        fast = textwrap.dedent("""\
+            a = np.linalg.norm(v)
+            b = np.sum(ns * nt, axis=1)
+            c = np.sum(np.abs(x), axis=1)
+            d = np.sum((g - m) ** 2)
+            e = x.sum(axis=1)
+        """)
+        assert row_reductions(slow) == [1, 2, 3, 4, 5, 6]
+        assert row_reductions(fast) == []
+
+    def test_the_library_has_none(self):
+        package = Path(geometry.__file__).resolve().parent
+        found = {p.name: row_reductions(p.read_text()) for p in sorted(package.glob("*.py"))}
+        assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 class TestProjection:
@@ -405,6 +510,17 @@ class TestNearestPointMap:
             assert np.array_equal(mixed[out], alone) and np.array_equal(ok[out], ok_alone)
             assert np.array_equal(mixed[~out], pts[~out]) and np.all(ok)
 
+    @pytest.mark.parametrize("s", [1e-13, 1e-30, 1e8])
+    def test_scaled_body_scales_the_distances(self, s):
+        # A projection counts as zero relative to |v|: an absolute floor
+        # sent every candidate of a tiny body to its sphere's centre.
+        rng = np.random.default_rng(45)
+        c, x = rng.normal(0, 0.4, (3, 3)), rng.normal(0, 1.5, (2000, 3))
+        want = distances_to_ballpoly(BallPolyhedron.from_arrays(c, 1.0), x)[0]
+        got = distances_to_ballpoly(BallPolyhedron.from_arrays(s * c, s), s * x)[0]
+        assert np.count_nonzero(want) > 1000
+        assert np.allclose(got / s, want, rtol=1e-12, atol=1e-12)
+
     def test_vertices_of_three_balls(self):
         # Centres on a circle of radius a in x3 = 0: the balls meet in
         # the vertices (0, 0, +-h), the nearest points to points far
@@ -583,6 +699,11 @@ class TestStarBody:
         S = round_star(1.0, g)
         assert S.contains(np.array([0.999, 0.0]))[0]
         assert not S.contains(np.array([1.01, 0.0]))[0]
+
+    def test_slack_scales_with_the_body(self):
+        S = round_star(1e-13, DirectionGrid.uniform_2d(256))
+        assert S.contains(np.array([[0.999e-13, 0.0], [0.0, -1e-13]])).all()
+        assert not S.contains(np.array([5e-13, 0.0]))[0]
 
 
 class TestBallPolyhedron:

@@ -101,6 +101,15 @@ class TestSteinerFit:
         with pytest.raises(ValueError):
             steiner_fit_from_distances(np.ones(10), 1.0, np.array([0.1, 0.2]), 2)
 
+    def test_bounding_ball_must_cover_a_tiny_body(self):
+        # The covering test is relative: a ball of radius 1e-13 needs a
+        # bounding radius of 1.5e-13 with the default epsilons.
+        P = BallPolyhedron.from_arrays([[0.0, 0.0, 0.0]], 1e-13)
+        grid = EpsilonGrid.default_for(P, samples=100)
+        grid.validate_covers(P)
+        with pytest.raises(ValueError, match="cannot cover"):
+            EpsilonGrid(grid.eps, 100, grid.bounding_center, 1e-14).validate_covers(P)
+
     def test_random_ballpolys_match_exact(self):
         rng = np.random.default_rng(14)
         ok = 0
