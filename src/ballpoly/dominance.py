@@ -360,16 +360,22 @@ def moment_report(lhs_vals: np.ndarray, rhs_vals: np.ndarray, p: float) -> Momen
     (any other p raises ValueError).
 
     Every ball in these configurations contains a fixed neighborhood of
-    the origin, so negative moments are finite; a sample below 1e-12
-    with p < 0 raises NonIntegrable since it signals a geometry bug.
+    the origin, so negative moments are finite; with p < 0 a sample at
+    most 1e-12 times the largest sample of either side raises
+    NonIntegrable since it signals a geometry bug. The floor is relative
+    because V_j scales as s^j with the body, and a zero sample always
+    raises.
     """
     if not (math.isfinite(p) and p != 0):
         raise ValueError(f"moment order p must be finite and nonzero, got {p}")
-    if p < 0 and (np.any(lhs_vals < 1e-12) or np.any(rhs_vals < 1e-12)):
-        raise NonIntegrable(
-            "a trial produced V_j below 1e-12 with p < 0; the tangent-center "
-            "construction guarantees a ball around the origin, so this is a bug"
-        )
+    if p < 0:
+        floor = 1e-12 * max(np.max(lhs_vals, initial=0.0), np.max(rhs_vals, initial=0.0))
+        if np.any(lhs_vals <= floor) or np.any(rhs_vals <= floor):
+            raise NonIntegrable(
+                "a trial produced V_j at most 1e-12 of the largest sample with p < 0; the "
+                "tangent-center construction guarantees a ball around the origin, so this "
+                "is a bug"
+            )
     lhs, se_l = _p_mean(lhs_vals, p)
     rhs, se_r = _p_mean(rhs_vals, p)
     return MomentReport(p, lhs, rhs, se_l, se_r)

@@ -56,16 +56,25 @@ def _sq_dist(x: np.ndarray, c: np.ndarray | float) -> np.ndarray:
 
     The sum runs one coordinate column at a time, s = d_0 d_0 + d_1 d_1
     + ..., in whole-column operations: numpy reduces a last axis of 2 or
-    3 one row at a time, several times slower. For n <= 7 the value is
-    bit for bit that of ``np.sum((x - c) ** 2, axis=-1)``, whose pairwise
-    sum adds fewer than 8 terms in order; at n >= 8 numpy pairs the
-    terms, so values can differ by rounding. An empty last axis sums to
-    0.0.
+    3 one row at a time, several times slower. Each column's difference
+    is a fresh array that is squared and added in place, so a column
+    costs one temporary; x and c, which may be read-only or broadcast
+    views, are never written. For n <= 7 the value is bit for bit that
+    of ``np.sum((x - c) ** 2, axis=-1)``, whose pairwise sum adds fewer
+    than 8 terms in order; at n >= 8 numpy pairs the terms, so values
+    can differ by rounding. An empty last axis sums to 0.0.
     """
     s = 0.0
     for j in range(x.shape[-1]):
-        d = x[..., j] - c[..., j] if np.ndim(c) else x[..., j]
-        s = d * d if j == 0 else s + d * d
+        if np.ndim(c):
+            d = x[..., j] - c[..., j]
+            d *= d
+        else:
+            d = x[..., j] * x[..., j]
+        if j == 0:
+            s = d
+        else:
+            s += d
     return s
 
 
@@ -226,7 +235,11 @@ def project_points_onto_ballpoly(P: BallPolyhedron, points: np.ndarray):
     CANDIDATE_BATCH (point, candidate) pairs, which bounds the memory.
     The outside test and the farthest ball read the same squared
     distances |x - c_i|^2, one pass over the balls, and each row's
-    result depends on that row alone.
+    result depends on that row alone. The farthest ball is a running
+    select: each ball replaces the best so far by ``np.where`` on rows
+    where its gap is strictly larger, which keeps the first of the
+    largest gaps in O(m) memory. Its projection, the face step, is
+    built one coordinate column at a time.
     """
     x = np.atleast_2d(np.asarray(points, dtype=float))
     m, n = x.shape
@@ -241,10 +254,11 @@ def project_points_onto_ballpoly(P: BallPolyhedron, points: np.ndarray):
     for i in range(len(P)):
         d2 = _sq_dist(x, c[i])
         inside &= d2 <= r[i] ** 2
-        dist = np.sqrt(d2)
+        dist = np.sqrt(d2, out=d2)
         g = dist - r[i]
         better = g > gap
-        gap[better], far[better], norm[better] = g[better], i, dist[better]
+        gap, far = np.where(better, g, gap), np.where(better, i, far)
+        norm = np.where(better, dist, norm)
     outside = np.flatnonzero(~inside)
     slack = CANDIDATE_RTOL * float(np.max(r))
     spheres, vertices = [], [np.empty((0, n))]
@@ -262,7 +276,11 @@ def project_points_onto_ballpoly(P: BallPolyhedron, points: np.ndarray):
     for lo in range(0, outside.size, step):
         rows = outside[lo : lo + step]
         i = far[rows]
-        y = c[i] + (x[rows] - c[i]) * (r[i] / norm[rows])[:, None]
+        t = r[i] / norm[rows]
+        y = np.empty((rows.size, n))
+        for j in range(n):  # y = c_i + (x - c_i) * (r_i / |x - c_i|), a column at a time
+            cj = c[:, j][i]
+            y[:, j] = cj + (x[rows, j] - cj) * t
         face = P.contains(y, slack)
         proj[rows[face]] = y[face]
         rows = rows[~face]
@@ -289,10 +307,11 @@ def distances_to_ballpoly(P: BallPolyhedron, points: np.ndarray):
     inside = P.contains(pts)
     dists = np.zeros(pts.shape[0])
     converged = np.ones(pts.shape[0], dtype=bool)
-    outside = ~inside
-    if np.any(outside):
-        proj, ok = project_points_onto_ballpoly(P, pts[outside])
-        dists[outside] = np.sqrt(_sq_dist(pts[outside], proj))
+    outside = np.flatnonzero(~inside)
+    if outside.size:
+        xo = pts[outside]
+        proj, ok = project_points_onto_ballpoly(P, xo)
+        dists[outside] = np.sqrt(_sq_dist(xo, proj))
         converged[outside] = ok
     return dists, converged
 

@@ -26,6 +26,10 @@ from . import __version__
 from .config import RunConfig
 from .rng import RNG_CONTRACT
 
+# libyaml's emitter when PyYAML was built with it: about four times
+# faster than the pure-Python one, and the same text.
+_SUMMARY_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 @dataclass
 class CurveTable:
@@ -105,7 +109,7 @@ def write_results(record: ResultRecord, out_dir: str) -> List[Path]:
         },
     }
     with open(path, "w") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False, default_flow_style=False)
+        yaml.dump(doc, fh, Dumper=_SUMMARY_DUMPER, sort_keys=False, default_flow_style=False)
     written = [path]
     for curve in record.curves:
         path = _unique_path(out / f"{stem}-{curve.name}.csv")

@@ -43,19 +43,28 @@ def uniform_in_ball(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     """Sample ``size`` points uniformly in the unit ball of R^n.
 
     Gaussian direction times a Beta-distributed radius; exact, no
-    rejection.
+    rejection. The Gaussian draw is scaled in place one coordinate
+    column at a time, g_j / |g| * radius: the bits of the row form
+    ``g / norms[:, None] * radii[:, None]`` without its broadcast
+    temporaries.
     """
     g = rng.standard_normal((size, n))
-    norms = np.sqrt(_sq_dist(g, 0.0))[:, None]
+    norms = np.sqrt(_sq_dist(g, 0.0))
     # Guard the (measure-zero) all-zero draw.
     norms[norms == 0.0] = 1.0
     radii = rng.random(size) ** (1.0 / n)
-    return g / norms * radii[:, None]
+    for j in range(n):
+        g[:, j] = g[:, j] / norms * radii
+    return g
 
 
 def uniform_on_sphere(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
-    """Sample ``size`` unit vectors uniformly on S^{n-1}."""
+    """Sample ``size`` unit vectors uniformly on S^{n-1}: a Gaussian
+    draw divided in place, one coordinate column at a time, by its row
+    norms."""
     g = rng.standard_normal((size, n))
-    norms = np.sqrt(_sq_dist(g, 0.0))[:, None]
+    norms = np.sqrt(_sq_dist(g, 0.0))
     norms[norms == 0.0] = 1.0
-    return g / norms
+    for j in range(n):
+        g[:, j] /= norms
+    return g

@@ -3,9 +3,11 @@ written result record, every kind run end to end on a tiny budget, and
 the kinds that run without importing scipy."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
 import json
 import math
 import os
@@ -566,6 +568,17 @@ class TestRecord:
         (summary,) = (tmp_path / "out").glob("*.summary.yaml")
         doc = yaml.safe_load(summary.read_text())
         assert doc["record"]["rng_contract"] == 2
+
+    @pytest.mark.parametrize("name", sorted(SMOKE))
+    def test_libyaml_summary_matches_the_python_emitter(self, name, tmp_path, monkeypatch):
+        with contextlib.redirect_stderr(io.StringIO()):
+            record = cli.run(config.validate(smoke_doc(name)))
+        texts = []
+        for dumper in (results._SUMMARY_DUMPER, yaml.SafeDumper):
+            monkeypatch.setattr(results, "_SUMMARY_DUMPER", dumper)
+            (summary, *_) = results.write_results(record, str(tmp_path / dumper.__name__))
+            texts.append(summary.read_text())
+        assert texts[0] == texts[1]
 
 
 class TestSmoke:

@@ -8,7 +8,7 @@ import pytest
 
 from ballpoly import densities as dn
 from ballpoly import dominance as dm
-from ballpoly.errors import DegenerateTangency
+from ballpoly.errors import DegenerateTangency, NonIntegrable
 from ballpoly.geometry import BallPolyhedron, DirectionGrid, SupportBody
 from ballpoly.intrinsic import EpsilonGrid, fit_intrinsic_volumes
 from ballpoly.rng import TRIAL_BLOCK, stream
@@ -326,6 +326,27 @@ class TestMoments:
         for p in (-4.0, -1.0, 1.0, 2.0):
             rep = dm.moment_compare(K, R=6.0, N=4, j=2, p=p, trials=3000, seed=18)
             assert rep.lhs <= rep.rhs + 3 * rep.combined_stderr
+
+    def test_negative_p_scales_with_the_body(self):
+        # V_2 scales as s^2, so a scaled-down square must give the same
+        # p-means over s^2, not an integrability error.
+        def compare(s):
+            K = SupportBody.cube(s * math.pi / 4, 2, self.grid())
+            return dm.moment_compare(K, R=6.0 * s, N=9, j=2, p=-1.0, trials=100, seed=1)
+
+        base, s = compare(1.0), 1e-7
+        small = compare(s)
+        for got, want in [(small.lhs, base.lhs), (small.rhs, base.rhs),
+                          (small.lhs_stderr, base.lhs_stderr), (small.rhs_stderr, base.rhs_stderr)]:
+            assert got / s**2 == pytest.approx(want, rel=1e-9)
+
+    def test_zero_sample_with_negative_p_raises(self):
+        values = np.array([1e-20, 2e-20, 3e-20])
+        with pytest.raises(NonIntegrable):
+            dm.moment_report(np.array([1e-20, 0.0, 3e-20]), values, -1.0)
+        with pytest.raises(NonIntegrable):
+            dm.moment_report(values, np.zeros(3), -2.0)
+        assert dm.moment_report(values, values, -1.0).margin == 0.0
 
     @pytest.mark.parametrize("p", [-math.inf, math.inf, math.nan, 0.0])
     def test_order_must_be_finite_and_nonzero(self, p):

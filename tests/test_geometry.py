@@ -73,6 +73,34 @@ class TestSqDist:
         want = g / np.linalg.norm(g, axis=1, keepdims=True)
         assert same_bits(uniform_on_sphere(stream(62, n), n, 500), want)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_inputs_are_never_written(self, n):
+        # The kernel squares and adds in place, into arrays of its own:
+        # writable inputs keep their bits, and read-only broadcast views
+        # (which raise on any write) work.
+        rng = np.random.default_rng(70 + n)
+        x, c = rng.standard_normal((300, n)), rng.standard_normal(n)
+        x0, c0 = x.copy(), c.copy()
+        xs = np.broadcast_to(x, (4, 300, n))
+        cs = np.broadcast_to(c, (300, n))
+        for got, want in [
+            (_sq_dist(x, c), np.sum((x0 - c0) ** 2, axis=-1)),
+            (_sq_dist(x, 0.0), np.sum(x0**2, axis=-1)),
+            (_sq_dist(x[:, None, :], x[None, :20, :]),
+             np.sum((x0[:, None, :] - x0[None, :20, :]) ** 2, axis=-1)),
+            (_sq_dist(xs, c), np.sum((xs - c0) ** 2, axis=-1)),
+            (_sq_dist(xs, 0.0), np.sum(xs**2, axis=-1)),
+            (_sq_dist(x, cs), np.sum((x0 - cs) ** 2, axis=-1)),
+            (_sq_dist(cs, 0.0), np.sum(cs**2, axis=-1)),
+        ]:
+            assert same_bits(got, want)
+            assert same_bits(x, x0) and same_bits(c, c0)
+        P = BallPolyhedron.from_arrays(0.3 * rng.standard_normal((4, n)), 1.0)
+        want = P.contains(x0)
+        assert np.array_equal(P.contains(x), want) and same_bits(x, x0)
+        assert np.array_equal(P.contains(cs), np.repeat(P.contains(c0), 300))
+        assert np.array_equal(P.contains(x, 0.1), P.contains(x0, 0.1)) and same_bits(x, x0)
+
 
 def _is_square(node):
     if isinstance(node, ast.Call):
@@ -577,6 +605,45 @@ class TestNearestPointMap:
         got, ok_q = project_points_onto_ballpoly(Q, pts)
         assert np.all(ok) and np.all(ok_q)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exact_gap_ties_take_the_first_ball(self, n):
+        # The unit ball inside the ball of radius 3 about -2 e, tangent
+        # at e: points x = t e, t > 1, are at the same distance from
+        # both, and both single-ball projections are e up to rounding.
+        # Where the gaps tie exactly and the two formulas' bits differ,
+        # the projection is the first ball's, in either order.
+        e = np.eye(n)[n - 1]
+        c, r = np.array([0.0 * e, -2.0 * e]), np.array([1.0, 3.0])
+        x = np.random.default_rng(80 + n).uniform(1.0, 4.0, 4000)[:, None] * e
+        norm = np.linalg.norm(x[None, :, :] - c[:, None, :], axis=2)
+        y = c[:, None, :] + (x - c[:, None, :]) * (r[:, None] / norm)[:, :, None]
+        tied = (norm[0] - r[0] == norm[1] - r[1]) & np.any(y[0] != y[1], axis=1)
+        assert np.count_nonzero(tied) > 200
+        for first, second in ((0, 1), (1, 0)):
+            P = BallPolyhedron(c[[first, second]], r[[first, second]])
+            proj, ok = project_points_onto_ballpoly(P, x[tied])
+            assert np.all(ok) and same_bits(proj, y[first][tied])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_face_projections_are_the_row_formula(self, n):
+        # Where the projection onto the farthest ball (first of the
+        # largest gap) is feasible it is the map's answer, bit for bit
+        # that of c_i + (x - c_i) * (r_i / |x - c_i|) on whole rows.
+        rng = np.random.default_rng(90 + n)
+        faces = 0
+        for k in range(1, 6):
+            P = BallPolyhedron.from_arrays(rng.normal(0, 0.4, (k, n)), rng.uniform(0.8, 1.5, k))
+            x = rng.normal(0, 1.5, (2000, n))
+            norm = np.linalg.norm(x[:, None, :] - P.centers[None, :, :], axis=2)
+            out = ~P.contains(x)
+            i = np.argmax(norm - P.radii, axis=1)
+            y = P.centers[i] + (x - P.centers[i]) * (P.radii[i] / norm[np.arange(2000), i])[:, None]
+            face = out & P.contains(y, geometry.CANDIDATE_RTOL * float(np.max(P.radii)))
+            proj, _ = project_points_onto_ballpoly(P, x)
+            assert same_bits(proj[face], y[face])
+            faces += np.count_nonzero(face)
+        assert faces > 1000
 
 
 # Property checks of the exact oracles need no reference value: with

@@ -1,0 +1,119 @@
+"""Alternating benchmark pairs of two checkouts, and whether a gain holds.
+
+Usage: python3 tools/pairs.py PARENT CHANGE --workload W --pairs K [--seed S]
+
+PARENT and CHANGE are the roots of two checkouts. Pair k runs
+``perfbench/run.py --workload W --seed S+k --trace 0`` in each, for the
+``run_seconds`` of BENCHMARK.json, the parent first in even pairs and
+the change first in odd ones, so that a drift in the host's speed does
+not favour one side. Each
+run's end-to-end metrics (those of BENCHMARK.json) are printed as it
+ends; then, per metric, each side's median and quartiles, the pairs the
+change won (ties count for neither side) and whether the gain rule
+holds: at least ten pairs, the change better in at least nine tenths of
+them, and the medians apart by more than the distance between the
+parent's quartiles. A run whose gates fail stops the comparison with
+exit status 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from typing import Dict, List, Sequence
+
+ROOT = Path(__file__).resolve().parent.parent
+# Fewest pairs, and the share of them the change must win, for a gain.
+MIN_PAIRS = 10
+WIN_SHARE = 0.9
+
+
+def benchmark() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def end_to_end() -> Dict[str, bool]:
+    """Name -> lower is better, for the end-to-end metrics of BENCHMARK.json."""
+    return {m["name"]: m["better"] == "lower" for m in benchmark()["end_to_end"]}
+
+
+def quartiles(values: Sequence[float]) -> tuple:
+    """(lower quartile, median, upper quartile), inclusive method."""
+    if len(values) == 1:
+        return (values[0],) * 3
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def summarize(parent: List[Dict[str, float]], change: List[Dict[str, float]],
+              lower: Dict[str, bool]) -> Dict[str, dict]:
+    """Per metric: each side's quartiles, the pairs the change won and
+    whether the gain rule holds. ``parent[k]`` and ``change[k]`` are the
+    metrics of pair k; ``lower`` maps each metric to lower-is-better."""
+    out = {}
+    for name, is_lower in lower.items():
+        p = [run[name] for run in parent]
+        c = [run[name] for run in change]
+        sign = 1.0 if is_lower else -1.0
+        won = sum(sign * (a - b) > 0 for a, b in zip(p, c))
+        qp, qc = quartiles(p), quartiles(c)
+        gap = sign * (qp[1] - qc[1])
+        out[name] = {
+            "parent": qp, "change": qc, "won": won, "pairs": len(p),
+            "gain": len(p) >= MIN_PAIRS and won >= WIN_SHARE * len(p) and gap > qp[2] - qp[0],
+        }
+    return out
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Dict[str, float]:
+    """One untraced benchmark run; its end-to-end metrics."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    report = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
+    if proc.returncode != 0 or not report.get("correct"):
+        raise RuntimeError(f"{checkout}: seed {seed} failed (exit {proc.returncode}):\n"
+                           + "\n".join(lines[-15:]) + proc.stderr[-2000:])
+    return {name: m["value"] for name, m in report["metrics"].items()}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description="Alternating benchmark pairs of two checkouts.")
+    p.add_argument("parent", type=Path)
+    p.add_argument("change", type=Path)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, default=MIN_PAIRS)
+    p.add_argument("--seed", type=int, default=101)
+    args = p.parse_args(argv)
+    seconds = benchmark()["run_seconds"]
+    lower = end_to_end()
+    sides = {"parent": args.parent, "change": args.change}
+    runs = {"parent": [], "change": []}
+    for k in range(args.pairs):
+        seed = args.seed + k
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for side in order:
+            try:
+                metrics = run_once(sides[side], args.workload, seed, seconds)
+            except RuntimeError as exc:
+                print(exc, file=sys.stderr)
+                return 1
+            runs[side].append(metrics)
+            print(f"pair {k:>2} seed {seed} {side:<6} "
+                  + "  ".join(f"{name} {metrics[name]:.4g}" for name in lower), flush=True)
+    print(f"{args.workload}: {args.pairs} pairs, parent -> change, median [quartiles]")
+    for name, s in summarize(runs["parent"], runs["change"], lower).items():
+        (p1, pm, p3), (c1, cm, c3) = s["parent"], s["change"]
+        print(f"  {name:<12} {pm:.4g} [{p1:.4g}, {p3:.4g}] -> {cm:.4g} [{c1:.4g}, {c3:.4g}]  "
+              f"won {s['won']}/{s['pairs']}  gain {'holds' if s['gain'] else 'not shown'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
