@@ -157,8 +157,9 @@ class _Objective:
             # The clipper's float pairs go straight to the shoelace: an
             # array of a handful of vertices costs more than their sums.
             poly = polytope.clip_vertices(thetas, offsets, p.penalty_bound)
-            area, perim = polytope.polygon_area_perimeter(poly)
-            return area if p.j == 2 else perim / 2.0
+            if p.j == 2:
+                return polytope.polygon_area(poly)
+            return polytope.polygon_area_perimeter(poly)[1] / 2.0
         try:
             verts = polytope.halfspace_vertices_3d(thetas, offsets, p.penalty_bound, self.interior)
             return polytope.hull_intrinsic_volumes(verts)[p.j]

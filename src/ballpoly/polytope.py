@@ -81,27 +81,46 @@ def clip_polygon(normals: np.ndarray, offsets: np.ndarray, bound: float) -> np.n
     return np.array(poly) if poly else np.empty((0, 2))
 
 
-def polygon_area_perimeter(vertices):
-    """(area, perimeter) of a simple polygon given as (x, y) pairs, an
-    array or the list ``clip_vertices`` returns (shoelace); the area is
-    unsigned, so either orientation serves.
+def polygon_area(vertices) -> float:
+    """Area of a simple polygon given as (x, y) pairs, an array or the
+    list ``clip_vertices`` returns (shoelace); unsigned, so either
+    orientation serves, and 0.0 for fewer than three vertices.
 
-    Plain floats, summed in vertex order by an explicit loop (``sum``
-    compensates its rounding from Python 3.12 on, so its bits would
-    depend on the interpreter). ``abs(complex(dx, dy))`` is the C
-    library's ``hypot``, as ``np.hypot`` is (``math.hypot`` is CPython's
-    own and differs by an ulp on some edges)."""
+    Plain floats, the cross products summed in vertex order by an
+    explicit loop (``sum`` compensates its rounding from Python 3.12 on,
+    so its bits would depend on the interpreter). The planar V_2
+    objective reads this alone; ``polygon_area_perimeter`` takes its
+    area from here."""
+    if isinstance(vertices, np.ndarray):
+        vertices = vertices.tolist()
+    if len(vertices) < 3:
+        return 0.0
+    cross = 0.0
+    x, y = vertices[0]
+    for xr, yr in vertices[1:] + vertices[:1]:
+        cross += x * yr - xr * y
+        x, y = xr, yr
+    return abs(0.5 * cross)
+
+
+def polygon_area_perimeter(vertices):
+    """(area, perimeter) of a simple polygon, in the forms
+    ``polygon_area`` takes; (0.0, 0.0) for fewer than three vertices.
+
+    The area is ``polygon_area``'s; the perimeter is summed in vertex
+    order as the area is. ``abs(complex(dx, dy))`` is the C library's
+    ``hypot``, as ``np.hypot`` is (``math.hypot`` is CPython's own and
+    differs by an ulp on some edges)."""
     if isinstance(vertices, np.ndarray):
         vertices = vertices.tolist()
     if len(vertices) < 3:
         return 0.0, 0.0
-    cross = perimeter = 0.0
+    perimeter = 0.0
     x, y = vertices[0]
     for xr, yr in vertices[1:] + vertices[:1]:
-        cross += x * yr - xr * y
         perimeter += abs(complex(xr - x, yr - y))
         x, y = xr, yr
-    return abs(0.5 * cross), perimeter
+    return polygon_area(vertices), perimeter
 
 
 def halfspace_vertices_3d(normals: np.ndarray, offsets: np.ndarray,

@@ -15,8 +15,8 @@ from ballpoly.config import build_body
 from ballpoly.errors import UnboundedConfiguration, UnsupportedDimension
 from ballpoly.geometry import DirectionGrid, SupportBody
 from ballpoly.neldermead import _nelder_mead
-from ballpoly.polytope import (CLIP_EPS, clip_polygon, halfspace_vertices_3d,
-                               hull_intrinsic_volumes, polygon_area_perimeter)
+from ballpoly.polytope import (CLIP_EPS, clip_polygon, clip_vertices, halfspace_vertices_3d,
+                               hull_intrinsic_volumes, polygon_area, polygon_area_perimeter)
 from ballpoly.rng import stream, uniform_on_sphere
 
 UNIT_CUBE = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
@@ -126,11 +126,23 @@ class TestAreaPerimeter:
     @pytest.mark.parametrize("verts", [np.empty((0, 2)), [[1.0, 2.0]], [[0.0, 0.0], [3.0, 4.0]]])
     def test_fewer_than_three_vertices(self, verts):
         assert polygon_area_perimeter(np.asarray(verts)) == (0.0, 0.0)
+        assert polygon_area(verts) == polygon_area(np.asarray(verts)) == 0.0
 
     def test_clockwise(self):
         ccw = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
         assert polygon_area_perimeter(ccw) == (2.0, 6.0)
         assert polygon_area_perimeter(ccw[::-1]) == (2.0, 6.0)
+
+    def test_area_alone_is_the_pairs_area(self):
+        # The clipper's outputs of 200 touching configurations, in the
+        # list form the objective passes and as arrays: the planar V_2
+        # objective reads polygon_area, with the bits of the pair's area.
+        for seed in range(200):
+            normals, offsets, _ = touching_config(seed)
+            poly = clip_vertices(normals.tolist(), offsets.tolist(), 10.0)
+            assert len(poly) >= 3
+            for verts in (poly, np.array(poly)):
+                assert polygon_area(verts).hex() == polygon_area_perimeter(verts)[0].hex()
 
 
 class TestChart:
@@ -212,6 +224,20 @@ def wavy(x):
     return sum(c * c for c in x) + 0.3 * sum(math.sin(3.0 * c + k) for k, c in enumerate(x))
 
 
+def plateau(x):
+    """wavy rounded to 0.1: flat steps, so many simplex values tie."""
+    return round(wavy(x), 1)
+
+
+def terraced(x):
+    """wavy at a higher frequency, so that the searches shrink while
+    their values are distinct, and rounded to 0.1 above 0.5, so that
+    they also meet ties."""
+    x = [float(c) for c in x]
+    v = sum(c * c for c in x) + 0.3 * sum(math.sin(20.0 * c + k) for k, c in enumerate(x))
+    return round(v, 1) if v > 0.5 else v
+
+
 def rosenbrock(x):
     x = [float(c) for c in x]
     return sum(100.0 * (b - a * a) * (b - a * a) + (1.0 - a) * (1.0 - a) for a, b in zip(x, x[1:]))
@@ -240,6 +266,12 @@ class TestNelderMead:
     # the budgets 285, 286, 711 and 726 run out mid-shrink, where the
     # moved vertex keeps its old value. Budgets 0 and 3 run out before
     # the simplex is evaluated, leaving tied infinite values to sort.
+    # The plateau searches tie on most steps, so they take the full
+    # re-sort and np.argsort's order of ties; they shrink at evaluations
+    # 42-45 (4 variables, fixed) and 97-102 (6, adaptive), cut by the
+    # budgets 43 and 99. The terraced search in 4 variables shrinks at
+    # 20-23 from a strictly ordered simplex, cut by the budget 21, so
+    # only a full re-sort after the shrink finds its new best vertex.
     @pytest.mark.parametrize("f, dim, adaptive, maxfev", [
         *[(wavy, 4, False, m) for m in (0, 3, 100, 280, 284, 285, 286, 287, 2000)],
         *[(wavy, 6, True, m) for m in (5, 708, 711, 723, 726, 2000)],
@@ -247,6 +279,10 @@ class TestNelderMead:
         (rosenbrock, 4, False, 2000),
         (rosenbrock, 4, True, 2000),
         (rosenbrock, 6, True, 2000),
+        *[(plateau, 4, False, m) for m in (43, 2000)],
+        *[(plateau, 6, True, m) for m in (99, 2000)],
+        *[(terraced, 4, False, m) for m in (21, 2000)],
+        (terraced, 6, True, 2000),
     ])
     def test_replays_scipy(self, f, dim, adaptive, maxfev):
         simplex = start_simplex(dim)

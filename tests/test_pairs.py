@@ -2,6 +2,7 @@
 rule, on canned numbers (no benchmark runs)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -69,3 +70,33 @@ def test_higher_is_better_flips_the_comparison(pairs):
     down = pairs.summarize(runs(PARENT), runs(change), {"wall_s": True})["wall_s"]
     assert up["won"] == 10 and up["gain"]
     assert down["won"] == 0 and not down["gain"]
+
+
+def test_json_summary_of_canned_runs(pairs, monkeypatch, tmp_path, capsys):
+    # run_once is replaced, so no benchmark process starts: the change's
+    # wall time is 0.006 s below the parent's in every pair but one.
+    change = [v - 0.006 for v in PARENT]
+    change[3] = PARENT[3] + 0.001
+    walls = {"parent": PARENT, "change": change}
+
+    def run_once(checkout, workload, seed, seconds):
+        assert workload == "circumscribe" and seconds == pairs.benchmark()["run_seconds"]
+        return {"wall_s": walls[checkout.name][seed - 601], "setup_s": 0.2, "peak_rss_mb": 40.0}
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    out = tmp_path / "pairs.json"
+    assert pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
+                       "circumscribe", "--seed", "601", "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["workload"], doc["seed"], doc["pairs"]) == ("circumscribe", 601, 10)
+    assert [run["wall_s"] for run in doc["runs"]["change"]] == change
+    wall = doc["metrics"]["wall_s"]
+    q1, med, q3 = pairs.quartiles(PARENT)
+    assert wall["parent"] == {"q1": q1, "median": med, "q3": q3}
+    assert wall["change"]["median"] == pairs.quartiles(change)[1]
+    assert (wall["better"], wall["won"], wall["pairs"], wall["gain"]) == ("lower", 9, 10, True)
+    flat = doc["metrics"]["setup_s"]
+    assert (flat["won"], flat["gain"]) == (0, False)
+    printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert printed[-3][:2] == ["wall_s", f"{med:.4g}"]
+    assert printed[-3][-4:] == ["won", "9/10", "gain", "holds"]

@@ -1,6 +1,6 @@
 """Alternating benchmark pairs of two checkouts, and whether a gain holds.
 
-Usage: python3 tools/pairs.py PARENT CHANGE --workload W --pairs K [--seed S]
+Usage: python3 tools/pairs.py PARENT CHANGE --workload W --pairs K [--seed S] [--json PATH]
 
 PARENT and CHANGE are the roots of two checkouts. Pair k runs
 ``perfbench/run.py --workload W --seed S+k --trace 0`` in each, for the
@@ -13,7 +13,9 @@ change won (ties count for neither side) and whether the gain rule
 holds: at least ten pairs, the change better in at least nine tenths of
 them, and the medians apart by more than the distance between the
 parent's quartiles. A run whose gates fail stops the comparison with
-exit status 1.
+exit status 1. ``--json PATH`` also writes the summary to PATH (see
+``report``): the runs of each side and, per metric, each side's median
+and quartiles, the pairs won and the gain verdict.
 """
 
 from __future__ import annotations
@@ -69,6 +71,23 @@ def summarize(parent: List[Dict[str, float]], change: List[Dict[str, float]],
     return out
 
 
+def report(workload: str, seed: int, parent: List[Dict[str, float]],
+           change: List[Dict[str, float]], lower: Dict[str, bool]) -> dict:
+    """The JSON form of a comparison: its workload, first seed and run
+    length, the end-to-end metrics of every run of each side, and per
+    metric ``summarize``'s numbers with the quartiles named."""
+    metrics = {}
+    for name, s in summarize(parent, change, lower).items():
+        metrics[name] = {
+            "better": "lower" if lower[name] else "higher",
+            **{side: dict(zip(("q1", "median", "q3"), s[side])) for side in ("parent", "change")},
+            "won": s["won"], "pairs": s["pairs"], "gain": s["gain"],
+        }
+    return {"workload": workload, "seed": seed, "run_seconds": benchmark()["run_seconds"],
+            "pairs": len(parent), "runs": {"parent": parent, "change": change},
+            "metrics": metrics}
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Dict[str, float]:
     """One untraced benchmark run; its end-to-end metrics."""
     proc = subprocess.run(
@@ -90,6 +109,7 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=MIN_PAIRS)
     p.add_argument("--seed", type=int, default=101)
+    p.add_argument("--json", type=Path, help="also write the summary to this file")
     args = p.parse_args(argv)
     seconds = benchmark()["run_seconds"]
     lower = end_to_end()
@@ -107,11 +127,15 @@ def main(argv=None) -> int:
             runs[side].append(metrics)
             print(f"pair {k:>2} seed {seed} {side:<6} "
                   + "  ".join(f"{name} {metrics[name]:.4g}" for name in lower), flush=True)
+    summary = report(args.workload, args.seed, runs["parent"], runs["change"], lower)
     print(f"{args.workload}: {args.pairs} pairs, parent -> change, median [quartiles]")
-    for name, s in summarize(runs["parent"], runs["change"], lower).items():
-        (p1, pm, p3), (c1, cm, c3) = s["parent"], s["change"]
-        print(f"  {name:<12} {pm:.4g} [{p1:.4g}, {p3:.4g}] -> {cm:.4g} [{c1:.4g}, {c3:.4g}]  "
-              f"won {s['won']}/{s['pairs']}  gain {'holds' if s['gain'] else 'not shown'}")
+    for name, m in summary["metrics"].items():
+        pq, cq = m["parent"], m["change"]
+        print(f"  {name:<12} {pq['median']:.4g} [{pq['q1']:.4g}, {pq['q3']:.4g}] -> "
+              f"{cq['median']:.4g} [{cq['q1']:.4g}, {cq['q3']:.4g}]  "
+              f"won {m['won']}/{m['pairs']}  gain {'holds' if m['gain'] else 'not shown'}")
+    if args.json:
+        args.json.write_text(json.dumps(summary, indent=2) + "\n")
     return 0
 
 
