@@ -236,10 +236,11 @@ def project_points_onto_ballpoly(P: BallPolyhedron, points: np.ndarray):
     The outside test and the farthest ball read the same squared
     distances |x - c_i|^2, one pass over the balls, and each row's
     result depends on that row alone. The farthest ball is a running
-    select: each ball replaces the best so far by ``np.where`` on rows
-    where its gap is strictly larger, which keeps the first of the
-    largest gaps in O(m) memory. Its projection, the face step, is
-    built one coordinate column at a time.
+    select: each ball overwrites the best gap, ball and norm so far in
+    place (``np.putmask``) on rows where its gap is strictly larger,
+    which keeps the first of the largest gaps in O(m) memory; the
+    per-ball arrays are dropped before the batches. Its projection, the
+    face step, is built one coordinate column at a time.
     """
     x = np.atleast_2d(np.asarray(points, dtype=float))
     m, n = x.shape
@@ -251,15 +252,18 @@ def project_points_onto_ballpoly(P: BallPolyhedron, points: np.ndarray):
     # farthest ball (the first of the largest |x - c_i| - r_i, as argmax).
     inside, far = np.ones(m, dtype=bool), np.zeros(m, dtype=int)
     gap, norm = np.full(m, -np.inf), np.full(m, np.nan)
+    better = np.empty(m, dtype=bool)
     for i in range(len(P)):
         d2 = _sq_dist(x, c[i])
         inside &= d2 <= r[i] ** 2
         dist = np.sqrt(d2, out=d2)
         g = dist - r[i]
-        better = g > gap
-        gap, far = np.where(better, g, gap), np.where(better, i, far)
-        norm = np.where(better, dist, norm)
+        np.greater(g, gap, out=better)
+        np.putmask(gap, better, g)
+        np.putmask(far, better, i)
+        np.putmask(norm, better, dist)
     outside = np.flatnonzero(~inside)
+    del inside, gap, better, d2, dist, g
     slack = CANDIDATE_RTOL * float(np.max(r))
     spheres, vertices = [], [np.empty((0, n))]
     for k, q, z, rho in _spheres(P):

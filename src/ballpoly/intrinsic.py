@@ -112,7 +112,9 @@ def mc_volume(P: BallPolyhedron, samples: int, seed: int):
     batch_idx = 0
     while done < samples:
         m = min(MC_BATCH, samples - done)
-        pts = c + r * uniform_in_ball(stream(seed, batch_idx), n, m)
+        pts = uniform_in_ball(stream(seed, batch_idx), n, m)
+        pts *= r  # in place, the bits of c + r * pts
+        pts += c
         hits += int(np.count_nonzero(P.contains(pts)))
         done += m
         batch_idx += 1
@@ -190,9 +192,13 @@ def fit_intrinsic_volumes(
     max r of every ball, so x is at least |x - c_i| - r_i - s from its
     nearest point for every i, and a point outside some ball grown by
     the largest epsilon plus 2s counts in no p_k, rounding included; it
-    gets distance inf. V_n is cross-checked against an independent
-    hit-or-miss volume estimate (stored on the result). An empty
-    intersection returns the all-zero vector by convention.
+    gets distance inf. The cloud is scaled into the bounding ball in
+    place, and it is cut to its near rows before the distance step, so
+    the full cloud is not live while the map runs; ``dists`` keeps the
+    full length, since p_k divides by the sample count. V_n is
+    cross-checked against an independent hit-or-miss volume estimate
+    (stored on the result). An empty intersection returns the all-zero
+    vector by convention.
     """
     n = P.dimension
     if grid is None:
@@ -203,11 +209,14 @@ def fit_intrinsic_volumes(
 
     v_bb = omega(n) * grid.bounding_radius**n
     rng = stream(seed, 0)
-    pts = grid.bounding_center + grid.bounding_radius * uniform_in_ball(rng, n, grid.samples)
+    pts = uniform_in_ball(rng, n, grid.samples)
+    pts *= grid.bounding_radius  # in place, the bits of c + r * pts
+    pts += grid.bounding_center
     s = CANDIDATE_RTOL * float(np.max(P.radii))
     near = P.contains(pts, float(grid.eps[-1]) + 2.0 * s)
-    dists = np.full(pts.shape[0], np.inf)
-    dists[near] = distances_to_ballpoly(P, pts[near])[0]
+    pts = pts[near]
+    dists = np.full(near.size, np.inf)
+    dists[near] = distances_to_ballpoly(P, pts)[0]
     values, stderr = steiner_fit_from_distances(dists, v_bb, grid.eps, n)
     crosscheck = mc_volume(P, grid.samples, seed + 1)
     return IntrinsicVolumeVector(values, stderr, vn_crosscheck=crosscheck)

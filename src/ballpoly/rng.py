@@ -43,18 +43,24 @@ def uniform_in_ball(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     """Sample ``size`` points uniformly in the unit ball of R^n.
 
     Gaussian direction times a Beta-distributed radius; exact, no
-    rejection. The Gaussian draw is scaled in place one coordinate
-    column at a time, g_j / |g| * radius: the bits of the row form
-    ``g / norms[:, None] * radii[:, None]`` without its broadcast
-    temporaries.
+    rejection. Everything is computed in place: the square root of the
+    squared norms, the power of the uniform radii (``**=``, so n = 2
+    takes numpy's square-root path as ``**`` does) and the scaling of
+    the Gaussian draw one coordinate column at a time,
+    g_j = g_j / |g| * radius. The bits are those of the row form
+    ``g / norms[:, None] * radii[:, None]``, without its temporaries.
     """
     g = rng.standard_normal((size, n))
-    norms = np.sqrt(_sq_dist(g, 0.0))
+    norms = _sq_dist(g, 0.0)
+    np.sqrt(norms, out=norms)
     # Guard the (measure-zero) all-zero draw.
     norms[norms == 0.0] = 1.0
-    radii = rng.random(size) ** (1.0 / n)
+    radii = rng.random(size)
+    radii **= 1.0 / n
     for j in range(n):
-        g[:, j] = g[:, j] / norms * radii
+        col = g[:, j]
+        col /= norms
+        col *= radii
     return g
 
 

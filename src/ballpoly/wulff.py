@@ -18,6 +18,7 @@ its grid, and ``mean_width() / 2`` is the sphere mean of f.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -101,7 +102,20 @@ def wulff_shape(K: SupportBody) -> SupportBody:
     of the grid, so in B(0, 2 max f) on any uniform grid of at least
     three directions. A vertex on the box means W(f) is unbounded on
     its grid (or reaches past 4 max f, when g > 2 acos(1/4)): a
-    ValueError."""
+    ValueError.
+
+    Lines through a corner within the clip's slack e can still leave a
+    near-copy of it: where two lines at angle a cross, a slack of e
+    across them moves their crossing by up to e / sin a along them, and
+    a is at least the smallest positive gap of the grid. A vertex within
+    that distance of the last vertex kept, cyclically, is dropped."""
+    return SupportBody.polytope(_wulff_vertices(K), K.grid)
+
+
+def _wulff_vertices(K: SupportBody) -> np.ndarray:
+    """The vertices (CCW) of ``wulff_shape``: the clip, its box check,
+    and the near-copies dropped; e is ``clip_vertices``' slack for K's
+    offsets in the box."""
     if K.dimension != 2:
         raise UnsupportedDimension("Wulff shapes are built in the plane only")
     _check_boundary(K, np.inf)
@@ -110,7 +124,18 @@ def wulff_shape(K: SupportBody) -> SupportBody:
     if np.max(np.abs(verts)) >= bound:
         raise ValueError(f"W(f) is unbounded on its grid of {len(K.grid)} directions: "
                          f"a vertex lies on the box [-{bound:.6g}, {bound:.6g}]^2")
-    return SupportBody.polytope(verts, K.grid)
+    d = K.grid.directions
+    angles = np.sort(np.arctan2(d[:, 1], d[:, 0]))
+    gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
+    slack = polytope.CLIP_EPS * max(float(np.max(np.abs(K.values))), bound)
+    tol = slack / math.sin(float(np.min(gaps[gaps > 0.0])))
+    kept = [0]
+    for i in range(1, len(verts)):
+        if math.dist(verts[i], verts[kept[-1]]) > tol:
+            kept.append(i)
+    if len(kept) > 1 and math.dist(verts[kept[0]], verts[kept[-1]]) <= tol:
+        kept.pop()
+    return verts[kept]
 
 
 def ballpoly_approx(K: SupportBody, R: float) -> BallPolyhedron:

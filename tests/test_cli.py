@@ -10,6 +10,7 @@ import inspect
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -543,13 +544,13 @@ class TestMoments:
         # Trial values depend only on the seed and the trial index, so a
         # forked run must reproduce the single-process metrics bit for bit.
         contexts = []
-        get_context = dm.mp.get_context
+        get_context = multiprocessing.get_context
 
         def spy(method=None):
             contexts.append(method)
             return get_context(method)
 
-        monkeypatch.setattr(dm.mp, "get_context", spy)
+        monkeypatch.setattr(multiprocessing, "get_context", spy)
         metrics = {}
         for workers in (1, 2):
             out = tmp_path / str(workers)
@@ -646,7 +647,7 @@ SCIPY_FREE = ["dominance-ball", "dominance-ball/steiner-3d", "dominance-cube", "
 # Configs that build a hull with Qhull: 3-D circumscription.
 QHULL = ["minimize/exact-hull-3d", "minimize/3d-j2", "schneider/3d"]
 
-SCIPY_PROBE = textwrap.dedent("""
+MODULES_PROBE = textwrap.dedent("""
     import importlib, json, pkgutil, sys
     import ballpoly
     from ballpoly import cli
@@ -654,25 +655,38 @@ SCIPY_PROBE = textwrap.dedent("""
         importlib.import_module("ballpoly." + module.name)
     for i, path in enumerate(sys.argv[1:]):
         assert cli.main([path, "--out", f"out{i}"]) == 0, path
-    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+    print(json.dumps(sorted(sys.modules)))
 """)
 
 
-def scipy_modules_after(names, tmp_path) -> list:
-    """The scipy modules loaded by a fresh interpreter (this test process
-    has scipy loaded already) after it runs the smoke configs ``names``."""
+def probe_env() -> dict:
+    src = str(Path(ballpoly.__file__).resolve().parent.parent)
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def modules_after(names, tmp_path) -> list:
+    """The modules loaded by a fresh interpreter (this test process has
+    scipy and multiprocessing loaded already) after it imports every
+    ballpoly module and runs the smoke configs ``names``."""
     paths = []
     for name in names:
         path = tmp_path / (name.replace("/", "-") + ".yaml")
         path.write_text(yaml.safe_dump(smoke_doc(name)))
         paths.append(str(path))
-    src = str(Path(ballpoly.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *paths], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", MODULES_PROBE, *paths], cwd=tmp_path,
+                          env=probe_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def in_package(modules, package) -> list:
+    return [m for m in modules if m.split(".")[0] == package]
+
+
+@pytest.fixture(scope="module")
+def scipy_free_modules(tmp_path_factory) -> list:
+    return modules_after(SCIPY_FREE, tmp_path_factory.mktemp("scipy-free"))
 
 
 class TestColdStart:
@@ -682,11 +696,24 @@ class TestColdStart:
         assert not set(SCIPY_FREE) & set(QHULL)
         assert set(SMOKE) == set(SCIPY_FREE) | set(QHULL)
 
-    def test_scipy_free_kinds_do_not_import_scipy(self, tmp_path):
-        assert scipy_modules_after(SCIPY_FREE, tmp_path) == []
+    def test_scipy_free_kinds_do_not_import_scipy(self, scipy_free_modules):
+        assert in_package(scipy_free_modules, "scipy") == []
+
+    def test_single_process_runs_do_not_import_multiprocessing(self, scipy_free_modules):
+        # Only the pool branch of run_trials (workers > 1) needs it.
+        assert all(smoke_doc(name)["workers"] == 1 for name in SCIPY_FREE)
+        assert in_package(scipy_free_modules, "multiprocessing") == []
+
+    def test_library_import_does_not_import_argparse(self, tmp_path):
+        # Only cli.main parses arguments.
+        probe = "import json, sys; import ballpoly.cli; print(json.dumps(sorted(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=probe_env(),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert in_package(json.loads(proc.stdout), "argparse") == []
 
     def test_3d_circumscription_loads_qhull_only(self, tmp_path):
-        modules = scipy_modules_after(["minimize/exact-hull-3d"], tmp_path)
+        modules = in_package(modules_after(["minimize/exact-hull-3d"], tmp_path), "scipy")
         assert "scipy.spatial" in modules
         assert not [m for m in modules if m.startswith("scipy.optimize")]
 

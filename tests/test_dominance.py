@@ -1,6 +1,7 @@
 """Dominance experiments: survival curves, extremizer checks, moments."""
 
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -111,7 +112,7 @@ class TestRunTrials:
         class SerialContext:
             Pool = SerialPool
 
-        monkeypatch.setattr(dm.mp, "get_context", lambda method: SerialContext)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: SerialContext)
         kw = dict(n=2, N=3, R=3.0, j=2, density=unit_area_square(), seed=29)
         for workers, trials, size in ((64, 300, min(2, cpus)),
                                       (5000, cpus * TRIAL_BLOCK + 1, cpus)):

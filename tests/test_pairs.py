@@ -84,6 +84,7 @@ def test_json_summary_of_canned_runs(pairs, monkeypatch, tmp_path, capsys):
         return {"wall_s": walls[checkout.name][seed - 601], "setup_s": 0.2, "peak_rss_mb": 40.0}
 
     monkeypatch.setattr(pairs, "run_once", run_once)
+    monkeypatch.setattr(pairs, "run_layers", lambda *args: {"intrinsic.fit.calls": 1.0})
     out = tmp_path / "pairs.json"
     assert pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
                        "circumscribe", "--seed", "601", "--json", str(out)]) == 0
@@ -100,3 +101,49 @@ def test_json_summary_of_canned_runs(pairs, monkeypatch, tmp_path, capsys):
     printed = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert printed[-3][:2] == ["wall_s", f"{med:.4g}"]
     assert printed[-3][-4:] == ["won", "9/10", "gain", "holds"]
+
+
+def test_json_records_one_traced_run_per_side(pairs, monkeypatch, tmp_path, capsys):
+    # Both kinds of run are canned, and a started process fails the test.
+    def no_process(*args, **kwargs):
+        raise AssertionError("a benchmark process was started")
+
+    traced = []
+
+    def run_layers(checkout, workload, seed, seconds):
+        traced.append((checkout.name, workload, seed, seconds))
+        return {"geometry.dykstra.calls": {"parent": 40.0, "change": 38.0}[checkout.name],
+                "intrinsic.fit.self_s": {"parent": 0.25, "change": 0.2}[checkout.name]}
+
+    monkeypatch.setattr(pairs.subprocess, "run", no_process)
+    monkeypatch.setattr(pairs, "run_once",
+                        lambda *args: {"wall_s": 0.04, "setup_s": 0.2, "peak_rss_mb": 40.0})
+    monkeypatch.setattr(pairs, "run_layers", run_layers)
+    out = tmp_path / "pairs.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "steiner-3d",
+            "--pairs", "3", "--seed", "901"]
+    assert pairs.main(argv) == 0
+    assert traced == [] and not out.exists()  # no --json, no traced run
+    assert pairs.main(argv + ["--json", str(out)]) == 0
+    seconds = pairs.benchmark()["run_seconds"]
+    assert traced == [("parent", "steiner-3d", 901, seconds), ("change", "steiner-3d", 901, seconds)]
+    layers = json.loads(out.read_text())["layers"]
+    assert layers == {"seed": 901,
+                      "parent": {"geometry.dykstra.calls": 40.0, "intrinsic.fit.self_s": 0.25},
+                      "change": {"geometry.dykstra.calls": 38.0, "intrinsic.fit.self_s": 0.2}}
+    printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["geometry.dykstra.calls", "40", "->", "38"] in printed
+    assert ["intrinsic.fit.self_s", "0.25", "->", "0.2"] in printed
+
+
+def test_a_failed_traced_run_exits_1(pairs, monkeypatch, tmp_path):
+    def run_layers(checkout, workload, seed, seconds):
+        raise RuntimeError(f"{checkout}: seed {seed} failed")
+
+    monkeypatch.setattr(pairs, "run_once",
+                        lambda *args: {"wall_s": 0.04, "setup_s": 0.2, "peak_rss_mb": 40.0})
+    monkeypatch.setattr(pairs, "run_layers", run_layers)
+    out = tmp_path / "pairs.json"
+    assert pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
+                       "steiner-3d", "--pairs", "1", "--json", str(out)]) == 1
+    assert not out.exists()

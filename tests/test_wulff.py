@@ -82,6 +82,20 @@ class TestWulffShape:
         assert np.max(np.abs(verts - corner)) < 1e-9
         assert len(np.unique(corner, axis=0)) == 4
 
+    @pytest.mark.parametrize("m", [720, 2048])
+    def test_wulff_square_drops_the_near_copy_corner(self, m):
+        # The clip leaves two copies of a corner 1e-10 apart; W(f) keeps
+        # one, and its support moves by less than their distance.
+        K = square(m)
+        verts = wulff._wulff_vertices(K)
+        assert len(verts) == 4
+        assert len(np.unique(np.sign(verts), axis=0)) == 4
+        clipped = SupportBody.polytope(
+            polytope.clip_polygon(K.grid.directions, K.values, 4.0 * float(np.max(K.values))),
+            K.grid)
+        probe = DirectionGrid.uniform_2d(1024).directions
+        assert np.max(np.abs(wulff.wulff_shape(K).support(probe) - clipped.support(probe))) < 1e-9
+
     def test_unbounded_on_its_grid_raises(self):
         # Three directions spanning 1 rad bound W(f) on one side only.
         angles = np.array([0.0, 0.5, 1.0])

@@ -15,13 +15,17 @@ them, and the medians apart by more than the distance between the
 parent's quartiles. A run whose gates fail stops the comparison with
 exit status 1. ``--json PATH`` also writes the summary to PATH (see
 ``report``): the runs of each side and, per metric, each side's median
-and quartiles, the pairs won and the gain verdict.
+and quartiles, the pairs won and the gain verdict. With ``--json`` each
+side then makes one ``--trace 1`` run at the first seed, and the file
+records its per-layer metrics under ``layers``, so that the layer costs
+sit next to the end-to-end pairs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -90,9 +94,20 @@ def report(workload: str, seed: int, parent: List[Dict[str, float]],
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Dict[str, float]:
     """One untraced benchmark run; its end-to-end metrics."""
+    return run_metrics(checkout, workload, seed, seconds, trace=0)
+
+
+def run_layers(checkout: Path, workload: str, seed: int, seconds: float) -> Dict[str, float]:
+    """One traced benchmark run; its per-layer metrics."""
+    return run_metrics(checkout, workload, seed, seconds, trace=1)
+
+
+def run_metrics(checkout: Path, workload: str, seed: int, seconds: float,
+                trace: int) -> Dict[str, float]:
+    """The metrics of one benchmark run with ``--trace trace``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     report = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
@@ -128,6 +143,18 @@ def main(argv=None) -> int:
             print(f"pair {k:>2} seed {seed} {side:<6} "
                   + "  ".join(f"{name} {metrics[name]:.4g}" for name in lower), flush=True)
     summary = report(args.workload, args.seed, runs["parent"], runs["change"], lower)
+    if args.json:
+        try:
+            layers = {side: run_layers(sides[side], args.workload, args.seed, seconds)
+                      for side in ("parent", "change")}
+        except RuntimeError as exc:
+            print(exc, file=sys.stderr)
+            return 1
+        summary["layers"] = {"seed": args.seed, **layers}
+        print(f"{args.workload}: per layer, one traced run per side at seed {args.seed}, "
+              "parent -> change")
+        for name, value in layers["parent"].items():
+            print(f"  {name:<36} {value:.4g} -> {layers['change'].get(name, math.nan):.4g}")
     print(f"{args.workload}: {args.pairs} pairs, parent -> change, median [quartiles]")
     for name, m in summary["metrics"].items():
         pq, cq = m["parent"], m["change"]
