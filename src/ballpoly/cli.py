@@ -14,6 +14,7 @@ directory (CSV curves plus a YAML summary that reloads as a config).
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -204,8 +205,6 @@ def run(cfg: RunConfig):
 
 
 def main(argv=None) -> int:
-    import argparse  # here, so that importing the library does not load it
-
     parser = argparse.ArgumentParser(
         prog="ballpoly",
         description="Run a configured ball-polyhedron experiment.",

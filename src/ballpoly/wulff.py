@@ -114,8 +114,7 @@ def wulff_shape(K: SupportBody) -> SupportBody:
 
 def _wulff_vertices(K: SupportBody) -> np.ndarray:
     """The vertices (CCW) of ``wulff_shape``: the clip, its box check,
-    and the near-copies dropped; e is ``clip_vertices``' slack for K's
-    offsets in the box."""
+    and the near-copies dropped."""
     if K.dimension != 2:
         raise UnsupportedDimension("Wulff shapes are built in the plane only")
     _check_boundary(K, np.inf)
@@ -127,7 +126,8 @@ def _wulff_vertices(K: SupportBody) -> np.ndarray:
     d = K.grid.directions
     angles = np.sort(np.arctan2(d[:, 1], d[:, 0]))
     gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
-    slack = polytope.CLIP_EPS * max(float(np.max(np.abs(K.values))), bound)
+    # clip_vertices' slack: f is positive, so bound = 4 max f is its larger term.
+    slack = polytope.CLIP_EPS * bound
     tol = slack / math.sin(float(np.min(gaps[gaps > 0.0])))
     kept = [0]
     for i in range(1, len(verts)):

@@ -18,7 +18,9 @@ exit status 1. ``--json PATH`` also writes the summary to PATH (see
 and quartiles, the pairs won and the gain verdict. With ``--json`` each
 side then makes one ``--trace 1`` run at the first seed, and the file
 records its per-layer metrics under ``layers``, so that the layer costs
-sit next to the end-to-end pairs.
+sit next to the end-to-end pairs. The pairs' summary is printed and
+written before these runs: if one fails, the file keeps the summary
+without ``layers`` and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -143,26 +145,27 @@ def main(argv=None) -> int:
             print(f"pair {k:>2} seed {seed} {side:<6} "
                   + "  ".join(f"{name} {metrics[name]:.4g}" for name in lower), flush=True)
     summary = report(args.workload, args.seed, runs["parent"], runs["change"], lower)
-    if args.json:
-        try:
-            layers = {side: run_layers(sides[side], args.workload, args.seed, seconds)
-                      for side in ("parent", "change")}
-        except RuntimeError as exc:
-            print(exc, file=sys.stderr)
-            return 1
-        summary["layers"] = {"seed": args.seed, **layers}
-        print(f"{args.workload}: per layer, one traced run per side at seed {args.seed}, "
-              "parent -> change")
-        for name, value in layers["parent"].items():
-            print(f"  {name:<36} {value:.4g} -> {layers['change'].get(name, math.nan):.4g}")
     print(f"{args.workload}: {args.pairs} pairs, parent -> change, median [quartiles]")
     for name, m in summary["metrics"].items():
         pq, cq = m["parent"], m["change"]
         print(f"  {name:<12} {pq['median']:.4g} [{pq['q1']:.4g}, {pq['q3']:.4g}] -> "
               f"{cq['median']:.4g} [{cq['q1']:.4g}, {cq['q3']:.4g}]  "
               f"won {m['won']}/{m['pairs']}  gain {'holds' if m['gain'] else 'not shown'}")
-    if args.json:
-        args.json.write_text(json.dumps(summary, indent=2) + "\n")
+    if not args.json:
+        return 0
+    args.json.write_text(json.dumps(summary, indent=2) + "\n")
+    try:
+        layers = {side: run_layers(sides[side], args.workload, args.seed, seconds)
+                  for side in ("parent", "change")}
+    except RuntimeError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    summary["layers"] = {"seed": args.seed, **layers}
+    print(f"{args.workload}: per layer, one traced run per side at seed {args.seed}, "
+          "parent -> change")
+    for name, value in layers["parent"].items():
+        print(f"  {name:<36} {value:.4g} -> {layers['change'].get(name, math.nan):.4g}")
+    args.json.write_text(json.dumps(summary, indent=2) + "\n")
     return 0
 
 
