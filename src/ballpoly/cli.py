@@ -118,8 +118,8 @@ def _run_minimize(cfg: RunConfig):
 
     p = cfg.params
     res = ex.minimize_mjN(cfg.built["run"], seed=cfg.seed, **given(p, "restarts", "max_fev"))
-    # The objective is exact, so "stderr" (and "lhs_stderr" of schneider)
-    # is 0.0; the keys stay for readers of the record, perfbench among them.
+    # The objective is exact, so "stderr" is 0.0; the key stays because
+    # perfbench reads it as the run's estimator error.
     metrics = {
         "value": res.value, "stderr": 0.0,
         "restarts": len(res.trace), "best_restart": res.best_restart,
@@ -136,7 +136,7 @@ def _run_schneider(cfg: RunConfig):
     rep = ex.schneider_check(cfg.built["run"], seed=cfg.seed, **given(cfg.params, "restarts"))
     metrics = {
         "lhs": rep.lhs, "rhs": rep.rhs, "margin": rep.margin,
-        "lhs_stderr": 0.0, "rhs_source": rep.rhs_source,
+        "rhs_source": rep.rhs_source,
         "consistent": bool(rep.margin >= 0.0),
     }
     return metrics, [], 0
@@ -168,15 +168,13 @@ def _run_hull_bridge(cfg: RunConfig):
 
     p = {**cfg.params, **cfg.built}
     rep = ex.hull_dominance_bridge(
-        p["density_a"], p["density_b"], N=p["N"], trials=p["trials"], R=p["R"], seed=cfg.seed,
-        **given(p, "grid_size"),
-    )
+        p["density_a"], p["density_b"], N=p["N"], trials=p["trials"], R=p["R"], seed=cfg.seed)
     metrics = {
         "direct_mean": rep.direct_mean, "deficit_mean": rep.deficit_mean,
         "direct_stderr": rep.direct_stderr,
         "dominance_margin": rep.dominance_margin,
         "dominance_sigma": rep.dominance_sigma,
-        "agreement": rep.agreement, "radius": rep.radius,
+        "agreement": rep.agreement,
     }
     return metrics, [], 0
 

@@ -22,7 +22,9 @@ function of the ``SupportBody`` it builds, on the spec's ``grid_size``
 or else on the run's default grid (``WULFF_GRID_SIZE``). One rule checks
 that f, or a ``moments`` body, is positive and below R;
 ``wulff-convergence`` also needs a planar f on at least three
-directions, while ``vr-asymptotics`` takes f in any dimension.
+directions, while ``vr-asymptotics`` takes f in any dimension. Another
+checks that every ``R`` or ``R_list`` entry keeps the ball volume
+omega_n R^n a finite float in the run's dimension.
 Validation then builds the object the run executes, an
 ``ExperimentConfig`` or a ``CircumscriptionProblem``: its constructor is
 the one place that checks the rules between its keys and fills in the
@@ -37,6 +39,7 @@ A previously written summary document (which echoes its config under a
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -257,7 +260,6 @@ PARAMS = {
         "R": (_NUM, _positive, REQ),
         "density_a": ("density", None, REQ),
         "density_b": ("density", None, REQ),
-        "grid_size": _COUNT,
     },
 }
 KINDS = tuple(PARAMS)
@@ -335,6 +337,16 @@ def _check_spec(spec, family: str, where: str, errors: List[str],
     return obj
 
 
+def _ball_volume_is_finite(R: float, n: int) -> bool:
+    """Whether omega_n R^n is a finite float (a float power raises on overflow)."""
+    from .intrinsic import omega
+
+    try:
+        return math.isfinite(omega(n) * float(R) ** n)
+    except OverflowError:
+        return False
+
+
 def _relations(kind: str, p: dict, built: dict) -> List[str]:
     """Rules between the keys of a params block that passed its table
     and that no library constructor checks; dimensions and the boundary
@@ -343,6 +355,18 @@ def _relations(kind: str, p: dict, built: dict) -> List[str]:
     from .wulff import _check_boundary
 
     errors = []
+    # The runs compute the ball volume omega_n R^n of every radius in the
+    # run's dimension: that of its built specs (a density against the
+    # run's n is checked below), or of the gorbovickis points.
+    for R_key in ("R", "R_list"):
+        if R_key in p:
+            n = (len(p["points"][0]) if kind == "gorbovickis"
+                 else max(obj.dimension for obj in built.values()))
+            for R in np.atleast_1d(p[R_key]).tolist():
+                if not _ball_volume_is_finite(R, n):
+                    errors.append(f"params: key '{R_key}': the volume of a ball of radius "
+                                  f"{R!r} in dimension {n} is not a finite float")
+                    break
     if kind == "moments" or kind in WULFF_GRID_SIZE:
         # The run's boundary function (the body's h_K, or f on the run's
         # grid) against the smallest R the run uses.

@@ -20,6 +20,12 @@ n*omega_n times the sphere-average of the hull's support function,
 which the planar closed-form oracle pins down (that is half of
 n*omega_n*w under the mean-width convention w = 2*integral of h; the
 reports carry the note rather than silently picking a side).
+
+The hull bridge estimates the expected mean width of random planar
+hulls twice per trial: exactly, as the hull's perimeter over pi
+(Cauchy's formula), and from the deficit at one R, which sits O(1/R)
+below it, since in the plane
+vol = pi R^2 - R per(conv) + V_2(conv) + O(1/R).
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import numpy as np
 
 from . import exact2d, polytope
 from .errors import UnboundedConfiguration, UnsupportedDimension
-from .geometry import BallPolyhedron, DirectionGrid, SupportBody, _sq_dist
+from .geometry import BallPolyhedron, SupportBody, _sq_dist
 from .intrinsic import mc_volume, omega
 from .neldermead import _nelder_mead
 from .rng import stream, uniform_on_sphere
@@ -277,6 +283,15 @@ class DeficitReport:
     note: str = NORMALIZATION_NOTE
 
 
+def _deficit_terms(vol: float, R: float, n: int):
+    """The deficit coefficient (omega_n R^n - vol) / R^{n-1} of a ball
+    intersection of volume ``vol``, and the support-mean functional
+    coefficient / (n omega_n) it implies: the one formula behind both
+    ``gorbovickis_deficit`` and the bridge's deficit side."""
+    coeff = (omega(n) * R**n - vol) / R ** (n - 1)
+    return coeff, coeff / (n * omega(n))
+
+
 def gorbovickis_deficit(points: np.ndarray, R: float, samples: int = 0,
                         seed: int = 0) -> DeficitReport:
     """Volume deficit of the intersection of congruent balls around
@@ -302,11 +317,10 @@ def gorbovickis_deficit(points: np.ndarray, R: float, samples: int = 0,
         vol, se = exact2d.disk_region(P.centers, P.radii).area, 0.0
     else:
         vol, se = mc_volume(P, samples, seed)
-    deficit = omega(n) * R**n - vol
-    coeff = deficit / R ** (n - 1)
+    coeff, width = _deficit_terms(vol, R, n)
     return DeficitReport(
         volume=vol, volume_stderr=se, deficit_coefficient=float(coeff),
-        width_functional=float(coeff / (n * omega(n))), warning=warning,
+        width_functional=float(width), warning=warning,
     )
 
 
@@ -318,16 +332,39 @@ class HullBridgeReport:
     dominance_margin: float
     dominance_sigma: float
     agreement: dict
-    radius: float
+
+
+def _hull_mean_width(pts: np.ndarray) -> float:
+    """Exact mean width of the convex hull of planar points: its
+    perimeter over pi (Cauchy's formula). The hull is the monotone
+    chain of the points in plain floats, its edges summed in order; a
+    segment's hull counts its length twice, coincident points give 0."""
+    ps = sorted(set(map(tuple, pts.tolist())))
+    hull = []
+    for chain in (ps, ps[::-1]):  # the lower chain, then the upper
+        start = len(hull)
+        for x, y in chain:
+            while len(hull) >= start + 2:
+                (x0, y0), (x1, y1) = hull[-2:]
+                if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) > 0.0:
+                    break
+                hull.pop()
+            hull.append((x, y))
+        hull.pop()  # the chain's last point starts the next one
+    perimeter = 0.0
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
+        perimeter += math.hypot(x1 - x0, y1 - y0)
+    return perimeter / math.pi
 
 
 def hull_dominance_bridge(density_a, density_b, N: int, trials: int, R: float,
-                          seed: int = 0, grid_size: int = 512) -> HullBridgeReport:
-    """Expected hull mean width under two sampling densities, estimated
-    two ways per trial: directly from the hull support function on
-    ``grid_size`` uniform directions, and from the ball-volume deficit
-    at radius R (planar, exact oracle). The report's dicts are keyed
-    "a" and "b".
+                          seed: int = 0) -> HullBridgeReport:
+    """Expected hull mean width under two planar sampling densities,
+    estimated two ways per trial: exactly, as the hull's perimeter over
+    pi, and from the ball-volume deficit at radius R (exact arc
+    decomposition), which is biased by O(1/R). Trial t of density i
+    draws its N points from ``stream(seed, t, i)``. The report's dicts
+    are keyed "a" and "b".
 
     The dominance margin is E_a[w] - E_b[w] (direct estimates) with its
     combined standard error; ``agreement`` reports the relative gap
@@ -336,15 +373,14 @@ def hull_dominance_bridge(density_a, density_b, N: int, trials: int, R: float,
         raise ValueError(f"R must be positive and finite, got {R}")
     out_direct = {"a": np.empty(trials), "b": np.empty(trials)}
     out_deficit = {"a": np.empty(trials), "b": np.empty(trials)}
-    n = 2
-    grid = DirectionGrid.uniform_2d(grid_size)
+    radii = np.full(N, R)
     for i, (label, dens) in enumerate((("a", density_a), ("b", density_b))):
         for t in range(trials):
             pts = dens.sample(stream(seed, t, i), N)
-            out_direct[label][t] = SupportBody.polytope(pts, grid).mean_width()
-            vol = exact2d.disk_region(pts, np.full(N, R)).area
-            coeff = (omega(n) * R**n - vol) / R ** (n - 1)
-            out_deficit[label][t] = 2.0 * coeff / (n * omega(n))
+            out_direct[label][t] = _hull_mean_width(pts)
+            # The mean width is twice the support mean.
+            vol = exact2d.disk_region(pts, radii).area
+            out_deficit[label][t] = 2.0 * _deficit_terms(vol, R, 2)[1]
     dm = {k: float(np.mean(v)) for k, v in out_direct.items()}
     fm = {k: float(np.mean(v)) for k, v in out_deficit.items()}
     dse = {k: float(np.std(v, ddof=1) / math.sqrt(trials)) for k, v in out_direct.items()}
@@ -354,5 +390,4 @@ def hull_dominance_bridge(density_a, density_b, N: int, trials: int, R: float,
         k: abs(fm[k] - dm[k]) / dm[k] if dm[k] != 0 else 0.0 for k in dm
     }
     return HullBridgeReport(dm, fm, dse, float(margin),
-                            float(margin / sigma) if sigma > 0 else np.inf,
-                            agreement, R)
+                            float(margin / sigma) if sigma > 0 else np.inf, agreement)

@@ -79,7 +79,7 @@ SMOKE = {
     "gorbovickis/3d": {"points": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                                   [0.0, 0.0, 1.0]],
                        "R_list": [10.0, 20.0], "samples": 20000},
-    "hull-bridge": {"N": 3, "trials": 100, "R": 10.0, "grid_size": 64,
+    "hull-bridge": {"N": 3, "trials": 100, "R": 10.0,
                     "density_a": {"type": "uniform-box", "side": 1.0},
                     "density_b": {"type": "uniform-ball", "radius": 0.5}},
     "minimize/exact-hull-3d": {"body": CUBE_3D, "j": 3, "N": 4, "estimator": "exact-hull-3d",
@@ -121,7 +121,9 @@ BAD_CONFIGS = [
                  "missing required key 'a'", id="segment-without-a"),
     pytest.param(smoke_with("wulff-convergence", f={**SQUARE, "grid_size": "x"}), "grid_size",
                  id="grid-size-string"),
-    pytest.param(smoke_with("hull-bridge", grid_size=0), "grid_size", id="grid-size-zero"),
+    # The planar hull's mean width is exact, so hull-bridge has no grid.
+    pytest.param(smoke_with("hull-bridge", grid_size=0), "unknown key 'grid_size'",
+                 id="grid-size-zero"),
     # These used to fail mid-run: a ZeroDivisionError (exit 1) drawing
     # size // 2 = 0 directions in 4-D, and Qhull (exit 3) on an unbounded
     # Wulff shape.
@@ -192,6 +194,17 @@ BAD_CONFIGS = [
     pytest.param({"kind": "selftest", "seed": 0}, "key 'kind'", id="selftest-kind"),
     pytest.param(smoke_with("dominance-ball", density={"type": "uniform-ball", "radius": 10**400}),
                  "key 'radius'", id="radius-beyond-float"),
+    # A radius whose ball volume omega_n R^n is no finite float: these
+    # used to fail mid-run (an OverflowError, a ZeroDivisionError, curves
+    # on different s-grids) or write infinite residuals. Every kind whose
+    # table takes a radius is covered; 1e110 overflows only in 3-D.
+    *[pytest.param(smoke_with(kind, **{key: [1e200, 1e201] if key == "R_list" else 1e200}),
+                   f"params: key '{key}': the volume of a ball of radius 1e+200 in dimension",
+                   id=f"{kind}-{key}-overflow")
+      for kind, table in config.PARAMS.items() for key in ("R", "R_list") if key in table],
+    pytest.param(smoke_with("gorbovickis/3d", R_list=[10.0, 1e110]),
+                 "params: key 'R_list': the volume of a ball of radius 1e+110 in dimension 3",
+                 id="gorbovickis-3d-R-list-overflow"),
     # R against the largest value of the boundary function (or support
     # function) on the grid the run builds: these used to exit 3 mid-run.
     pytest.param({"kind": "vr-asymptotics", "seed": 1, "params": {

@@ -10,8 +10,9 @@ import pytest
 from scipy.optimize import minimize
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
+from ballpoly import exact2d
 from ballpoly import extremal as ex
-from ballpoly.config import build_body
+from ballpoly.config import build_body, build_density
 from ballpoly.errors import UnboundedConfiguration, UnsupportedDimension
 from ballpoly.geometry import DirectionGrid, SupportBody
 from ballpoly.neldermead import _nelder_mead
@@ -399,8 +400,75 @@ class TestGorbovickis:
         assert rep.volume == 0.0
 
 
+UNIT_SQUARE = build_density({"type": "uniform-box", "side": 1.0})
+AREA_ONE_DISK = build_density({"type": "uniform-ball", "radius": 1.0 / math.sqrt(math.pi)})
+
+
+class TestHullMeanWidth:
+    def test_square_with_interior_points(self):
+        pts = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0], [0.2, 0.7], [1.0, 1.0], [0.0, 1.0]])
+        assert ex._hull_mean_width(pts) == 4.0 / math.pi
+
+    def test_collinear_triple_counts_the_segment_twice(self):
+        pts = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 6.0]])
+        assert ex._hull_mean_width(pts) == 2.0 * math.hypot(3.0, 6.0) / math.pi
+
+    def test_repeated_point_has_width_zero(self):
+        assert ex._hull_mean_width(np.array([[0.3, 0.4]] * 3)) == 0.0
+
+    def test_point_order_does_not_matter(self):
+        rng = stream(37, 0)
+        pts = rng.random((9, 2))
+        want = ex._hull_mean_width(pts)
+        assert all(ex._hull_mean_width(rng.permutation(pts)) == want for _ in range(20))
+
+    @pytest.mark.parametrize("N", [2, 3, 9])
+    def test_matches_a_fine_direction_grid(self, N):
+        grid = DirectionGrid.uniform_2d(4096)
+        for k in range(20):
+            pts = stream(38, N, k).random((N, 2))
+            want = SupportBody.polytope(pts, grid).mean_width()
+            assert ex._hull_mean_width(pts) == pytest.approx(want, rel=1e-6)
+
+
 class TestHullBridge:
     @pytest.mark.parametrize("R", [0.0, -1.0, math.inf])
     def test_radius_must_be_positive_and_finite(self, R):
         with pytest.raises(ValueError, match="R must be positive"):
             ex.hull_dominance_bridge(None, None, 3, 100, R)
+
+    def test_each_trial_is_the_hull_width_and_the_gorbovickis_deficit(self):
+        # Trial t of density i draws from stream(seed, t, i); the deficit
+        # side is gorbovickis_deficit's width functional, doubled.
+        N, trials, R, seed = 3, 100, 10.0, 4
+        densities = {"a": UNIT_SQUARE, "b": build_density({"type": "uniform-ball", "radius": 0.5})}
+        rep = ex.hull_dominance_bridge(densities["a"], densities["b"], N, trials, R, seed)
+        for i, (label, dens) in enumerate(densities.items()):
+            samples = [dens.sample(stream(seed, t, i), N) for t in range(trials)]
+            direct = np.mean([ex._hull_mean_width(pts) for pts in samples])
+            deficit = np.mean([2 * ex.gorbovickis_deficit(pts, R).width_functional
+                               for pts in samples])
+            assert float(direct).hex() == rep.direct_mean[label].hex()
+            assert float(deficit).hex() == rep.deficit_mean[label].hex()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_direct_means_match_the_exact_mean_widths(self, seed):
+        # Exact E w of the hull of three uniform points (a Gauss-Legendre
+        # quadrature of E max_i <X_i, theta> over the directions).
+        rep = ex.hull_dominance_bridge(UNIT_SQUARE, AREA_ONE_DISK, 3, 4000, 10.0, seed)
+        for label, exact in (("a", 0.49790551), ("b", 0.48780251)):
+            z = (rep.direct_mean[label] - exact) / rep.direct_stderr[label]
+            assert abs(z) < 4.0, (label, z)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_planar_second_term_falls_as_one_over_R(self, k):
+        # V_2(intersection of B(X_i, R)) = pi R^2 - R per(conv) + V_2(conv)
+        # + O(1/R): the remainder shrinks by about 4 from R to 4R.
+        pts = stream(39, k).random((9, 2))
+        perimeter, area = math.pi * ex._hull_mean_width(pts), ConvexHull(pts).volume
+
+        def remainder(R):
+            vol = exact2d.disk_region(pts, np.full(len(pts), R)).area
+            return vol - math.pi * R**2 + R * perimeter - area
+
+        assert 0.2 < remainder(40.0) / remainder(10.0) < 0.3
