@@ -27,7 +27,11 @@ conversion is exact, so the values, RNG contract 2 and
 
 Only a run with workers > 1 imports ``multiprocessing``, in
 ``run_trials``'s pool branch: a single-process run never forks, and
-the import costs a cold start about 0.6 MB and 5 ms.
+the import costs a cold start about 0.6 MB and 5 ms. No run imports
+``numpy.ma`` either: the survival grid reads its quantiles from one
+sort of the extremizer's sample (``_auto_grid``) rather than from
+``np.quantile``, whose ``np.unique`` step loads the masked-array package,
+about 1.2 MB of a cold start (numpy 2.4).
 """
 
 from __future__ import annotations
@@ -263,8 +267,27 @@ class DominanceReport:
 
 
 def _auto_grid(extremal_values: np.ndarray, count: int) -> np.ndarray:
-    lo = np.quantile(extremal_values, 0.01)
-    hi = np.quantile(extremal_values, 0.99)
+    """``count`` evenly spaced points from the 1% to the 99% point of
+    the extremizer's sample, widened when the two coincide.
+
+    The points are ``np.quantile``'s default 'linear' rule, written out
+    on one sort of the sample: with m values v sorted, h = (m - 1) q,
+    i = floor(h), g = h - i, a = v[i] and b = v[min(i + 1, m - 1)], the
+    point is a + (b - a) g when g < 0.5 and b - (b - a)(1 - g) otherwise
+    (numpy's two-sided ``_lerp``), so the grid has the same bits.
+    ``np.quantile`` itself would pass through ``np.unique``, whose
+    ``np.ma.is_masked`` check imports the whole ``numpy.ma`` package
+    (about 1.2 MB of a cold start) that no dominance run uses."""
+    v = np.sort(extremal_values)
+    last = v.size - 1
+    points = []
+    for q in (0.01, 0.99):
+        h = last * q
+        i = math.floor(h)
+        g = h - i
+        a, b = v[i], v[min(i + 1, last)]
+        points.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1.0 - g))
+    lo, hi = points
     if hi <= lo:
         hi = lo + max(abs(lo), 1.0) * 1e-6
     return np.linspace(lo, hi, count)

@@ -165,7 +165,7 @@ class _Objective:
             poly = polytope.clip_vertices(thetas, offsets, p.penalty_bound)
             if p.j == 2:
                 return polytope.polygon_area(poly)
-            return polytope.polygon_area_perimeter(poly)[1] / 2.0
+            return polytope.polygon_perimeter(poly) / 2.0
         try:
             verts = polytope.halfspace_vertices_3d(thetas, offsets, p.penalty_bound, self.interior)
             return polytope.hull_intrinsic_volumes(verts)[p.j]

@@ -103,24 +103,32 @@ def polygon_area(vertices) -> float:
     return abs(0.5 * cross)
 
 
-def polygon_area_perimeter(vertices):
-    """(area, perimeter) of a simple polygon, in the forms
-    ``polygon_area`` takes; (0.0, 0.0) for fewer than three vertices.
+def polygon_perimeter(vertices) -> float:
+    """Perimeter of a simple polygon, in the forms ``polygon_area``
+    takes; 0.0 for fewer than three vertices.
 
-    The area is ``polygon_area``'s; the perimeter is summed in vertex
-    order as the area is. ``abs(complex(dx, dy))`` is the C library's
-    ``hypot``, as ``np.hypot`` is (``math.hypot`` is CPython's own and
-    differs by an ulp on some edges)."""
+    The edges are summed in vertex order as the area's cross products
+    are. ``abs(complex(dx, dy))`` is the C library's ``hypot``, as
+    ``np.hypot`` is (``math.hypot`` is CPython's own and differs by an
+    ulp on some edges). The planar V_1 objective reads this alone."""
     if isinstance(vertices, np.ndarray):
         vertices = vertices.tolist()
     if len(vertices) < 3:
-        return 0.0, 0.0
+        return 0.0
     perimeter = 0.0
     x, y = vertices[0]
     for xr, yr in vertices[1:] + vertices[:1]:
         perimeter += abs(complex(xr - x, yr - y))
         x, y = xr, yr
-    return polygon_area(vertices), perimeter
+    return perimeter
+
+
+def polygon_area_perimeter(vertices):
+    """(``polygon_area``, ``polygon_perimeter``) of a simple polygon;
+    (0.0, 0.0) for fewer than three vertices."""
+    if isinstance(vertices, np.ndarray):
+        vertices = vertices.tolist()
+    return polygon_area(vertices), polygon_perimeter(vertices)
 
 
 def halfspace_vertices_3d(normals: np.ndarray, offsets: np.ndarray,

@@ -716,6 +716,11 @@ class TestColdStart:
         # Only the pool branch of run_trials (workers > 1) needs it.
         assert in_package(scipy_free_modules, "multiprocessing") == []
 
+    def test_scipy_free_kinds_do_not_import_numpy_ma(self, scipy_free_modules):
+        # np.quantile's np.unique step would load the masked-array
+        # package; the dominance grid sorts its sample once instead.
+        assert [m for m in scipy_free_modules if m.split(".")[:2] == ["numpy", "ma"]] == []
+
     def test_3d_circumscription_loads_qhull_only(self, tmp_path):
         modules = in_package(modules_after(["minimize/exact-hull-3d"], tmp_path), "scipy")
         assert "scipy.spatial" in modules

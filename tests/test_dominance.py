@@ -205,6 +205,34 @@ class TestSurvival:
         assert np.allclose(curve.p, [1.0, 1.0, 0.0])
 
 
+class TestAutoGrid:
+    @staticmethod
+    def quantile_grid(v, count):
+        """The grid as np.quantile gives it, widened as _auto_grid widens."""
+        lo, hi = np.quantile(v, 0.01), np.quantile(v, 0.99)
+        if hi <= lo:
+            hi = lo + max(abs(lo), 1.0) * 1e-6
+        return np.linspace(lo, hi, count)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 99, 100, 101, 4000])
+    @pytest.mark.parametrize("kind", ["continuous", "ties", "constant"])
+    def test_grid_is_np_quantiles_bit_for_bit(self, size, kind):
+        # The sort-once quantiles replay np.quantile's 'linear' rule; ties
+        # put equal values on both sides of an interpolation, and a
+        # constant sample takes the hi <= lo widening.
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            if kind == "continuous":
+                v = rng.exponential(rng.uniform(0.1, 10.0), size)
+            elif kind == "ties":
+                v = rng.integers(0, 4, size) * rng.uniform(0.1, 10.0)
+            else:
+                v = np.full(size, rng.normal())
+            got = dm._auto_grid(v, 20)
+            assert got.tobytes() == self.quantile_grid(v, 20).tobytes()
+            assert kind != "constant" or got[-1] > got[0]
+
+
 class TestVerdicts:
     def test_grid_refinement_cannot_flip_consistent(self):
         rng = np.random.default_rng(7)

@@ -17,7 +17,8 @@ from ballpoly.errors import UnboundedConfiguration, UnsupportedDimension
 from ballpoly.geometry import DirectionGrid, SupportBody
 from ballpoly.neldermead import _nelder_mead
 from ballpoly.polytope import (CLIP_EPS, clip_polygon, clip_vertices, halfspace_vertices_3d,
-                               hull_intrinsic_volumes, polygon_area, polygon_area_perimeter)
+                               hull_intrinsic_volumes, polygon_area, polygon_area_perimeter,
+                               polygon_perimeter)
 from ballpoly.rng import stream, uniform_on_sphere
 
 UNIT_CUBE = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
@@ -128,6 +129,7 @@ class TestAreaPerimeter:
     def test_fewer_than_three_vertices(self, verts):
         assert polygon_area_perimeter(np.asarray(verts)) == (0.0, 0.0)
         assert polygon_area(verts) == polygon_area(np.asarray(verts)) == 0.0
+        assert polygon_perimeter(verts) == polygon_perimeter(np.asarray(verts)) == 0.0
 
     def test_clockwise(self):
         ccw = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
@@ -144,6 +146,16 @@ class TestAreaPerimeter:
             assert len(poly) >= 3
             for verts in (poly, np.array(poly)):
                 assert polygon_area(verts).hex() == polygon_area_perimeter(verts)[0].hex()
+
+    def test_perimeter_alone_is_the_pairs_perimeter(self):
+        # The same 200 clips: the planar V_1 objective reads
+        # polygon_perimeter, with the bits of the pair's perimeter.
+        for seed in range(200):
+            normals, offsets, _ = touching_config(seed)
+            poly = clip_vertices(normals.tolist(), offsets.tolist(), 10.0)
+            assert len(poly) >= 3
+            for verts in (poly, np.array(poly)):
+                assert polygon_perimeter(verts).hex() == polygon_area_perimeter(verts)[1].hex()
 
 
 class TestChart:
