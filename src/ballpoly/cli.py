@@ -54,10 +54,10 @@ def _run_dominance(cfg: RunConfig, cube: bool):
         "worst_gap": v.gap,
         "gap_tolerance": v.tolerance,
         "violation_s": v.violation_s,
-        "alpha": v.alpha,
+        "alpha": exp.alpha,
         "band_test": rep.test_curve.band,
         "band_extremal": rep.extremal_curve.band,
-        "extremizer": rep.extremizer,
+        "extremizer": "uniform-cube" if cube else "uniform-ball",
     }
     curve = _survival_curve_table("survival", rep.test_curve, rep.extremal_curve)
     return metrics, [curve], rep.failed_trials
@@ -70,11 +70,11 @@ def _run_moments(cfg: RunConfig):
     lhs, rhs = dm.moment_samples(cfg.built["run"])
     rows = []
     all_ok = True
-    for pw in p["p_list"]:
-        rep = dm.moment_report(lhs.values, rhs.values, float(pw))
+    for pw in map(float, p["p_list"]):
+        rep = dm.moment_report(lhs.values, rhs.values, pw)
         ok = rep.lhs <= rep.rhs + 3.0 * rep.combined_stderr
         all_ok &= ok
-        rows.append((rep.p, rep.lhs, rep.rhs, rep.lhs_stderr, rep.rhs_stderr,
+        rows.append((pw, rep.lhs, rep.rhs, rep.lhs_stderr, rep.rhs_stderr,
                      rep.margin, rep.combined_stderr))
     metrics = {
         "all_consistent": bool(all_ok),
@@ -157,7 +157,7 @@ def _run_gorbovickis(cfg: RunConfig):
         "deficit_coefficient": rows[-1][1],
         "width_functional": rep.width_functional,
         "volume": rep.volume, "volume_stderr": rep.volume_stderr,
-        "normalization_note": rep.note,
+        "normalization_note": ex.NORMALIZATION_NOTE,
         "warning": rep.warning,
     }
     return metrics, [CurveTable("deficits", ["R", "residual", "stderr"], rows)], 0

@@ -24,7 +24,10 @@ that f, or a ``moments`` body, is positive and below R;
 ``wulff-convergence`` also needs a planar f on at least three
 directions, while ``vr-asymptotics`` takes f in any dimension. Another
 checks that every ``R`` or ``R_list`` entry keeps the ball volume
-omega_n R^n a finite float in the run's dimension.
+omega_n R^n a finite float in the run's dimension, and for
+``gorbovickis`` and ``hull-bridge`` that R stays within
+``DEFICIT_RADIUS_FACTOR`` times the run's scale, where the volume
+deficit still has its digits.
 Validation then builds the object the run executes, an
 ``ExperimentConfig`` or a ``CircumscriptionProblem``: its constructor is
 the one place that checks the rules between its keys and fills in the
@@ -168,10 +171,10 @@ def _is_moment_order(v) -> bool:
 
 
 _COUNT = (int, _at_least(1), OPT)
-# The estimator, j and the trial count of the runs that build an
+# The estimator, j, the trial count and alpha of the runs that build an
 # ExperimentConfig or a CircumscriptionProblem are checked by that
 # constructor (the estimator names one it knows, 1 <= j <= n,
-# trials >= 100), so the tables check only their types.
+# trials >= 100, 0 < alpha < 1), so the tables check only their types.
 _ESTIMATOR = (str, None, OPT)
 _J = (int, None, REQ)
 _TRIALS = (int, None, REQ)
@@ -208,7 +211,7 @@ _DOMINANCE = {
     "R": (_NUM, _positive, REQ),
     "j": _J,
     "trials": _TRIALS,
-    "alpha": (_NUM, lambda v: 0 < v < 1, OPT),
+    "alpha": (_NUM, None, OPT),
     "s_points": (int, _at_least(2), OPT),
     "s_grid": (list, _numbers, OPT),
     "estimator": _ESTIMATOR,
@@ -347,6 +350,20 @@ def _ball_volume_is_finite(R: float, n: int) -> bool:
         return False
 
 
+# The largest R, in units of the run's scale, of a deficit run. The
+# deficit omega_n R^n - vol is the difference of two floats near
+# omega_n R^n, so its rounding error grows like R / scale while the
+# deficit does not. Measured on planar exact volumes: 200 random point
+# sets scaled to diameter 1 kept 6 digits of the coefficient up to
+# R = 10^9.5 and lost all of them at 10^10; the hull bridge with the
+# unit square and the radius-0.5 disk (1,000-4,000 trials, N = 2, 3,
+# 9, 20) agreed with the exact mean width to 7e-8 up to R = 3e8 and was
+# off by a factor 9 at R = 1e9, since a trial's hull can be far smaller
+# than its density's span. At 1e7 the O(1/R) bias is about 1e-8 of the
+# mean width, so larger radii show nothing more.
+DEFICIT_RADIUS_FACTOR = 1e7
+
+
 def _relations(kind: str, p: dict, built: dict) -> List[str]:
     """Rules between the keys of a params block that passed its table
     and that no library constructor checks; dimensions and the boundary
@@ -367,6 +384,22 @@ def _relations(kind: str, p: dict, built: dict) -> List[str]:
                     errors.append(f"params: key '{R_key}': the volume of a ball of radius "
                                   f"{R!r} in dimension {n} is not a finite float")
                     break
+    if kind in ("gorbovickis", "hull-bridge"):
+        # The run's scale: the diameter of the points, or the smaller
+        # 1/sqrt(sup) of the two densities (a mass-one density with sup
+        # a spans at least that).
+        if kind == "gorbovickis":
+            R_key, what, pts = "R_list", "the points' diameter", p["points"]
+            scale = max((math.dist(a, b) for i, a in enumerate(pts) for b in pts[:i]), default=0.0)
+        else:
+            R_key, what = "R", "1/sqrt(sup) of a density"
+            scale = min(built[key].sup_bound ** -0.5 for key in ("density_a", "density_b"))
+        R = max(np.atleast_1d(p[R_key]).tolist())
+        # Coincident points have no scale, and a deficit of 0 to lose.
+        if scale > 0 and R > DEFICIT_RADIUS_FACTOR * scale:
+            errors.append(f"params: key '{R_key}': radius {R!r} is above {DEFICIT_RADIUS_FACTOR:g} "
+                          f"times {what}, {scale:.6g}, where the volume deficit loses its "
+                          f"digits to rounding")
     if kind == "moments" or kind in WULFF_GRID_SIZE:
         # The run's boundary function (the body's h_K, or f on the run's
         # grid) against the smallest R the run uses.

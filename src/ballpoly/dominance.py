@@ -67,7 +67,9 @@ def dkw_band(m: int, alpha: float) -> float:
 
 @dataclass
 class ExperimentConfig:
-    """Parameters of a random ball-polyhedron dominance run."""
+    """Parameters of a random ball-polyhedron dominance run: the one
+    place that checks them and fills in their defaults. The reports a
+    run returns do not repeat them."""
 
     n: int
     N: int
@@ -84,6 +86,11 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.density.dimension != self.n:
+            raise ValueError(f"the density has dimension {self.density.dimension}, "
+                             f"the run needs n={self.n}")
+        if not 0 < self.alpha < 1:
+            raise ValueError(f"alpha must satisfy 0 < alpha < 1 (alpha={self.alpha!r})")
         if not 1 <= self.j <= self.n:
             raise ValueError(f"j must satisfy 1 <= j <= n (j={self.j}, n={self.n})")
         if self.trials < 100:
@@ -105,8 +112,6 @@ class ExperimentConfig:
 
     def densities(self) -> List[Density]:
         """The density of each of the N i.i.d. centres."""
-        if self.density.dimension != self.n:
-            raise ValueError("density dimension mismatch")
         return [self.density] * self.N
 
 
@@ -218,7 +223,6 @@ class SurvivalCurve:
 
     s: np.ndarray
     p: np.ndarray
-    alpha: float
     band: float
 
     @classmethod
@@ -227,7 +231,7 @@ class SurvivalCurve:
         v = np.sort(np.asarray(samples, dtype=float))
         m = v.size
         p = 1.0 - np.searchsorted(v, s_grid, side="right") / m
-        return cls(np.asarray(s_grid, dtype=float), p, alpha, dkw_band(m, alpha))
+        return cls(np.asarray(s_grid, dtype=float), p, dkw_band(m, alpha))
 
 
 @dataclass
@@ -236,7 +240,6 @@ class DominanceVerdict:
     violation_s: Optional[float]
     gap: float              # worst (test - extremal) gap over the grid
     tolerance: float        # sum of the two bands
-    alpha: float
 
     @property
     def label(self) -> str:
@@ -252,9 +255,8 @@ def compare_curves(test: SurvivalCurve, extremal: SurvivalCurve) -> DominanceVer
     tol = test.band + extremal.band
     worst = int(np.argmax(gaps))
     if gaps[worst] > tol:
-        return DominanceVerdict(False, float(test.s[worst]), float(gaps[worst]),
-                                float(tol), test.alpha)
-    return DominanceVerdict(True, None, float(gaps[worst]), float(tol), test.alpha)
+        return DominanceVerdict(False, float(test.s[worst]), float(gaps[worst]), float(tol))
+    return DominanceVerdict(True, None, float(gaps[worst]), float(tol))
 
 
 @dataclass
@@ -263,7 +265,6 @@ class DominanceReport:
     test_curve: SurvivalCurve
     extremal_curve: SurvivalCurve
     failed_trials: int
-    extremizer: str
 
 
 def _auto_grid(extremal_values: np.ndarray, count: int) -> np.ndarray:
@@ -293,8 +294,7 @@ def _auto_grid(extremal_values: np.ndarray, count: int) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _check_extremizer(cfg: ExperimentConfig, extremizer: Density,
-                      label: str) -> DominanceReport:
+def _check_extremizer(cfg: ExperimentConfig, extremizer: Density) -> DominanceReport:
     """Run cfg's trials under its own density and under the extremizer
     (same trial seeds), and compare the survival curves."""
     test = run_trials(cfg)
@@ -302,8 +302,7 @@ def _check_extremizer(cfg: ExperimentConfig, extremizer: Density,
     s = cfg.s_grid if cfg.s_grid is not None else _auto_grid(extremal.values, cfg.s_points)
     tc = SurvivalCurve.from_samples(test.values, s, cfg.alpha)
     ec = SurvivalCurve.from_samples(extremal.values, s, cfg.alpha)
-    return DominanceReport(compare_curves(tc, ec), tc, ec,
-                           test.failed + extremal.failed, label)
+    return DominanceReport(compare_curves(tc, ec), tc, ec, test.failed + extremal.failed)
 
 
 def check_ball_extremizer(cfg: ExperimentConfig) -> DominanceReport:
@@ -313,8 +312,7 @@ def check_ball_extremizer(cfg: ExperimentConfig) -> DominanceReport:
     density on the volume-one centered ball; larger sup bounds use the
     general normalization a*1_{bB} with a the density's sup."""
     sup = cfg.density.sup_bound
-    return _check_extremizer(cfg, ball_extremizer(cfg.n, sup if sup > 1.0 else 1.0),
-                             "uniform-ball")
+    return _check_extremizer(cfg, ball_extremizer(cfg.n, sup if sup > 1.0 else 1.0))
 
 
 def check_cube_extremizer(cfg: ExperimentConfig) -> DominanceReport:
@@ -327,7 +325,7 @@ def check_cube_extremizer(cfg: ExperimentConfig) -> DominanceReport:
     sups = [f.sup_bound for f in d.factors]
     if max(sups) <= 1.0 + 1e-12:
         sups = [1.0] * cfg.n
-    return _check_extremizer(cfg, cube_extremizer(sups), "uniform-cube")
+    return _check_extremizer(cfg, cube_extremizer(sups))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +334,6 @@ def check_cube_extremizer(cfg: ExperimentConfig) -> DominanceReport:
 
 @dataclass
 class MomentReport:
-    p: float
     lhs: float
     rhs: float
     lhs_stderr: float
@@ -406,7 +403,7 @@ def moment_report(lhs_vals: np.ndarray, rhs_vals: np.ndarray, p: float) -> Momen
             )
     lhs, se_l = _p_mean(lhs_vals, p)
     rhs, se_r = _p_mean(rhs_vals, p)
-    return MomentReport(p, lhs, rhs, se_l, se_r)
+    return MomentReport(lhs, rhs, se_l, se_r)
 
 
 def moment_compare(K, R: float, N: int, j: int, p: float, trials: int,

@@ -18,8 +18,9 @@ balls B(x_i, R) behaves for large R like
 omega_n R^n - c(points) R^{n-1} + o(R^{n-1}); the coefficient c equals
 n*omega_n times the sphere-average of the hull's support function,
 which the planar closed-form oracle pins down (that is half of
-n*omega_n*w under the mean-width convention w = 2*integral of h; the
-reports carry the note rather than silently picking a side).
+n*omega_n*w under the mean-width convention w = 2*integral of h; a
+``gorbovickis`` summary carries ``NORMALIZATION_NOTE`` rather than
+silently picking a side).
 
 The hull bridge estimates the expected mean width of random planar
 hulls twice per trial: exactly, as the hull's perimeter over pi
@@ -280,7 +281,6 @@ class DeficitReport:
     deficit_coefficient: float  # deficit / R^{n-1}
     width_functional: float     # deficit / (n omega_n R^{n-1}) -> mean(h_hull)
     warning: Optional[str]
-    note: str = NORMALIZATION_NOTE
 
 
 def _deficit_terms(vol: float, R: float, n: int):

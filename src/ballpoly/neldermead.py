@@ -56,10 +56,9 @@ def _nelder_mead(simplex, maxfev: int, xatol: float, fatol: float, adaptive: boo
     is no NaN and ties no other, the new vertex moves to its
     ``bisect_left`` place, which is the one sorted order of distinct
     values. After a shrink or a step cut short, or on a tie or a NaN,
-    ``reordered`` sorts the whole simplex: Python's ``sorted``, faster
-    than numpy on a handful of floats, and on a tie or a NaN
-    ``np.argsort``'s order, which does not keep tied values in order (a
-    stable sort would part from scipy on ties in flat directions).
+    ``reordered`` sorts the whole simplex in ``np.argsort``'s order,
+    which does not keep tied values in order (a stable sort would part
+    from scipy on ties in flat directions).
     """
     n = len(simplex) - 1
     if adaptive:
@@ -73,13 +72,9 @@ def _nelder_mead(simplex, maxfev: int, xatol: float, fatol: float, adaptive: boo
     def reordered():
         """(sim, fsim, strict) in ``np.argsort``'s order of fsim; strict
         when the sorted values increase strictly (no tie, no NaN)."""
-        ind = sorted(range(n + 1), key=fsim.__getitem__)
+        ind = np.argsort(fsim).tolist()
         f = [fsim[i] for i in ind]
-        strict = all(map(operator.lt, f, f[1:]))
-        if not strict:
-            ind = np.argsort(fsim).tolist()
-            f = [fsim[i] for i in ind]
-        return [sim[i] for i in ind], f, strict
+        return [sim[i] for i in ind], f, all(map(operator.lt, f, f[1:]))
 
     for k in range(min(n + 1, maxfev)):
         nfev += 1

@@ -55,7 +55,7 @@ def clip_vertices(normals, offsets, bound: float) -> list:
         offsets = np.asarray(offsets, dtype=float).tolist()
     b = float(bound)
     poly = [(-b, -b), (b, -b), (b, b), (-b, b)]
-    eps = CLIP_EPS * max(max(map(abs, offsets)), b)
+    eps = CLIP_EPS * max(max(map(abs, offsets), default=0.0), b)
     for (nx, ny), c in zip(normals, offsets):
         if not poly:
             break

@@ -165,8 +165,15 @@ BAD_CONFIGS = [
     pytest.param(smoke_with("dominance-ball", n=3, estimator="steiner-fit", density={
         "type": "uniform-box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}), "params.density: dimension",
         id="planar-density-n3"),
+    pytest.param(smoke_with("dominance-ball", density={"type": "uniform-ball", "radius": 0.5,
+                                                       "n": 3}),
+                 "params.density: dimension 3, the run needs 2", id="3d-density-n2"),
     pytest.param(smoke_with("dominance-ball", n=3, density={"type": "uniform-ball", "radius": 0.5}),
                  "'estimator' 'exact-2d'", id="exact-2d-n3"),
+    # ExperimentConfig checks alpha; 2.0 used to give a band of 0.0 and
+    # 3.0 a math domain error when the library was called directly.
+    *[pytest.param(smoke_with("dominance-ball", alpha=alpha), "params: alpha must satisfy",
+                   id=f"alpha-{alpha}") for alpha in (0, 1.0, 2.0, 3.0)],
     pytest.param(smoke_with("moments", body={"type": "cube", "side": 1.0, "n": 4}),
                  "'estimator' 'exact-2d'", id="exact-2d-4d-body"),
     pytest.param(smoke_with("moments", j=3), "j must satisfy", id="moments-j-above-n"),
@@ -202,6 +209,15 @@ BAD_CONFIGS = [
                    f"params: key '{key}': the volume of a ball of radius 1e+200 in dimension",
                    id=f"{kind}-{key}-overflow")
       for kind, table in config.PARAMS.items() for key in ("R", "R_list") if key in table],
+    # Radii at which the planar deficit had lost its digits: the bridge
+    # read deficit_mean 5.8e7 for a mean width of 0.5, and gorbovickis a
+    # coefficient of 0.0, both with exit 0.
+    pytest.param(smoke_with("hull-bridge", R=1e12),
+                 "params: key 'R': radius 1000000000000.0 is above 1e+07 times 1/sqrt(sup)",
+                 id="hull-bridge-R-beyond-deficit-digits"),
+    pytest.param(smoke_with("gorbovickis", R_list=[1e110, 2e110]),
+                 "params: key 'R_list': radius 2e+110 is above 1e+07 times the points' diameter",
+                 id="gorbovickis-R-list-beyond-deficit-digits"),
     pytest.param(smoke_with("gorbovickis/3d", R_list=[10.0, 1e110]),
                  "params: key 'R_list': the volume of a ball of radius 1e+110 in dimension 3",
                  id="gorbovickis-3d-R-list-overflow"),
@@ -266,6 +282,14 @@ class TestValidation:
     def test_bad_R_list_exits_2(self, R_list, tmp_path, capsys):
         assert run_main(gorbovickis_doc(R_list), tmp_path) == 2
         assert "R_list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points, R", [
+        ([[0.0, 0.0], [3.0, 4.0]], 5e7),  # 1e7 times the diameter
+        ([[1.0, 2.0], [1.0, 2.0]], 1e100),  # coincident points: no deficit to lose
+    ])
+    def test_deficit_radius_bound_is_inclusive_and_scaled(self, points, R):
+        config.validate({"kind": "gorbovickis", "seed": 1,
+                         "params": {"points": points, "R_list": [R]}})
 
     @pytest.mark.parametrize("params", [
         pytest.param({"points": [[0, 0], [1]]}, id="params0"),
@@ -748,6 +772,38 @@ class TestDigest:
         # One ulp in one metric changes the digest.
         record.metrics["volume"] = math.nextafter(record.metrics["volume"], math.inf)
         assert digest.digest(record) != lines[0][0]
+
+    def test_against_a_matching_output_exits_0(self, tmp_path, capsys):
+        digest = digest_tool()
+        names = ["gorbovickis", "vr-asymptotics/constant"]
+        assert digest.main(names) == 0
+        saved = tmp_path / "parent.txt"
+        saved.write_text(capsys.readouterr().out)
+        assert digest.main(["--against", str(saved), *names]) == 0
+        out = capsys.readouterr()
+        assert out.out == saved.read_text() and out.err == ""
+
+    def test_against_a_one_ulp_move_exits_1_naming_the_config(self, tmp_path, capsys):
+        digest = digest_tool()
+        record = cli.run(config.validate(smoke_doc("gorbovickis")))
+        record.metrics["volume"] = math.nextafter(record.metrics["volume"], math.inf)
+        (constant, d), = digest.digests(["vr-asymptotics/constant"])
+        saved = tmp_path / "parent.txt"
+        saved.write_text(f"{digest.digest(record)}  gorbovickis\n{d}  {constant}\n")
+        assert digest.main(["--against", str(saved), "gorbovickis", constant]) == 1
+        err = capsys.readouterr().err
+        assert "moved against" in err and "gorbovickis" in err and constant not in err
+
+    @pytest.mark.parametrize("text", [pytest.param(None, id="missing"),
+                                      pytest.param("not a digest line\n", id="malformed")])
+    def test_against_an_unreadable_file_exits_2_before_any_run(self, text, tmp_path, capsys):
+        digest = digest_tool()
+        saved = tmp_path / "parent.txt"
+        if text is not None:
+            saved.write_text(text)
+        assert digest.main(["--against", str(saved), "gorbovickis"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "cannot read" in out.err
 
     def test_unknown_name_exits_2_listing_the_known_names(self, capsys):
         digest = digest_tool()

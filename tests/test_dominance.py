@@ -136,6 +136,20 @@ class TestRunTrials:
             dm.ExperimentConfig(n=2, N=3, R=3.0, j=2, density=unit_area_square(),
                                 trials=100, seed=1, estimator="exact2d")
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 3.0, -0.5, math.nan])
+    def test_alpha_outside_the_unit_interval_is_rejected(self, alpha):
+        # alpha = 2.0 used to run with a band of 0.0 and alpha = 3.0 to
+        # die mid-run in the band's logarithm.
+        with pytest.raises(ValueError, match="alpha must satisfy 0 < alpha < 1"):
+            dm.ExperimentConfig(n=2, N=3, R=3.0, j=2, density=unit_area_square(),
+                                trials=100, seed=1, alpha=alpha)
+
+    def test_density_of_another_dimension_is_rejected(self):
+        # Used to pass construction and fail only when the trials ran.
+        ball = dn.UniformBody(dn.BallRegion(np.zeros(3), 0.5))
+        with pytest.raises(ValueError, match="density has dimension 3, the run needs n=2"):
+            dm.ExperimentConfig(n=2, N=3, R=3.0, j=2, density=ball, trials=100, seed=1)
+
     def test_estimator_bug_propagates(self, monkeypatch):
         def broken(centers, radii):
             raise ValueError("a bug, not a failed trial")

@@ -123,6 +123,11 @@ class TestClipPolygon:
         assert verts.shape == (0, 2)
         assert polygon_area_perimeter(verts) == (0.0, 0.0)
 
+    def test_no_halfplanes_give_the_box(self):
+        # Used to raise ValueError from the slack's max over no offsets.
+        verts = clip_polygon(np.empty((0, 2)), np.empty(0), 1.0)
+        assert verts.tolist() == [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
+
 
 class TestAreaPerimeter:
     @pytest.mark.parametrize("verts", [np.empty((0, 2)), [[1.0, 2.0]], [[0.0, 0.0], [3.0, 4.0]]])
