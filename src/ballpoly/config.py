@@ -34,7 +34,10 @@ the one place that checks the rules between its keys and fills in the
 defaults of keys left out. Builder and constructor errors become schema
 errors. The run uses the objects validation built (``RunConfig.built``)
 and passes the library only the keys the config sets (``given``). Only
-``dominance-*`` and ``moments`` fork ``workers`` processes.
+``dominance-*`` and ``moments`` fork ``workers`` processes. A dominance
+run's survival grid has no key: it is always the automatic grid of
+``dominance.S_POINTS`` = 20 points from the extremizer's 1% to its 99%
+point.
 
 A previously written summary document (which echoes its config under a
 ``config`` key) loads directly, so archived runs re-run as-is.
@@ -123,11 +126,6 @@ def build_body(spec: dict):
         verts = np.asarray(spec["vertices"], dtype=float)
         grid = DirectionGrid.for_dimension(verts.shape[1], size)
         return SupportBody.polytope(verts, grid)
-    if t == "segment":
-        a = np.asarray(spec["a"], dtype=float)
-        b = np.asarray(spec["b"], dtype=float)
-        grid = DirectionGrid.for_dimension(a.shape[0], size)
-        return SupportBody.polytope(np.vstack([a, b]), grid)
     raise SchemaError(f"unknown body type {t!r}")
 
 
@@ -194,7 +192,6 @@ BODIES = {
     "ball": {"radius": (_NUM, _positive, REQ), "n": _COUNT, "grid_size": _COUNT},
     "cube": {"side": (_NUM, _positive, REQ), "n": _COUNT, "grid_size": _COUNT},
     "polytope": {"vertices": (list, _points, REQ), "grid_size": _COUNT},
-    "segment": {"a": (list, _numbers, REQ), "b": (list, _numbers, REQ), "grid_size": _COUNT},
 }
 
 # Each builder takes the spec and a hint: the run's dimension for a
@@ -212,8 +209,6 @@ _DOMINANCE = {
     "j": _J,
     "trials": _TRIALS,
     "alpha": (_NUM, None, OPT),
-    "s_points": (int, _at_least(2), OPT),
-    "s_grid": (list, _numbers, OPT),
     "estimator": _ESTIMATOR,
     "fit_samples": _COUNT,
     "density": ("density", None, REQ),
@@ -363,6 +358,21 @@ def _ball_volume_is_finite(R: float, n: int) -> bool:
 # mean width, so larger radii show nothing more.
 DEFICIT_RADIUS_FACTOR = 1e7
 
+# Off the plane the deficit is a hit-or-miss estimate, which reads
+# 0.0 +- 0.0 when no sample misses. A sample misses with probability
+# about n w / (2R), w the mean width of the points' hull, so a run
+# expects at least MISS_FACTOR * samples * diameter / R misses: a segment
+# has the least w of any set of its diameter, and its n w / (2 diameter)
+# is 0.75 in 3-D (more above). Measured misses / (samples * diameter / R): 0.74-0.83 for two
+# points, 1.06-1.27 for the unit tetrahedron corners at R = 10 to 1e4,
+# and a median of 0.98 over 60 random sets of 2-8 points in the unit
+# cube at R = 100. Below MIN_EXPECTED_MISSES a run misses nothing with
+# probability above e^-5; with 20,000 samples the tetrahedron read 4
+# misses and a coefficient of 8.38 at R = 1e4 (6.69 at R = 10), and none
+# from R = 1e5 on.
+MISS_FACTOR = 0.75
+MIN_EXPECTED_MISSES = 5
+
 
 def _relations(kind: str, p: dict, built: dict) -> List[str]:
     """Rules between the keys of a params block that passed its table
@@ -400,6 +410,13 @@ def _relations(kind: str, p: dict, built: dict) -> List[str]:
             errors.append(f"params: key '{R_key}': radius {R!r} is above {DEFICIT_RADIUS_FACTOR:g} "
                           f"times {what}, {scale:.6g}, where the volume deficit loses its "
                           f"digits to rounding")
+        if kind == "gorbovickis" and len(pts[0]) != 2 and p.get("samples", 0) >= 1:
+            misses = MISS_FACTOR * p["samples"] * scale / R
+            if misses < MIN_EXPECTED_MISSES:
+                errors.append(f"params: key '{R_key}': radius {R!r} leaves about {misses:.3g} "
+                              f"expected hit-or-miss misses ({MISS_FACTOR:g} x samples x "
+                              f"{what} / R), below {MIN_EXPECTED_MISSES}, too few to see "
+                              f"the volume deficit; raise 'samples' or lower the radius")
     if kind == "moments" or kind in WULFF_GRID_SIZE:
         # The run's boundary function (the body's h_K, or f on the run's
         # grid) against the smallest R the run uses.
@@ -414,8 +431,6 @@ def _relations(kind: str, p: dict, built: dict) -> List[str]:
     for key, want in (("density", p.get("n")), ("density_a", 2), ("density_b", 2)):
         if key in built and built[key].dimension != want:
             errors.append(f"params.{key}: dimension {built[key].dimension}, the run needs {want}")
-    if "s_grid" in p and "s_points" in p:
-        errors.append("params: keys 's_grid' and 's_points' exclude each other")
     if kind == "dominance-cube" and not isinstance(built["density"], Product1D):
         errors.append("params.density: dominance-cube needs a product density")
     if kind == "gorbovickis":

@@ -58,6 +58,9 @@ from .rng import uniform_on_sphere  # noqa: F401
 # (silently dropping more would bias the tails).
 MAX_FAILED_FRACTION = 1e-3
 
+# Points of the survival grid, from the extremizer's 1% to its 99% point.
+S_POINTS = 20
+
 
 def dkw_band(m: int, alpha: float) -> float:
     """Half-width of the simultaneous empirical-CDF band:
@@ -69,7 +72,9 @@ def dkw_band(m: int, alpha: float) -> float:
 class ExperimentConfig:
     """Parameters of a random ball-polyhedron dominance run: the one
     place that checks them and fills in their defaults. The reports a
-    run returns do not repeat them."""
+    run returns do not repeat them. The survival grid is not a setting:
+    it is always the automatic grid of ``S_POINTS`` = 20 points
+    (``_auto_grid``)."""
 
     n: int
     N: int
@@ -78,8 +83,6 @@ class ExperimentConfig:
     density: Density
     trials: int
     seed: int
-    s_grid: Optional[np.ndarray] = None
-    s_points: int = 20
     alpha: float = 0.05
     estimator: str = "exact-2d"  # 'exact-2d' | 'steiner-fit'
     fit_samples: int = 20_000
@@ -101,10 +104,6 @@ class ExperimentConfig:
         if self.estimator == "exact-2d" and self.n != 2:
             raise UnsupportedDimension(f"key 'estimator' 'exact-2d' (the default) needs n = 2, "
                                        f"got n={self.n}; use 'steiner-fit'")
-        if self.s_grid is not None:
-            self.s_grid = np.asarray(self.s_grid, dtype=float)
-            if self.s_grid.size == 0 or np.any(np.diff(self.s_grid) <= 0):
-                raise ValueError("s_grid must be nonempty ascending")
 
     @property
     def radii(self) -> np.ndarray:
@@ -299,7 +298,7 @@ def _check_extremizer(cfg: ExperimentConfig, extremizer: Density) -> DominanceRe
     (same trial seeds), and compare the survival curves."""
     test = run_trials(cfg)
     extremal = run_trials(cfg, density=extremizer)
-    s = cfg.s_grid if cfg.s_grid is not None else _auto_grid(extremal.values, cfg.s_points)
+    s = _auto_grid(extremal.values, S_POINTS)
     tc = SurvivalCurve.from_samples(test.values, s, cfg.alpha)
     ec = SurvivalCurve.from_samples(extremal.values, s, cfg.alpha)
     return DominanceReport(compare_curves(tc, ec), tc, ec, test.failed + extremal.failed)

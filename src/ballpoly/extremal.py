@@ -300,7 +300,9 @@ def gorbovickis_deficit(points: np.ndarray, R: float, samples: int = 0,
 
     In the plane the volume is exact (arc decomposition) and
     ``samples`` must be 0; in higher dimension it is a hit-or-miss
-    estimate from ``samples`` >= 1 points."""
+    estimate from ``samples`` >= 1 points. When no sample misses the
+    intersection the deficit would read 0.0 +- 0.0, so that raises
+    ValueError."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[1]
     if n == 2 and samples != 0:
@@ -317,6 +319,9 @@ def gorbovickis_deficit(points: np.ndarray, R: float, samples: int = 0,
         vol, se = exact2d.disk_region(P.centers, P.radii).area, 0.0
     else:
         vol, se = mc_volume(P, samples, seed)
+        if se == 0.0 and vol > 0.0:
+            raise ValueError(f"none of the {samples} hit-or-miss samples missed the "
+                             f"intersection at R = {R}; raise samples or lower R")
     coeff, width = _deficit_terms(vol, R, n)
     return DeficitReport(
         volume=vol, volume_stderr=se, deficit_coefficient=float(coeff),
@@ -371,6 +376,9 @@ def hull_dominance_bridge(density_a, density_b, N: int, trials: int, R: float,
     between the two estimators under each density."""
     if not 0 < R < math.inf:
         raise ValueError(f"R must be positive and finite, got {R}")
+    for name, dens in (("density_a", density_a), ("density_b", density_b)):
+        if dens.dimension != 2:
+            raise ValueError(f"{name} has dimension {dens.dimension}; the hull bridge is planar")
     out_direct = {"a": np.empty(trials), "b": np.empty(trials)}
     out_deficit = {"a": np.empty(trials), "b": np.empty(trials)}
     radii = np.full(N, R)

@@ -1,10 +1,11 @@
 """Result records and file emission.
 
 Every run produces one ResultRecord: the config echo, a content hash of
-the semantically meaningful config, the artifact version, the RNG
-contract version (which fixes the samples a seed gives), timestamps,
-scalar metrics (each stochastic metric paired with its uncertainty),
-and zero or more tabular curves. Records are append-only on disk:
+the semantically meaningful config, timestamps, scalar metrics (each
+stochastic metric paired with its uncertainty), and zero or more
+tabular curves. Its summary file adds two package constants: the
+artifact version and the RNG contract version (which fixes the samples
+a seed gives). Records are append-only on disk:
 re-running a config hash warns and writes a timestamped sibling rather
 than overwriting.
 """
@@ -45,13 +46,11 @@ class ResultRecord:
     kind: str
     config: Dict[str, Any]
     config_hash: str
-    version: str
     started: str
     finished: str
     metrics: Dict[str, Any]
     curves: List[CurveTable] = field(default_factory=list)
     failed_trials: int = 0
-    rng_contract: int = RNG_CONTRACT
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -70,7 +69,6 @@ def make_record(cfg: RunConfig, started: str, metrics: Dict[str, Any],
         kind=cfg.kind,
         config=cfg.canonical(),
         config_hash=config_hash(cfg),
-        version=__version__,
         started=started,
         finished=now_iso(),
         metrics=metrics,
@@ -100,8 +98,8 @@ def write_results(record: ResultRecord, out_dir: str) -> List[Path]:
         "config": record.config,
         "record": {
             "config_hash": record.config_hash,
-            "version": record.version,
-            "rng_contract": record.rng_contract,
+            "version": __version__,
+            "rng_contract": RNG_CONTRACT,
             "started": record.started,
             "finished": record.finished,
             "failed_trials": record.failed_trials,

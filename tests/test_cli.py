@@ -50,9 +50,10 @@ UNIT_BOX = {"type": "box1d-step", "breaks": [-0.5, 0.5], "heights": [1.0]}
 
 # One tiny config per kind, plus the 3-D circumscription kinds, the
 # simplex case of ``schneider``, a constant boundary function (a ball's
-# support function), a 3-D boundary function, a 3-D ``gorbovickis`` and
-# a circumscription search whose restarts end in different rounds, each
-# run through ``cli.main``.
+# support function), a 3-D boundary function, a 3-D ``gorbovickis``, a
+# circumscription search whose restarts end in different rounds, and
+# configs that set the keys and spec types no other smoke config or
+# benchmark workload sets, each run through ``cli.main``.
 SMOKE = {
     "dominance-ball": {"n": 2, "N": 3, "R": 3.0, "j": 2, "trials": 100,
                        "density": {"type": "uniform-box", "side": 1.0}},
@@ -92,6 +93,22 @@ SMOKE = {
     "vr-asymptotics/constant": {"f": {"type": "ball", "radius": 1.0, "grid_size": 256},
                                 "R_list": [5.0, 10.0]},
     "vr-asymptotics/3d": {"f": CUBE_3D, "R_list": [5.0, 10.0]},
+    # Two shells of mass 0.2 pi and 1 - 0.2 pi.
+    "dominance-ball/radial-step": {
+        "n": 2, "N": 3, "R": 3.0, "j": 1, "trials": 100, "alpha": 0.1,
+        "density": {"type": "radial-step", "radii": [0.5, 1.0],
+                    "heights": [0.8, (1.0 - 0.2 * math.pi) / (0.75 * math.pi)], "n": 2}},
+    "hull-bridge/lo-hi-center": {
+        "N": 3, "trials": 100, "R": 10.0,
+        "density_a": {"type": "uniform-box", "lo": [-0.5, -0.5], "hi": [0.5, 0.5], "n": 2},
+        "density_b": {"type": "uniform-ball", "radius": 0.5, "center": [0.1, 0.0]}},
+    "moments/steiner-3d": {"body": {"type": "ball", "radius": 0.5, "n": 3, "grid_size": 256},
+                           "R": 3.0, "N": 3, "j": 3, "p_list": [1], "trials": 100,
+                           "estimator": "steiner-fit", "fit_samples": 1000},
+    "minimize/polytope": {"body": {"type": "polytope", "vertices": [[-0.5, -0.5], [1.0, 0.0],
+                                                                    [0.0, 1.0]],
+                                   "grid_size": 256},
+                          "j": 2, "N": 3, "restarts": 1, "max_fev": 40},
 }
 
 
@@ -117,8 +134,6 @@ def run_main(doc, tmp_path, *argv):
 # ended in a traceback, ran with a value ignored or misread, or passed
 # validation and failed mid-run.
 BAD_CONFIGS = [
-    pytest.param(smoke_with("minimize", body={"type": "segment", "b": [1.0, 0.0]}),
-                 "missing required key 'a'", id="segment-without-a"),
     pytest.param(smoke_with("wulff-convergence", f={**SQUARE, "grid_size": "x"}), "grid_size",
                  id="grid-size-string"),
     # The planar hull's mean width is exact, so hull-bridge has no grid.
@@ -144,9 +159,6 @@ BAD_CONFIGS = [
     pytest.param(smoke_with("moments", body={**SQUARE, "grid_size": True}), "grid_size",
                  id="body-grid-size-bool"),
     pytest.param(smoke_with("dominance-ball", s_grid=[3, 1]), "s_grid", id="s-grid-descending"),
-    # s_points used to be ignored silently whenever s_grid was set.
-    pytest.param(smoke_with("dominance-ball", s_grid=[1.0, 2.0], s_points=5),
-                 "'s_grid' and 's_points' exclude each other", id="s-grid-and-s-points"),
     pytest.param(smoke_with("dominance-ball", density={
         "type": "radial-step", "radii": [1.0], "heights": [1.0]}), "params.density: density mass",
         id="radial-step-mass"),
@@ -221,6 +233,12 @@ BAD_CONFIGS = [
     pytest.param(smoke_with("gorbovickis/3d", R_list=[10.0, 1e110]),
                  "params: key 'R_list': the volume of a ball of radius 1e+110 in dimension 3",
                  id="gorbovickis-3d-R-list-overflow"),
+    # Off the plane the deficit is a hit-or-miss estimate: with 20,000
+    # samples no sample missed at R = 1e5, and the run exited 0 with a
+    # deficit of 0.0 +- 0.0.
+    pytest.param(smoke_with("gorbovickis/3d", R_list=[100000.0]),
+                 "params: key 'R_list': radius 100000.0 leaves about 0.212 expected hit-or-miss "
+                 "misses", id="gorbovickis-3d-R-list-beyond-misses"),
     # R against the largest value of the boundary function (or support
     # function) on the grid the run builds: these used to exit 3 mid-run.
     pytest.param({"kind": "vr-asymptotics", "seed": 1, "params": {
@@ -237,11 +255,11 @@ BAD_CONFIGS = [
     # support function reads 3e-17 at its normals on the grid): the
     # Wulff run used to exit 3 in Qhull, and the moments run ran with
     # the origin on the body's boundary.
-    pytest.param(smoke_with("wulff-convergence", f={"type": "segment", "a": [-0.5, 0.0],
-                                                    "b": [0.5, 0.0]}),
+    pytest.param(smoke_with("wulff-convergence", f={"type": "polytope",
+                                                    "vertices": [[-0.5, 0.0], [0.5, 0.0]]}),
                  "params.f: the body must contain the origin", id="wulff-segment-f"),
-    pytest.param(smoke_with("moments", body={"type": "segment", "a": [-0.5, 0.0],
-                                             "b": [0.5, 0.0], "grid_size": 256}),
+    pytest.param(smoke_with("moments", body={"type": "polytope",
+                                             "vertices": [[-0.5, 0.0], [0.5, 0.0]]}),
                  "params.body: the body must contain the origin", id="moments-segment-body"),
     # The planar deficit is exact; a sample budget used to switch it to
     # a Monte-Carlo estimate.
@@ -408,6 +426,14 @@ class TestValidation:
                          "params": {"body": CUBE_3D, "j": 3, "N": 4,
                                     "estimator": "exact-hull-3d"}})
 
+    def test_expected_misses_bound_scales_with_samples(self):
+        # 0.75 x samples x sqrt(2) / R is just above 5 here.
+        doc = smoke_with("gorbovickis/3d", R_list=[10.0, 4200.0])
+        config.validate(doc)
+        doc["params"]["samples"] = 19000
+        with pytest.raises(config.SchemaError, match="radius 4200.0 leaves about 4.8 expected"):
+            config.validate(doc)
+
     def test_three_dimensional_points_need_samples(self):
         config.validate({"kind": "gorbovickis", "seed": 1, "params": {
             "points": [[0, 0, 0], [1, 0, 0]], "R_list": [10.0], "samples": 100}})
@@ -511,7 +537,77 @@ def _branches(fn) -> dict:
     return branches
 
 
+def _params_setting_names() -> dict:
+    """(kind, key) -> the name of that params setting. Kinds whose tables
+    hold one table whole (the shared ``_DOMINANCE``, ``_WULFF`` and
+    ``_CIRCUMSCRIPTION``) share its keys, so such a key is one setting,
+    named after all of those kinds."""
+    names = {}
+    for kind, table in config.PARAMS.items():
+        for key, entry in table.items():
+            shared = min((t for t in config.PARAMS.values()
+                          if t.get(key) is entry and t.items() <= table.items()), key=len)
+            kinds = [k for k, t in config.PARAMS.items() if shared.items() <= t.items()]
+            names[kind, key] = f"{'|'.join(kinds)}.{key}"
+    return names
+
+
+def _all_settings() -> set:
+    """Every key of a schema table and every spec type, but the top-level
+    ``out``, a deployment path."""
+    settings = {f"top.{key}" for key in config.TOP if key != "out"}
+    settings.update(_params_setting_names().values())
+    for family, (tables, _) in config._SPECS.items():
+        for t, table in tables.items():
+            settings.add(f"{family} {t}")
+            settings.update(f"{family} {t}.{key}" for key in table)
+    return settings
+
+
+def _settings_set(doc) -> set:
+    """The settings a config document sets, in ``_all_settings``'s names."""
+    names = _params_setting_names()
+    found = {f"top.{key}" for key in doc}
+
+    def walk(types, value):
+        if isinstance(types, list):
+            for item in value:
+                walk(types[0], item)
+        elif isinstance(types, str):
+            table = config._SPECS[types][0][value["type"]]
+            found.add(f"{types} {value['type']}")
+            for key, v in value.items():
+                if key != "type":
+                    found.add(f"{types} {value['type']}.{key}")
+                    walk(table[key][0], v)
+
+    for key, value in doc["params"].items():
+        found.add(names[doc["kind"], key])
+        walk(config.PARAMS[doc["kind"]][key][0], value)
+    return found
+
+
+def _unset_settings(monkeypatch) -> set:
+    """The settings that no SMOKE config and no benchmark workload's
+    config document sets."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    docs = [smoke_doc(name) for name in SMOKE]
+    docs += [workload().doc(0) for workload in workloads.WORKLOADS.values()]
+    return _all_settings() - set().union(*map(_settings_set, docs))
+
+
 class TestSchemaTables:
+    def test_every_setting_is_set_by_a_smoke_config_or_a_workload(self, monkeypatch):
+        # An option that nothing sets is deleted, or gets a smoke config.
+        assert _unset_settings(monkeypatch) == set()
+
+    def test_a_key_nothing_sets_is_flagged_once_per_table(self, monkeypatch):
+        monkeypatch.setitem(config._DOMINANCE, "s_grid", (list, None, config.OPT))
+        monkeypatch.setitem(config.BODIES, "segment", {"a": (list, None, config.REQ)})
+        assert _unset_settings(monkeypatch) == {"dominance-ball|dominance-cube.s_grid",
+                                                "body segment", "body segment.a"}
+
     def test_runners_read_exactly_the_declared_keys(self):
         tree = ast.parse(Path(cli.__file__).read_text())
         functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -676,10 +772,11 @@ class TestSmoke:
 # more than doubles a cold start's time and memory. The circumscription
 # search and the planar clipper are plain floats, so the planar
 # circumscription kinds and the Wulff shape qualify.
-SCIPY_FREE = ["dominance-ball", "dominance-ball/steiner-3d", "dominance-cube", "moments",
-              "gorbovickis", "gorbovickis/3d", "hull-bridge", "vr-asymptotics",
+SCIPY_FREE = ["dominance-ball", "dominance-ball/steiner-3d", "dominance-ball/radial-step",
+              "dominance-cube", "moments", "moments/steiner-3d", "gorbovickis", "gorbovickis/3d",
+              "hull-bridge", "hull-bridge/lo-hi-center", "vr-asymptotics",
               "vr-asymptotics/constant", "vr-asymptotics/3d", "minimize", "minimize/lockstep",
-              "schneider", "schneider/simplex", "wulff-convergence"]
+              "minimize/polytope", "schneider", "schneider/simplex", "wulff-convergence"]
 
 # Configs that build a hull with Qhull: 3-D circumscription.
 QHULL = ["minimize/exact-hull-3d", "minimize/3d-j2", "schneider/3d"]

@@ -13,6 +13,7 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection
 from ballpoly import exact2d
 from ballpoly import extremal as ex
 from ballpoly.config import build_body, build_density
+from ballpoly.densities import ball_extremizer
 from ballpoly.errors import UnboundedConfiguration, UnsupportedDimension
 from ballpoly.geometry import DirectionGrid, SupportBody
 from ballpoly.neldermead import _nelder_mead
@@ -410,6 +411,13 @@ class TestGorbovickis:
         with pytest.raises(ValueError, match="samples|sample budget"):
             ex.gorbovickis_deficit(np.array(points), 10.0, samples=samples)
 
+    def test_no_miss_raises(self):
+        # Every one of the hit-or-miss samples lands inside: the deficit
+        # used to read 0.0 +- 0.0.
+        tetrahedron = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        with pytest.raises(ValueError, match="none of the 20000 hit-or-miss samples missed"):
+            ex.gorbovickis_deficit(tetrahedron, 1e5, samples=20000, seed=3)
+
     def test_touching_disks_have_zero_volume(self):
         # Points 2R apart: the two disks meet in one point.
         with pytest.warns(UserWarning, match="asymptotics unreliable"):
@@ -453,6 +461,11 @@ class TestHullBridge:
     def test_radius_must_be_positive_and_finite(self, R):
         with pytest.raises(ValueError, match="R must be positive"):
             ex.hull_dominance_bridge(None, None, 3, 100, R)
+
+    def test_density_must_be_planar(self):
+        # Used to die unpacking a 3-D point in the planar hull.
+        with pytest.raises(ValueError, match="density_a has dimension 3; the hull bridge is planar"):
+            ex.hull_dominance_bridge(ball_extremizer(3), ball_extremizer(2), 3, 100, 10.0)
 
     def test_each_trial_is_the_hull_width_and_the_gorbovickis_deficit(self):
         # Trial t of density i draws from stream(seed, t, i); the deficit
